@@ -779,17 +779,14 @@ let restore ?admission ~sessions ~served ~seq repo =
 
 (* ---- shard routing ---------------------------------------------------- *)
 
-(* FNV-1a/32 over the routing key. Deliberately not [Hashtbl.hash]: the
-   routing rule is part of the serving contract (per-shard journals are
-   replayed against the same rule after a crash), so it must be stable
-   across OCaml versions and future builds. *)
+(* FNV-1a/32 ([Repr.Fnv]) over the routing key. Deliberately not
+   [Hashtbl.hash]: the routing rule is part of the serving contract
+   (per-shard journals are replayed against the same rule after a
+   crash), so it must be stable across OCaml versions and future
+   builds. *)
 let route ~shards key =
   if shards < 1 then invalid_arg "Broker.route: shards must be >= 1";
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xffffffff)
-    key;
-  !h mod shards
+  Repr.Fnv.hash32 key mod shards
 
 type target = Shard of int | Broadcast
 

@@ -7,14 +7,9 @@
 let version = 2
 let header_line = Printf.sprintf "susf-journal %d" version
 
-(* FNV-1a, 32-bit: tiny, dependency-free, and plenty to detect torn
-   writes and bit rot — this is a consistency check, not a MAC. *)
-let checksum s =
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xffffffff)
-    s;
-  !h
+(* FNV-1a/32 ([Repr.Fnv]): plenty to detect torn writes and bit rot —
+   this is a consistency check, not a MAC. *)
+let checksum = Repr.Fnv.hash32
 
 type entry = {
   seq : int;

@@ -54,7 +54,7 @@ type error = { path : string; line : int; msg : string }
 val pp_error : error Fmt.t
 
 val checksum : string -> int
-(** FNV-1a, 32 bits — the entry and snapshot consistency check. *)
+(** {!Repr.Fnv.hash32} — the entry and snapshot consistency check. *)
 
 val encode : hexpr_to_string:(Core.Hexpr.t -> string) -> entry -> string
 (** One journal line, without the trailing newline. *)

@@ -1,107 +1,40 @@
 let enabled_flag = Atomic.make false
 let set_enabled b = Atomic.set enabled_flag b
 let enabled () = Atomic.get enabled_flag
-let active = enabled
 let lowerings = Atomic.make 0
 let lower_count () = Atomic.get lowerings
 
 (* Per-contract compiled tables, id-keyed like every other derived
    result: clear_all and per-id invalidate Just Work. [None] caches the
    "unlowerable" verdict for open contracts. *)
-let tables : (Core.Contract.t, (Table.t * Table.t) option) Repr.Memo.t =
+let tables : (Core.Contract.t, Table.t option) Repr.Memo.t =
   Repr.Memo.create ~name:"compile.tables" ~key:Core.Contract.id ()
-
-(* Canonical minimized tables interned by their encoding: equivalent
-   contracts share one table in memory, so a planner holding thousands
-   of behaviourally equal session contracts holds one automaton. *)
-let canon : (string, Table.t) Hashtbl.t = Hashtbl.create 64
-let canon_lock = Mutex.create ()
-let canon_hits = ref 0
-let canon_misses = ref 0
-
-let () =
-  Repr.Cache.register ~name:"compile.canon"
-    ~clear:(fun () ->
-      Mutex.lock canon_lock;
-      Hashtbl.reset canon;
-      Mutex.unlock canon_lock)
-    ~stats:(fun () ->
-      Mutex.lock canon_lock;
-      let entries = Hashtbl.length canon in
-      Mutex.unlock canon_lock;
-      { Repr.Cache.hits = !canon_hits; misses = !canon_misses; entries })
-    ~reset_counters:(fun () ->
-      canon_hits := 0;
-      canon_misses := 0)
-    ()
-
-let canonicalize m =
-  let key = Table.encode m in
-  Mutex.lock canon_lock;
-  let m =
-    match Hashtbl.find_opt canon key with
-    | Some shared ->
-        incr canon_hits;
-        Obs.Metrics.incr "compile.minimize.shared";
-        shared
-    | None ->
-        incr canon_misses;
-        Hashtbl.add canon key m;
-        m
-  in
-  Mutex.unlock canon_lock;
-  m
 
 let compile c =
   let key = if Store.attached () <> None then Some (Table.contract_key c) else None in
-  let from_store =
-    match key with None -> None | Some k -> Store.find k
-  in
-  match from_store with
-  | Some (lowered, minimized) -> Some (lowered, canonicalize minimized)
+  match Option.bind key Store.find with
+  | Some t -> Some t
   | None -> (
       match Table.lower c with
       | None -> None
-      | Some lowered ->
+      | Some t ->
           Atomic.incr lowerings;
-          let minimized = canonicalize (Minimize.minimize lowered) in
-          (match key with
-          | Some k -> Store.add k (lowered, minimized)
-          | None -> ());
-          Some (lowered, minimized))
+          Option.iter (fun k -> Store.add k t) key;
+          Some t)
 
 let get c = Repr.Memo.find tables c ~compute:compile
 
-let product_backend =
-  {
-    Core.Product.active;
-    survey =
-      (fun c1 c2 ->
-        match (get c1, get c2) with
-        | Some (l1, _), Some (l2, _) -> Check.survey l1 l2 ~c1 ~c2
-        | _ -> None);
-    compliant =
-      (fun c1 c2 ->
-        match (get c1, get c2) with
-        | Some (_, m1), Some (_, m2) -> Check.product_compliant m1 m2
-        | _ -> None);
-  }
-
-let compliance_backend =
-  {
-    Core.Compliance.active;
-    compliant =
-      (fun client server ->
-        match (get client, get server) with
-        | Some (_, m1), Some (_, m2) -> Check.def4_compliant m1 m2
-        | _ -> None);
-  }
-
-let validity_backend =
-  { Core.Validity.Abstract.active; step = Policy_rows.step }
-
 let install () =
-  Core.Product.set_backend (Some product_backend);
-  Core.Compliance.set_backend (Some compliance_backend);
-  Core.Validity.Abstract.set_backend (Some validity_backend);
+  Core.Product.set_backend
+    (Some
+       {
+         Core.Product.active = enabled;
+         survey =
+           (fun c1 c2 ->
+             match (get c1, get c2) with
+             | Some t1, Some t2 -> Check.survey t1 t2 ~c1 ~c2
+             | _ -> None);
+       });
+  Core.Validity.Abstract.set_backend
+    (Some { Core.Validity.Abstract.active = enabled; step = Policy_rows.step });
   set_enabled true

@@ -1,6 +1,7 @@
-(** Wiring: compile contracts on demand, share canonical minimized
-    tables, consult the persistent {!Store}, and install the compiled
-    paths behind the interpreted entry points of [Core].
+(** Wiring: compile contracts on demand, consult the persistent
+    {!Store}, and install the compiled paths behind the two dispatching
+    entry points of [Core]: [Product.survey] and
+    [Validity.Abstract.step_states].
 
     [core] cannot depend on this library (it would be a cycle), so the
     hot entry points dispatch through backend records that executables
@@ -10,14 +11,12 @@
     pair spaces) but can never force a wrong verdict.
 
     Compiled tables are memoized per contract in a [Repr.Memo] named
-    [compile.tables] (so [Repr.Cache.clear_all] and per-contract
+    [compile.tables], so [Repr.Cache.clear_all] and per-contract
     [invalidate] behave exactly like every other derived-result
-    cache), and minimized tables are interned by their canonical
-    encoding: equivalent contracts share one table in memory
-    ([compile.minimize.shared] counts the coalesces). *)
+    cache. *)
 
 val install : unit -> unit
-(** Install the compiled backends into [Product], [Compliance] and
+(** Install the compiled backends into [Product] and
     [Validity.Abstract] and enable them. Idempotent; call once at
     executable startup, before any domains are spawned. *)
 
@@ -27,8 +26,8 @@ val set_enabled : bool -> unit
 
 val enabled : unit -> bool
 
-val get : Core.Contract.t -> (Table.t * Table.t) option
-(** [(lowered, minimized)] for a closed contract, via memo, store and
+val get : Core.Contract.t -> Table.t option
+(** The lowered table of a closed contract, via memo, store and
     compiler in that order; [None] for open contracts. *)
 
 val lower_count : unit -> int

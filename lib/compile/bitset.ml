@@ -6,60 +6,22 @@ let create n =
   if n < 0 then invalid_arg "Bitset.create";
   { bits = Array.make ((n + word_bits - 1) / word_bits) 0; n }
 
-let capacity t = t.n
-
 let set t i =
   if i < 0 || i >= t.n then invalid_arg "Bitset.set";
   let w = i / word_bits and b = i mod word_bits in
   t.bits.(w) <- t.bits.(w) lor (1 lsl b)
 
-let mem t i =
-  if i < 0 || i >= t.n then false
-  else
-    let w = i / word_bits and b = i mod word_bits in
-    t.bits.(w) land (1 lsl b) <> 0
-
-let is_empty t = Array.for_all (fun w -> w = 0) t.bits
-
-let popcount w =
-  let c = ref 0 and w = ref w in
-  while !w <> 0 do
-    w := !w land (!w - 1);
-    incr c
-  done;
-  !c
-
-let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.bits
-
-let inter_nonempty a b =
-  let words = min (Array.length a.bits) (Array.length b.bits) in
-  let rec go i =
-    i < words && (a.bits.(i) land b.bits.(i) <> 0 || go (i + 1))
-  in
-  go 0
-
 let union_into ~dst src =
   if src.n > dst.n then invalid_arg "Bitset.union_into";
   Array.iteri (fun i w -> dst.bits.(i) <- dst.bits.(i) lor w) src.bits
 
-let iter f t =
-  Array.iteri
-    (fun wi w ->
-      if w <> 0 then
-        for b = 0 to word_bits - 1 do
-          if w land (1 lsl b) <> 0 then f ((wi * word_bits) + b)
-        done)
-    t.bits
-
 let to_list t =
   let acc = ref [] in
-  iter (fun i -> acc := i :: !acc) t;
-  List.rev !acc
-
-let of_list n l =
-  let t = create n in
-  List.iter (set t) l;
-  t
-
-let equal a b =
-  a.n = b.n && Array.for_all2 (fun x y -> x = y) a.bits b.bits
+  for wi = Array.length t.bits - 1 downto 0 do
+    let w = t.bits.(wi) in
+    if w <> 0 then
+      for b = word_bits - 1 downto 0 do
+        if w land (1 lsl b) <> 0 then acc := ((wi * word_bits) + b) :: !acc
+      done
+  done;
+  !acc

@@ -1,32 +1,18 @@
 (** Fixed-capacity bit sets over [0 .. capacity-1], backed by an int
-    array — the working currency of the compiled backend: ready sets,
-    policy-cursor rows and symbol sets are all bitsets, so membership
-    and intersection tests are word operations instead of list or
-    [Set] walks. *)
+    array — the grounded policy rows ({!Policy_rows}) are bitsets, so a
+    cursor step is a few word-wide unions instead of list or [Set]
+    walks. *)
 
 type t
 
 val create : int -> t
 (** [create n] is the empty set over universe [0..n-1]. *)
 
-val capacity : t -> int
 val set : t -> int -> unit
-val mem : t -> int -> bool
-val is_empty : t -> bool
-val cardinal : t -> int
-
-val inter_nonempty : t -> t -> bool
-(** Do the two sets share an element? Capacities may differ. *)
 
 val union_into : dst:t -> t -> unit
 (** [union_into ~dst s] adds every element of [s] to [dst]. The source
     capacity must not exceed the destination's. *)
 
-val iter : (int -> unit) -> t -> unit
-(** Ascending order. *)
-
 val to_list : t -> int list
 (** Elements, ascending. *)
-
-val of_list : int -> int list -> t
-val equal : t -> t -> bool

@@ -1,10 +1,10 @@
 module Product = Core.Product
 open Table
 
-(* Dense pair arrays are allocated eagerly ([n1 * n2] slots); beyond
-   this many pairs the interpreted hashtable exploration is the better
-   representation, so the compiled path declines. *)
-let pair_limit = 1 lsl 21
+(* Product states are pair ids [i * n2 + j]. The survey keys them in
+   hashtables, so it touches only the pairs it reaches — a long session
+   against its dual reaches O(n) of the n1 * n2 pairs. *)
+module Int_tbl = Hashtbl.Make (Int)
 
 let translation (t1 : Table.t) (t2 : Table.t) =
   Array.map
@@ -67,179 +67,85 @@ let replay_path c1 c2 syms =
             (Core.Compliance.sync_successors x y))
     (Some (c1, c2)) syms
 
-let survey (t1 : Table.t) (t2 : Table.t) ~c1 ~c2 =
-  let n1 = t1.states and n2 = t2.states in
-  if n1 * n2 > pair_limit then None
-  else begin
-    let tr12 = translation t1 t2 and tr21 = translation t2 t1 in
-    let npairs = n1 * n2 in
-    (* parent_p: -1 unvisited, -2 root, else predecessor pair id *)
-    let parent_p = Array.make npairs (-1) in
-    let parent_sym = Array.make npairs (-1) in
-    let succs = Array.make npairs [||] in
-    let q = Queue.create () in
-    parent_p.(0) <- -2;
-    Queue.add 0 q;
-    let stuck = ref 0 and first = ref None and terminated = ref false in
-    let path_syms p =
-      let rec go p acc =
-        if parent_p.(p) = -2 then acc
-        else go parent_p.(p) (t1.alphabet.(parent_sym.(p)) :: acc)
-      in
-      go p []
-    in
-    while not (Queue.is_empty q) do
-      let p = Queue.pop q in
-      let i = p / n2 and j = p mod n2 in
-      match final_reason t1 t2 tr12 tr21 i j with
-      | Some reason ->
-          incr stuck;
-          if !first = None then begin
-            let syms = path_syms p in
-            let ce =
-              match replay_path c1 c2 syms with
-              | Some stuck_pair ->
-                  Some
-                    {
-                      Product.synchronisations = syms;
-                      stuck = stuck_pair;
-                      reason;
-                    }
-              | None ->
-                  (* can't happen for tables lowered from [c1]/[c2];
-                     the interpreted shortest-path search returns the
-                     same counterexample *)
-                  Product.counterexample c1 c2
+(* Raises [Exit] when the counterexample path does not replay on the
+   contracts — impossible for tables lowered from [c1]/[c2]; [survey]
+   then declines rather than guess. *)
+let survey_pairs (t1 : Table.t) (t2 : Table.t) ~c1 ~c2 =
+  let n2 = t2.states in
+  let tr12 = translation t1 t2 and tr21 = translation t2 t1 in
+  (* pair -> (predecessor pair, symbol); the root's predecessor is -1 *)
+  let parent = Int_tbl.create 16 in
+  let succs = Int_tbl.create 16 in
+  let q = Queue.create () in
+  Int_tbl.replace parent 0 (-1, -1);
+  Queue.add 0 q;
+  let stuck = ref 0 and first = ref None and terminated = ref false in
+  let rec path_syms p acc =
+    match Int_tbl.find parent p with
+    | -1, _ -> acc
+    | pred, sym -> path_syms pred (t1.alphabet.(sym) :: acc)
+  in
+  while not (Queue.is_empty q) do
+    let p = Queue.pop q in
+    let i = p / n2 and j = p mod n2 in
+    match final_reason t1 t2 tr12 tr21 i j with
+    | Some reason ->
+        incr stuck;
+        if !first = None then begin
+          let syms = path_syms p [] in
+          match replay_path c1 c2 syms with
+          | Some stuck ->
+              first := Some { Product.synchronisations = syms; stuck; reason }
+          | None -> raise Exit
+        end
+    | None ->
+        if t1.kind.(i) = Knil then terminated := true;
+        let buf = ref [] in
+        successors t1 t2 tr12 i j (fun sym i' j' ->
+            let p' = (i' * n2) + j' in
+            buf := p' :: !buf;
+            if not (Int_tbl.mem parent p') then begin
+              Int_tbl.replace parent p' (p, sym);
+              Queue.add p' q
+            end);
+        Int_tbl.replace succs p (List.rev !buf)
+  done;
+  let has_cycle () =
+    (* mirrors the interpreted three-colour walk (1 grey, 2 black) *)
+    let color = Int_tbl.create 16 in
+    let cyc = ref false in
+    let rec walk = function
+      | [] -> ()
+      | `Enter p :: rest ->
+          if Int_tbl.mem color p then walk rest
+          else begin
+            Int_tbl.replace color p 1;
+            let enters =
+              Option.value (Int_tbl.find_opt succs p) ~default:[]
+              |> List.filter_map (fun s ->
+                     match Int_tbl.find_opt color s with
+                     | Some 1 ->
+                         cyc := true;
+                         None
+                     | Some _ -> None
+                     | None -> Some (`Enter s))
             in
-            first := ce
+            walk (enters @ (`Exit p :: rest))
           end
-      | None ->
-          if t1.kind.(i) = Knil then terminated := true;
-          let buf = ref [] in
-          successors t1 t2 tr12 i j (fun sym i' j' ->
-              let p' = (i' * n2) + j' in
-              buf := (sym, p') :: !buf;
-              if parent_p.(p') = -1 then begin
-                parent_p.(p') <- p;
-                parent_sym.(p') <- sym;
-                Queue.add p' q
-              end);
-          succs.(p) <- Array.of_list (List.rev_map snd !buf)
-    done;
-    let has_cycle () =
-      (* mirrors the interpreted three-colour walk (1 grey, 2 black) *)
-      let color = Bytes.make npairs '\000' in
-      let cyc = ref false in
-      let rec walk = function
-        | [] -> ()
-        | `Enter p :: rest ->
-            if Bytes.get color p <> '\000' then walk rest
-            else begin
-              Bytes.set color p '\001';
-              let enters =
-                Array.to_list succs.(p)
-                |> List.filter_map (fun s ->
-                       match Bytes.get color s with
-                       | '\001' ->
-                           cyc := true;
-                           None
-                       | '\002' -> None
-                       | _ -> Some (`Enter s))
-              in
-              walk (enters @ (`Exit p :: rest))
-            end
-        | `Exit p :: rest ->
-            Bytes.set color p '\002';
-            walk rest
-      in
-      walk [ `Enter 0 ];
-      !cyc
+      | `Exit p :: rest ->
+          Int_tbl.replace color p 2;
+          walk rest
     in
-    Some
-      {
-        Product.stuck_states = !stuck;
-        successful = !terminated || has_cycle ();
-        first_counterexample = !first;
-      }
-  end
+    walk [ `Enter 0 ];
+    !cyc
+  in
+  {
+    Product.stuck_states = !stuck;
+    successful = !terminated || has_cycle ();
+    first_counterexample = !first;
+  }
 
-let product_compliant (t1 : Table.t) (t2 : Table.t) =
-  let n1 = t1.states and n2 = t2.states in
-  if n1 * n2 > pair_limit then None
-  else begin
-    let tr12 = translation t1 t2 and tr21 = translation t2 t1 in
-    let visited = Bytes.make (n1 * n2) '\000' in
-    Bytes.set visited 0 '\001';
-    let q = Queue.create () in
-    Queue.add 0 q;
-    let ok = ref true in
-    while !ok && not (Queue.is_empty q) do
-      let p = Queue.pop q in
-      let i = p / n2 and j = p mod n2 in
-      match final_reason t1 t2 tr12 tr21 i j with
-      | Some _ -> ok := false
-      | None ->
-          successors t1 t2 tr12 i j (fun _ i' j' ->
-              let p' = (i' * n2) + j' in
-              if Bytes.get visited p' = '\000' then begin
-                Bytes.set visited p' '\001';
-                Queue.add p' q
-              end)
-    done;
-    Some !ok
-  end
-
-(* Condition (1) of Definition 4 on table states: client ready sets
-   against co-images of server ready sets, as translated bitset
-   intersections. Directions are per-state kinds, so the co-image test
-   degenerates to a complementarity check. *)
-let translated_inter tr cset sset =
-  let found = ref false in
-  Bitset.iter
-    (fun s ->
-      if not !found then
-        let s2 = tr.(s) in
-        if s2 >= 0 && Bitset.mem sset s2 then found := true)
-    cset;
-  !found
-
-let locally_ok (t1 : Table.t) (t2 : Table.t) tr12 i j =
-  match t1.kind.(i) with
-  | Knil | Kinert -> true
-  | k1 -> (
-      match t2.kind.(j) with
-      | Knil | Kinert -> false
-      | k2 ->
-          complementary k1 k2
-          && List.for_all
-               (fun cset ->
-                 List.for_all
-                   (fun sset -> translated_inter tr12 cset sset)
-                   (Table.ready_sets t2 j))
-               (Table.ready_sets t1 i))
-
-let def4_compliant (t1 : Table.t) (t2 : Table.t) =
-  let n1 = t1.states and n2 = t2.states in
-  if n1 * n2 > pair_limit then None
-  else begin
-    let tr12 = translation t1 t2 in
-    let visited = Bytes.make (n1 * n2) '\000' in
-    Bytes.set visited 0 '\001';
-    let rec explore = function
-      | [] -> true
-      | p :: rest ->
-          Obs.Metrics.incr "compliance.pairs_explored";
-          let i = p / n2 and j = p mod n2 in
-          locally_ok t1 t2 tr12 i j
-          &&
-          let fresh = ref [] in
-          successors t1 t2 tr12 i j (fun _ i' j' ->
-              let p' = (i' * n2) + j' in
-              if Bytes.get visited p' = '\000' then begin
-                Bytes.set visited p' '\001';
-                fresh := p' :: !fresh
-              end);
-          explore (List.rev_append !fresh rest)
-    in
-    Some (explore [ 0 ])
-  end
+let survey (t1 : Table.t) (t2 : Table.t) ~c1 ~c2 =
+  match survey_pairs t1 t2 ~c1 ~c2 with
+  | s -> Some s
+  | exception Exit -> None

@@ -1,19 +1,20 @@
-(** Table-driven pair analyses: the compiled backends for
-    [Product.survey], [Product.compliant] and [Compliance.compliant].
+(** The table-driven pair analysis: the compiled backend for
+    [Product.survey], and through it for every pairwise compliance
+    question ([Product.compliant], [Product.counterexample], the
+    planner's level ladder).
 
-    The survey runs on {e unminimized} lowered tables and mirrors the
-    interpreted BFS of [Product.survey] operation for operation —
-    discovery order, per-state transition order, the first-unmatched
-    probe order of [Product.final_reason], parent bookkeeping and the
-    three-colour cycle walk — so its verdicts (counts, flags and the
-    rendered counterexample) are byte-identical to the oracle. The
-    boolean checks run on {e minimized} tables: minimization preserves
-    them (see {!Minimize}), and pair exploration shrinks
-    quadratically.
+    The survey runs on lowered tables and mirrors the interpreted BFS
+    of [Product.survey] operation for operation — discovery order,
+    per-state transition order, the first-unmatched probe order of
+    [Product.final_reason], parent bookkeeping and the three-colour
+    cycle walk — so its verdicts (counts, flags and the rendered
+    counterexample) are byte-identical to the oracle.
 
-    Every function returns [None] when the dense pair space would
-    exceed the allocation guard — callers fall back to the interpreted
-    path, never to a wrong verdict. *)
+    Product states are keyed in hashtables, so a survey's cost follows
+    the pairs it reaches, not the [n1 * n2] pair space. It returns
+    [None] only if a counterexample path fails to replay on the
+    contracts — callers fall back to the interpreted path, never to a
+    wrong verdict. *)
 
 val survey :
   Table.t ->
@@ -25,11 +26,3 @@ val survey :
     root contracts are only consulted to rebuild the (short)
     counterexample path, so decoded tables — which carry no contract
     back-map — survey just as well as fresh ones. *)
-
-val product_compliant : Table.t -> Table.t -> bool option
-(** Language emptiness of the product (Theorem 1) on minimized
-    tables. *)
-
-val def4_compliant : Table.t -> Table.t -> bool option
-(** Definition 4 (ready-set agreement at every reachable pair) on
-    minimized tables; ready sets are bitset probes. *)

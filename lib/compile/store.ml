@@ -1,17 +1,15 @@
-let format_version = 1
-
-(* Bump whenever lowering, minimization or the codec change meaning:
-   stale files are then refused wholesale and rebuilt. *)
+(* Bump [format_version] when the line layout changes and
+   [compiler_version] when lowering or the codec change meaning: stale
+   files are then refused wholesale and rebuilt. *)
+let format_version = 2
 let compiler_version = 1
 
 let header =
   Printf.sprintf "susf-tables %d %d" format_version compiler_version
 
-type slot = { lowered : Table.t; minimized : Table.t }
-
 let lock = Mutex.create ()
 let path : string option ref = ref None
-let tbl : (string, slot) Hashtbl.t = Hashtbl.create 64
+let tbl : (string, Table.t) Hashtbl.t = Hashtbl.create 64
 let dirty = ref false
 let hits = ref 0
 let misses = ref 0
@@ -28,20 +26,20 @@ let () =
       misses := 0)
     ()
 
-let checksummed rest = Printf.sprintf "%d %s" (Table.fnv32 rest) rest
+let checksummed rest = Printf.sprintf "%d %s" (Repr.Fnv.hash32 rest) rest
 
 let parse_line ~file ~lineno line =
   let fail msg = Error (Printf.sprintf "%s:%d: %s" file lineno msg) in
   match String.split_on_char ' ' line with
-  | [ crc; key; low; min ] -> (
-      let rest = Printf.sprintf "%s %s %s" key low min in
+  | [ crc; key; table ] -> (
+      let rest = Printf.sprintf "%s %s" key table in
       match int_of_string_opt crc with
       | None -> fail "malformed checksum"
-      | Some c when c <> Table.fnv32 rest -> fail "checksum mismatch"
+      | Some c when c <> Repr.Fnv.hash32 rest -> fail "checksum mismatch"
       | Some _ -> (
-          match (Table.decode low, Table.decode min) with
-          | Ok lowered, Ok minimized -> Ok (key, { lowered; minimized })
-          | Error e, _ | _, Error e -> fail ("bad table: " ^ e)))
+          match Table.decode table with
+          | Ok t -> Ok (key, t)
+          | Error e -> fail ("bad table: " ^ e)))
   | _ -> fail "malformed cache entry"
 
 let load file =
@@ -87,7 +85,7 @@ let attach file =
   let r =
     match load file with
     | Ok entries ->
-        List.iter (fun (k, s) -> Hashtbl.replace tbl k s) entries;
+        List.iter (fun (k, t) -> Hashtbl.replace tbl k t) entries;
         Ok (List.length entries)
     | Error _ as e -> e
   in
@@ -115,7 +113,7 @@ let save () =
     | Some _ when not !dirty -> Ok (Hashtbl.length tbl)
     | Some file -> (
         let entries =
-          Hashtbl.fold (fun k s acc -> (k, s) :: acc) tbl []
+          Hashtbl.fold (fun k t acc -> (k, t) :: acc) tbl []
           |> List.sort (fun (a, _) (b, _) -> String.compare a b)
         in
         let tmp = file ^ ".tmp" in
@@ -123,11 +121,8 @@ let save () =
           Out_channel.with_open_bin tmp (fun oc ->
               Out_channel.output_string oc (header ^ "\n");
               List.iter
-                (fun (k, s) ->
-                  let rest =
-                    Printf.sprintf "%s %s %s" k (Table.encode s.lowered)
-                      (Table.encode s.minimized)
-                  in
+                (fun (k, t) ->
+                  let rest = Printf.sprintf "%s %s" k (Table.encode t) in
                   Out_channel.output_string oc (checksummed rest ^ "\n"))
                 entries);
           Sys.rename tmp file
@@ -146,10 +141,10 @@ let find key =
     if !path = None then None
     else
       match Hashtbl.find_opt tbl key with
-      | Some s ->
+      | Some t ->
           incr hits;
           Obs.Metrics.incr "compile.cache.hits";
-          Some (s.lowered, s.minimized)
+          Some t
       | None ->
           incr misses;
           Obs.Metrics.incr "compile.cache.misses";
@@ -158,10 +153,10 @@ let find key =
   Mutex.unlock lock;
   r
 
-let add key (lowered, minimized) =
+let add key t =
   Mutex.lock lock;
   if !path <> None && not (Hashtbl.mem tbl key) then begin
-    Hashtbl.replace tbl key { lowered; minimized };
+    Hashtbl.replace tbl key t;
     dirty := true
   end;
   Mutex.unlock lock

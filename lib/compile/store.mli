@@ -7,7 +7,7 @@
 
     {v
     susf-tables <format-version> <compiler-version>
-    <crc> <key> <lowered-table> <minimized-table>
+    <crc> <key> <lowered-table>
     v}
 
     where [<crc>] is the FNV-1a/32 checksum of the rest of the line —
@@ -41,12 +41,12 @@ val save : unit -> (int, string) result
     (sorted by key, so equal stores are byte-identical files). [Ok n]
     is the entry count; no-ops when detached or unchanged. *)
 
-val find : string -> (Table.t * Table.t) option
-(** [find key] is the [(lowered, minimized)] pair for a contract key.
+val find : string -> Table.t option
+(** [find key] is the lowered table for a contract key.
     Counts [compile.cache.hits]/[compile.cache.misses] — only while
     attached; a detached store is silent and always misses. *)
 
-val add : string -> Table.t * Table.t -> unit
-(** Record a freshly compiled pair. Ignored while detached. *)
+val add : string -> Table.t -> unit
+(** Record a freshly lowered table. Ignored while detached. *)
 
 val entries : unit -> int

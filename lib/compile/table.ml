@@ -10,19 +10,10 @@ type t = {
   row_syms : int array array;
   row_tgts : int array array;
   delta : int array;
-  ready : Bitset.t array;
-  ready_off : int array;
 }
-
-let nsyms t = Array.length t.alphabet
 
 let step t s sym =
   if sym < 0 then -1 else t.delta.((s * Array.length t.alphabet) + sym)
-
-let ready_sets t s =
-  let lo = t.ready_off.(s) and hi = t.ready_off.(s + 1) in
-  let rec go i acc = if i < lo then acc else go (i - 1) (t.ready.(i) :: acc) in
-  go (hi - 1) []
 
 (* ---- escaping ---------------------------------------------------------
 
@@ -70,25 +61,29 @@ let unesc s =
 
 (* ---- the stable store key --------------------------------------------- *)
 
-let rec contract_key c =
-  match Contract.node c with
-  | Contract.Nil -> "n"
-  | Contract.Var x -> "v" ^ esc x ^ ";"
-  | Contract.Mu (x, b) -> "m" ^ esc x ^ ";" ^ contract_key b
-  | Contract.Ext bs -> "e(" ^ branches_key bs ^ ")"
-  | Contract.Int bs -> "i(" ^ branches_key bs ^ ")"
-  | Contract.Seq (a, b) -> "s(" ^ contract_key a ^ "," ^ contract_key b ^ ")"
-
-and branches_key bs =
-  String.concat ","
-    (List.map (fun (a, k) -> esc a ^ ":" ^ contract_key k) bs)
-
-let fnv32 s =
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xffffffff)
-    s;
-  !h
+(* One buffer for the whole term: string concatenation per node would
+   copy every suffix once per enclosing node, quadratic in the depth of
+   a long session. *)
+let contract_key c =
+  let b = Buffer.create 64 in
+  let add = Buffer.add_string b in
+  let rec key c =
+    match Contract.node c with
+    | Contract.Nil -> add "n"
+    | Contract.Var x -> add "v"; add (esc x); add ";"
+    | Contract.Mu (x, body) -> add "m"; add (esc x); add ";"; key body
+    | Contract.Ext bs -> add "e("; branches bs; add ")"
+    | Contract.Int bs -> add "i("; branches bs; add ")"
+    | Contract.Seq (l, r) -> add "s("; key l; add ","; key r; add ")"
+  and branches bs =
+    List.iteri
+      (fun i (a, k) ->
+        if i > 0 then add ",";
+        add (esc a); add ":"; key k)
+      bs
+  in
+  key c;
+  Buffer.contents b
 
 (* ---- lowering --------------------------------------------------------- *)
 
@@ -111,29 +106,6 @@ let kind_of c trans =
         else if d = Contract.I then Kin
         else Kout
 
-let derive_ready ~nsyms ~kind ~row_syms =
-  let states = Array.length kind in
-  let off = Array.make (states + 1) 0 in
-  let count s =
-    match kind.(s) with Knil | Kinert | Kin -> 1 | Kout -> Array.length row_syms.(s)
-  in
-  for s = 0 to states - 1 do
-    off.(s + 1) <- off.(s) + count s
-  done;
-  let ready = Array.init off.(states) (fun _ -> Bitset.create nsyms) in
-  for s = 0 to states - 1 do
-    match kind.(s) with
-    | Knil | Kinert -> ()
-    | Kin ->
-        let set = ready.(off.(s)) in
-        Array.iter (Bitset.set set) row_syms.(s)
-    | Kout ->
-        Array.iteri
-          (fun i sym -> Bitset.set ready.(off.(s) + i) sym)
-          row_syms.(s)
-  done;
-  (ready, off)
-
 let build ~alphabet ~kind ~row_syms ~row_tgts =
   let states = Array.length kind in
   let nsyms = Array.length alphabet in
@@ -148,8 +120,7 @@ let build ~alphabet ~kind ~row_syms ~row_tgts =
           delta.((s * nsyms) + sym) <- row_tgts.(s).(i))
         syms)
     row_syms;
-  let ready, ready_off = derive_ready ~nsyms ~kind ~row_syms in
-  { states; alphabet; index; kind; row_syms; row_tgts; delta; ready; ready_off }
+  { states; alphabet; index; kind; row_syms; row_tgts; delta }
 
 let lower_exn c0 =
   let idx = Hashtbl.create 64 in
@@ -203,22 +174,13 @@ let lower_exn c0 =
   let alphabet = Array.of_list (List.rev !rev_alpha) in
   build ~alphabet ~kind ~row_syms ~row_tgts
 
-let unsafe_build ~alphabet ~kind ~row_syms ~row_tgts =
-  match build ~alphabet ~kind ~row_syms ~row_tgts with
-  | t -> t
-  | exception Unlowerable ->
-      invalid_arg "Table.unsafe_build: duplicate row symbol"
-
 let lower c0 =
   if Contract.free_vars c0 <> [] then None
   else begin
-    let t0 = Sys.time () in
     match lower_exn c0 with
     | t ->
         Obs.Metrics.incr "compile.lowerings";
         Obs.Metrics.add "compile.lower.states" t.states;
-        Obs.Metrics.add "compile.lower.time_us"
-          (int_of_float ((Sys.time () -. t0) *. 1e6));
         Some t
     | exception Unlowerable -> None
   end

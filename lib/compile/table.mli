@@ -6,13 +6,12 @@
     in flat int arrays — both as ordered per-state rows that mirror
     [Contract.transitions] order exactly (the analyses' iteration
     order is part of their observable behaviour) and as a dense
-    [state * nsyms] lookup array for O(1) [delta] probes. Ready sets
-    (Definition 3) are pre-derived per state as symbol bitsets.
+    [state * nsyms] lookup array for O(1) [delta] probes.
 
     Only {e closed} contracts lower ([lower] returns [None]
-    otherwise): closedness guarantees (a) ready sets are derivable
-    from the state's direction and row (the [Var ⇓ ∅] escape hatch of
-    open terms never fires), and (b) recursion unfolds without
+    otherwise): closedness guarantees (a) a state's direction and row
+    determine its stuck behaviour (the [Var ⇓ ∅] escape hatch of open
+    terms never fires), and (b) recursion unfolds without
     capture-avoiding renaming, so lowering is deterministic across
     processes — the property the on-disk store relies on. *)
 
@@ -32,32 +31,19 @@ type t = private {
       (** per state, symbol ids in [Contract.transitions] order *)
   row_tgts : int array array;  (** targets, same order *)
   delta : int array;  (** [state * nsyms + sym] -> target, [-1] if none *)
-  ready : Bitset.t array;
-      (** per state the ready sets as symbol bitsets (direction given
-          by [kind]); [Knil]/[Kinert] states carry one empty set, [Kin]
-          one full set, [Kout] one singleton per branch in row order *)
-  ready_off : int array;
-      (** ready-set slice of state [s] is
-          [ready.(ready_off.(s)) .. ready.(ready_off.(s+1) - 1)] *)
 }
-
-val nsyms : t -> int
 
 val step : t -> int -> int -> int
 (** [step t s sym] is the dense delta probe ([-1] if undefined). *)
 
-val ready_sets : t -> int -> Bitset.t list
-(** The state's ready sets (see {!t.ready}). *)
-
 val lower : Core.Contract.t -> t option
 (** BFS lowering; [None] when the contract is open (free recursion
     variables) — callers fall back to the interpreted path. Increments
-    [compile.lowerings], [compile.lower.states] and
-    [compile.lower.time_us]. *)
+    [compile.lowerings] and [compile.lower.states]. *)
 
 val encode : t -> string
-(** Single-line, space-free serialization (the store's payload syntax
-    and the canonical form used for table sharing). *)
+(** Single-line, space-free serialization (the store's payload
+    syntax). *)
 
 val decode : string -> (t, string) result
 (** Inverse of {!encode}, validating every index: state and symbol
@@ -68,18 +54,3 @@ val contract_key : Core.Contract.t -> string
 (** Stable structural serialization of a contract — the on-disk store
     key. Hash-consing ids are process-local, so the store keys entries
     by structure; equal structure ⟹ equal key, across processes. *)
-
-val fnv32 : string -> int
-(** FNV-1a/32 — the store's line checksum (same function as the
-    broker journal's). *)
-
-(**/**)
-
-val unsafe_build :
-  alphabet:string array ->
-  kind:kind array ->
-  row_syms:int array array ->
-  row_tgts:int array array ->
-  t
-(** Constructor for {!Minimize}'s quotients. Raises [Invalid_argument]
-    on duplicate row symbols. *)

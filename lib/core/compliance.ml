@@ -78,7 +78,8 @@ let locally_ok c1 c2 =
            co_r2)
     r1
 
-let compliant_interpreted client server =
+let compliant client server =
+  Obs.Trace.with_span "compliance.compliant" @@ fun () ->
   (* visited set keyed on hash-consing ids: O(1) probes instead of
      structural compares *)
   let seen = Repr.Key.Pair_set.create () in
@@ -98,25 +99,3 @@ let compliant_interpreted client server =
   let start = (client, server) in
   ignore (Repr.Key.Pair_set.add seen (key start) : bool);
   explore [ start ]
-
-(* ---- compiled backend dispatch ---------------------------------------- *)
-
-(* Same shape as [Product.backend]: installed once at startup by the
-   executable (core cannot depend on lib/compile), [None] falls back to
-   the interpreted relation. *)
-type backend = {
-  active : unit -> bool;
-  compliant : Contract.t -> Contract.t -> bool option;
-}
-
-let backend : backend option ref = ref None
-let set_backend b = backend := b
-
-let compliant client server =
-  Obs.Trace.with_span "compliance.compliant" @@ fun () ->
-  match !backend with
-  | Some b when b.active () -> (
-      match b.compliant client server with
-      | Some v -> v
-      | None -> compliant_interpreted client server)
-  | _ -> compliant_interpreted client server

@@ -71,21 +71,6 @@ val locally_ok : Contract.t -> Contract.t -> bool
 val compliant : Contract.t -> Contract.t -> bool
 (** [compliant client server] decides [client ⊢ server] by checking
     {!locally_ok} on every pair reachable from the initial one (the
-    greatest-fixed-point reading of Definition 4). Dispatches to the
-    compiled backend when one is installed and active. *)
-
-val compliant_interpreted : Contract.t -> Contract.t -> bool
-(** The interpreted relation, never dispatched — the oracle the
-    compiled path is tested against. *)
-
-(** Hook for the table-driven engine ([lib/compile]); see
-    [Product.backend]. [None] from the backend falls back to the
-    interpreted relation. *)
-type backend = {
-  active : unit -> bool;
-  compliant : Contract.t -> Contract.t -> bool option;
-}
-
-val set_backend : backend option -> unit
-(** Install (or remove) the compiled backend at executable startup,
-    before spawning domains. *)
+    greatest-fixed-point reading of Definition 4). Always interpreted:
+    it is the reference the Theorem 1 tests compare
+    [Product.compliant] against. *)

@@ -90,47 +90,12 @@ let build c1 c2 =
   }
 
 let language_empty t = t.finals = []
-let compliant_interpreted c1 c2 = language_empty (build c1 c2)
 
 type counterexample = {
   synchronisations : string list;
   stuck : state;
   reason : stuck_reason;
 }
-
-let counterexample c1 c2 =
-  (* BFS over the product, recording parents, stopping at the first
-     (hence shortest) stuck state. *)
-  Obs.Trace.with_span "product.counterexample" @@ fun () ->
-  Obs.Metrics.incr "product.counterexample_searches";
-  let initial = (c1, c2) in
-  let parent = Repr.Key.Pair_tbl.create 64 in
-  Repr.Key.Pair_tbl.replace parent (key initial) None;
-  let q = Queue.create () in
-  Queue.add initial q;
-  let rec path_of p acc =
-    match Repr.Key.Pair_tbl.find parent (key p) with
-    | None -> acc
-    | Some (a, pred) -> path_of pred (a :: acc)
-  in
-  let rec bfs () =
-    if Queue.is_empty q then None
-    else
-      let p = Queue.pop q in
-      match final_reason p with
-      | Some reason ->
-          Some { synchronisations = path_of p []; stuck = p; reason }
-      | None ->
-          List.iter
-            (fun (a, succ) ->
-              if not (Repr.Key.Pair_tbl.mem parent (key succ)) then begin
-                Repr.Key.Pair_tbl.replace parent (key succ) (Some (a, p));
-                Queue.add succ q
-              end)
-            (successors p);
-          bfs ()
-  in
-  bfs ()
 
 (* ---- the level survey ------------------------------------------------- *)
 
@@ -226,14 +191,13 @@ let survey_interpreted c1 c2 =
 (* ---- compiled backend dispatch ---------------------------------------- *)
 
 (* A table-driven engine (lib/compile) can register here; core cannot
-   depend on it directly. [None] from a backend function means "use the
+   depend on it directly. [None] from the backend means "use the
    interpreted path" — backends may decline, never force a verdict. The
    record is installed once at executable startup, before any domains
    spawn, so the plain ref needs no synchronisation. *)
 type backend = {
   active : unit -> bool;
   survey : Contract.t -> Contract.t -> survey option;
-  compliant : Contract.t -> Contract.t -> bool option;
 }
 
 let backend : backend option ref = ref None
@@ -249,13 +213,12 @@ let survey c1 c2 =
       | None -> survey_interpreted c1 c2)
   | _ -> survey_interpreted c1 c2
 
-let compliant c1 c2 =
-  match !backend with
-  | Some b when b.active () -> (
-      match b.compliant c1 c2 with
-      | Some v -> v
-      | None -> compliant_interpreted c1 c2)
-  | _ -> compliant_interpreted c1 c2
+(* Theorem 1's three readings of one relation — Definition 4, emptiness
+   of [H₁ ⊗ H₂], no reachable stuck configuration — are all decided by
+   the survey, so there is one engine (and one compiled kernel) for
+   every pairwise question. *)
+let compliant c1 c2 = (survey c1 c2).stuck_states = 0
+let counterexample c1 c2 = (survey c1 c2).first_counterexample
 
 let admits level s =
   Compliance.admits_measures level ~stuck:s.stuck_states

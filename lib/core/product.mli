@@ -32,17 +32,11 @@ val final_reason : state -> stuck_reason option
 
 val build : Contract.t -> Contract.t -> t
 (** Reachable fragment of [H₁ ⊗ H₂]; per Definition 5, final states have
-    no outgoing transitions. *)
+    no outgoing transitions. Its final states are exactly the survey's
+    stuck configurations: [List.length (build c1 c2).finals =
+    (survey c1 c2).stuck_states]. *)
 
 val language_empty : t -> bool
-
-val compliant : Contract.t -> Contract.t -> bool
-(** The Theorem 1 decision procedure. Dispatches to the compiled
-    backend when one is installed and active. *)
-
-val compliant_interpreted : Contract.t -> Contract.t -> bool
-(** The interpreted decision procedure, never dispatched — the oracle
-    the compiled path is tested against. *)
 
 type counterexample = {
   synchronisations : string list;
@@ -50,9 +44,6 @@ type counterexample = {
   stuck : state;
   reason : stuck_reason;
 }
-
-val counterexample : Contract.t -> Contract.t -> counterexample option
-(** A shortest path into [F], if the contracts are not compliant. *)
 
 (** {1 The level survey} *)
 
@@ -84,16 +75,23 @@ val survey_interpreted : Contract.t -> Contract.t -> survey
 (** The interpreted survey, never dispatched — the oracle the compiled
     path is tested against. *)
 
+val compliant : Contract.t -> Contract.t -> bool
+(** The Theorem 1 decision procedure: [(survey c1 c2).stuck_states = 0].
+    Every pairwise verdict comes from {!survey}, compiled or not. *)
+
+val counterexample : Contract.t -> Contract.t -> counterexample option
+(** A shortest path into [F], if the contracts are not compliant: the
+    survey's [first_counterexample]. *)
+
 (** {1 Compiled backend} *)
 
 (** Hook for a table-driven engine ([lib/compile]); [core] cannot
     depend on it, so executables install the record at startup. A
-    backend function returning [None] means "fall back to the
+    backend survey returning [None] means "fall back to the
     interpreted path". *)
 type backend = {
   active : unit -> bool;
   survey : Contract.t -> Contract.t -> survey option;
-  compliant : Contract.t -> Contract.t -> bool option;
 }
 
 val set_backend : backend option -> unit

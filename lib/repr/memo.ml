@@ -17,17 +17,37 @@ type counters = {
 let make_counters name =
   { hits_name = name ^ ".hits"; misses_name = name ^ ".misses"; hits = 0; misses = 0 }
 
-let register_counters name c ~entries ~clear ~invalidate =
+let locked lock f =
+  Mutex.lock lock;
+  let r = f () in
+  Mutex.unlock lock;
+  r
+
+let register_counters name c lock ~entries ~clear ~invalidate =
   Cache.register ~name ~clear ~invalidate
     ~stats:(fun () ->
       { Cache.hits = c.hits; misses = c.misses; entries = entries () })
     ~reset_counters:(fun () ->
-      c.hits <- 0;
-      c.misses <- 0)
+      locked lock (fun () ->
+          c.hits <- 0;
+          c.misses <- 0))
     ()
 
-let hit c = c.hits <- c.hits + 1; Obs.Metrics.incr c.hits_name
-let miss c = c.misses <- c.misses + 1; Obs.Metrics.incr c.misses_name
+(* Probe under the table lock and count in the same critical section:
+   shard domains share these tables, and a [mutable] bump outside the
+   lock loses counts under contention. The mirrored [Obs.Metrics]
+   counters synchronise themselves. *)
+let probe lock c find_opt =
+  let r =
+    locked lock (fun () ->
+        let r = find_opt () in
+        (match r with
+        | Some _ -> c.hits <- c.hits + 1
+        | None -> c.misses <- c.misses + 1);
+        r)
+  in
+  Obs.Metrics.incr (if Option.is_some r then c.hits_name else c.misses_name);
+  r
 
 (* Memo tables back pure, recursive analyses that are shared across
    broker shards (domains). Each table carries its own lock, held for
@@ -45,17 +65,11 @@ type ('a, 'b) t = {
   lock : Mutex.t;
 }
 
-let locked lock f =
-  Mutex.lock lock;
-  let r = f () in
-  Mutex.unlock lock;
-  r
-
 let create ?(initial_size = 256) ~name ~key () =
   let tbl = Int_tbl.create initial_size in
   let c = make_counters name in
   let lock = Mutex.create () in
-  register_counters name c
+  register_counters name c lock
     ~entries:(fun () -> Int_tbl.length tbl)
     ~clear:(fun () -> locked lock (fun () -> Int_tbl.reset tbl))
     ~invalidate:(fun id -> locked lock (fun () -> Int_tbl.remove tbl id));
@@ -63,10 +77,9 @@ let create ?(initial_size = 256) ~name ~key () =
 
 let find t a ~compute =
   let k = t.key a in
-  match locked t.lock (fun () -> Int_tbl.find_opt t.tbl k) with
-  | Some v -> hit t.c; v
+  match probe t.lock t.c (fun () -> Int_tbl.find_opt t.tbl k) with
+  | Some v -> v
   | None ->
-      miss t.c;
       let v = compute a in
       locked t.lock (fun () -> Int_tbl.replace t.tbl k v);
       v
@@ -96,7 +109,7 @@ module Pair = struct
     let tbl = Pair_tbl.create initial_size in
     let c = make_counters name in
     let lock = Mutex.create () in
-    register_counters name c
+    register_counters name c lock
       ~entries:(fun () -> Pair_tbl.length tbl)
       ~clear:(fun () -> locked lock (fun () -> Pair_tbl.reset tbl))
       ~invalidate:(fun id -> locked lock (fun () -> remove_involving tbl id));
@@ -104,10 +117,9 @@ module Pair = struct
 
   let find t a b ~compute =
     let k = (t.key a, t.key b) in
-    match locked t.lock (fun () -> Pair_tbl.find_opt t.tbl k) with
-    | Some v -> hit t.c; v
+    match probe t.lock t.c (fun () -> Pair_tbl.find_opt t.tbl k) with
+    | Some v -> v
     | None ->
-        miss t.c;
         let v = compute a b in
         locked t.lock (fun () -> Pair_tbl.replace t.tbl k v);
         v

@@ -1,7 +1,7 @@
 (* The compiled engine against its interpreted oracles: byte-identical
    verdicts for Product.survey / admits / compliance / Netcheck at every
-   level, minimization preserves the language, and the on-disk table
-   cache refuses damage and never changes an answer. *)
+   level, the product automaton agrees with the survey, and the on-disk
+   table cache refuses damage and never changes an answer. *)
 
 open Core
 
@@ -43,37 +43,10 @@ let test_lower_shapes () =
   let t = Option.get (Compile.Table.lower sel) in
   Alcotest.(check bool) "select outputs" true
     (t.Compile.Table.kind.(0) = Compile.Table.Kout);
-  Alcotest.(check int) "two ready singletons" 2
-    (List.length (Compile.Table.ready_sets t 0));
+  Alcotest.(check int) "two output branches" 2
+    (Array.length t.Compile.Table.row_syms.(0));
   Alcotest.(check (option reject)) "open contracts do not lower" None
     (Option.map ignore (Compile.Table.lower (Contract.var "x")))
-
-let names_of_bitset (t : Compile.Table.t) b =
-  Compile.Bitset.to_list b
-  |> List.map (fun s -> t.Compile.Table.alphabet.(s))
-  |> List.sort String.compare
-
-let names_of_ready_set s =
-  Ready.Set.elements s
-  |> List.map (fun c -> snd (c : Ready.Comm.t :> Contract.dir * string))
-  |> List.sort String.compare
-
-let prop_ready_sets_agree =
-  prop "lowered ready sets = Ready.ready_sets (as name sets)" 300
-    Testkit.Generators.contract_arb (fun c ->
-      match Compile.Table.lower c with
-      | None -> QCheck.assume_fail ()
-      | Some t ->
-          let compiled =
-            Compile.Table.ready_sets t 0
-            |> List.map (names_of_bitset t)
-            |> List.sort compare
-          in
-          let interpreted =
-            Ready.ready_sets c |> List.map names_of_ready_set
-            |> List.sort compare
-          in
-          compiled = interpreted)
 
 (* --- compiled vs interpreted verdicts ---------------------------------- *)
 
@@ -97,17 +70,23 @@ let prop_admits_identical =
         (fun l -> Product.admits l compiled = Product.admits l interpreted)
         levels)
 
-let prop_compliance_identical =
-  prop "Compliance.compliant compiled = interpreted" 400 pair_arb
-    (fun (c1, c2) ->
-      with_compiled true (fun () -> Compliance.compliant c1 c2)
-      = Compliance.compliant_interpreted c1 c2)
-
-let prop_product_compliant_identical =
+let prop_compliant_engines_identical =
   prop "Product.compliant compiled = interpreted" 400 pair_arb
     (fun (c1, c2) ->
       with_compiled true (fun () -> Product.compliant c1 c2)
-      = Product.compliant_interpreted c1 c2)
+      = with_compiled false (fun () -> Product.compliant c1 c2))
+
+(* [susf dot] draws [Product.build]; every verdict comes from the
+   survey. Both must count the same stuck configurations. *)
+let prop_build_finals_are_survey_stucks =
+  prop "Product.build finals = survey stuck states" 300 pair_arb
+    (fun (c1, c2) ->
+      let finals = List.length (Product.build c1 c2).Product.finals in
+      List.for_all
+        (fun on ->
+          let s = with_compiled on (fun () -> Product.survey c1 c2) in
+          s.Product.stuck_states = finals)
+        [ true; false ])
 
 let render_check_expr = function
   | Ok () -> "ok"
@@ -170,28 +149,7 @@ let test_scenario_reports_identical () =
         clients)
     scenario_clients
 
-(* --- minimization ------------------------------------------------------ *)
-
-let prop_minimize_preserves_language =
-  prop "minimize is a bisimulation quotient" 300
-    Testkit.Generators.contract_arb (fun c ->
-      match Compile.Table.lower c with
-      | None -> QCheck.assume_fail ()
-      | Some t ->
-          let m = Compile.Minimize.minimize t in
-          m.Compile.Table.states <= t.Compile.Table.states
-          && Compile.Minimize.bisimilar t m
-          && Compile.Minimize.bisimilar m t)
-
-let prop_minimize_idempotent =
-  prop "minimize is idempotent (canonical encodings)" 300
-    Testkit.Generators.contract_arb (fun c ->
-      match Compile.Table.lower c with
-      | None -> QCheck.assume_fail ()
-      | Some t ->
-          let m = Compile.Minimize.minimize t in
-          String.equal (Compile.Table.encode m)
-            (Compile.Table.encode (Compile.Minimize.minimize m)))
+(* --- the table codec ------------------------------------------------- *)
 
 let prop_encode_roundtrip =
   prop "decode o encode is the identity (re-encoded)" 300
@@ -204,25 +162,20 @@ let prop_encode_roundtrip =
           | Error e -> QCheck.Test.fail_report e
           | Ok t' -> String.equal s (Compile.Table.encode t')))
 
-let test_equivalent_contracts_share_table () =
-  (* μh.a!.h and μh.a!.a!.h emit the same infinite stream: minimization
-     must canonicalize both to the same (physically shared) table *)
-  let stream1 =
-    Contract.mu "h" (Contract.seq (Contract.send "a") (Contract.var "h"))
-  in
-  let stream2 =
-    Contract.mu "h"
-      (Contract.seq (Contract.send "a")
-         (Contract.seq (Contract.send "a") (Contract.var "h")))
-  in
-  Alcotest.(check bool) "structurally distinct" false
-    (Contract.equal stream1 stream2);
-  match (Compile.Backend.get stream1, Compile.Backend.get stream2) with
-  | Some (_, m1), Some (_, m2) ->
-      Alcotest.(check string) "same canonical encoding"
-        (Compile.Table.encode m1) (Compile.Table.encode m2);
-      Alcotest.(check bool) "one shared table" true (m1 == m2)
-  | _ -> Alcotest.fail "streams must lower"
+let test_store_keys_stable () =
+  (* store keys are part of the on-disk format: pinned byte for byte *)
+  List.iter
+    (fun (want, c) ->
+      Alcotest.(check string) want want (Compile.Table.contract_key c))
+    [
+      ("n", Contract.nil);
+      ( "e(req:i(cobo:e(pay:n),noav:n))",
+        Contract.project Scenarios.Hotel.broker );
+      ( "mh;s(i(a:n),vh;)",
+        Contract.mu "h" (Contract.seq (Contract.send "a") (Contract.var "h")) );
+      ( "e(a%2Db:n,c:n)",
+        Contract.branch [ ("a-b", Contract.nil); ("c", Contract.nil) ] );
+    ]
 
 (* --- the persistent store ---------------------------------------------- *)
 
@@ -337,6 +290,31 @@ let test_store_refuses_stale_version () =
         true
         (Astring.String.is_prefix ~affix:(file ^ ":1:") diag)
 
+let test_store_rebuilds_format_1 () =
+  (* format 1 also carried a minimized table per line: such a file is
+     refused at its header, and the next save rewrites it in format 2 *)
+  with_store_file @@ fun file ->
+  ignore (populate file : int);
+  Compile.Store.detach ();
+  let lines = read_lines file in
+  write_raw file ("susf-tables 1 1" :: List.tl lines);
+  (match Compile.Store.attach file with
+  | Ok _ -> Alcotest.fail "format-1 cache accepted"
+  | Error diag ->
+      Alcotest.(check bool)
+        (Fmt.str "diagnostic %S names line 1" diag)
+        true
+        (Astring.String.is_prefix ~affix:(file ^ ":1:") diag));
+  Repr.Cache.clear_all ();
+  List.iter
+    (fun c -> ignore (Compile.Backend.get c))
+    (Lazy.force store_contracts);
+  (match Compile.Store.save () with
+  | Ok n -> Alcotest.(check bool) "rebuilt entries saved" true (n > 0)
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check string) "rewritten in the current format" "susf-tables 2 1"
+    (List.hd (read_lines file))
+
 let test_store_drops_torn_tail () =
   with_store_file @@ fun file ->
   let saved = populate file in
@@ -362,24 +340,22 @@ let test_store_drops_torn_tail () =
 let suite =
   [
     Alcotest.test_case "lowering shapes" `Quick test_lower_shapes;
-    prop_ready_sets_agree;
     prop_survey_identical;
     prop_admits_identical;
-    prop_compliance_identical;
-    prop_product_compliant_identical;
+    prop_compliant_engines_identical;
+    prop_build_finals_are_survey_stucks;
     prop_check_expr_identical;
     Alcotest.test_case "scenario reports identical at every level" `Slow
       test_scenario_reports_identical;
-    prop_minimize_preserves_language;
-    prop_minimize_idempotent;
     prop_encode_roundtrip;
-    Alcotest.test_case "equivalent contracts share one table" `Quick
-      test_equivalent_contracts_share_table;
+    Alcotest.test_case "store keys are stable" `Quick test_store_keys_stable;
     Alcotest.test_case "store warm restart" `Quick test_store_warm_restart;
     Alcotest.test_case "store refuses corruption" `Quick
       test_store_refuses_corruption;
     Alcotest.test_case "store refuses stale version" `Quick
       test_store_refuses_stale_version;
+    Alcotest.test_case "store rebuilds a format-1 file" `Quick
+      test_store_rebuilds_format_1;
     Alcotest.test_case "store drops a torn tail" `Quick
       test_store_drops_torn_tail;
   ]

@@ -173,16 +173,16 @@ let test_ready_computations_not_quadratic () =
   Repr.Cache.clear_all ();
   let c = Contract.project Scenarios.Hotel.broker in
   let s = Contract.dual c in
-  (* pin the interpreted exploration: the compiled backend answers from
-     bitset tables without ever consulting [Ready.ready_sets] *)
+  (* the Definition 4 fixed point is always interpreted, so every
+     explored pair consults [Ready.ready_sets] *)
   Alcotest.(check bool) "compliant with dual" true
-    (Compliance.compliant_interpreted c s);
+    (Compliance.compliant c s);
   let r1 = counter "ready.computations" in
   let entries = (cache_stats "ready.sets").Repr.Cache.entries in
   Alcotest.(check int) "computations = distinct contracts queried" entries r1;
   Alcotest.(check bool) "something was computed" true (r1 > 0);
   Alcotest.(check bool) "compliant again" true
-    (Compliance.compliant_interpreted c s);
+    (Compliance.compliant c s);
   Alcotest.(check int) "second run fully memoized" r1
     (counter "ready.computations")
 
@@ -269,6 +269,33 @@ let test_planner_cache_identical () =
       (("c2", Scenarios.Hotel.client2), Scenarios.Hotel.plan2_s2);
     ]
 
+(* --- counters and hashes shared across domains --- *)
+
+let test_memo_counts_across_domains () =
+  (* shard domains share memo tables (contract.transitions above all):
+     every lookup is counted exactly once, however two domains
+     interleave on one table *)
+  let m = Repr.Memo.create ~name:"test.memo.domains" ~key:Fun.id () in
+  let per_domain = 1_000_000 in
+  let lookups () =
+    for i = 1 to per_domain do
+      ignore (Repr.Memo.find m (i land 1023) ~compute:Fun.id : int)
+    done
+  in
+  let other = Domain.spawn lookups in
+  lookups ();
+  Domain.join other;
+  let s = cache_stats "test.memo.domains" in
+  Alcotest.(check int) "hits + misses = lookups" (2 * per_domain)
+    (s.Repr.Cache.hits + s.Repr.Cache.misses)
+
+let test_fnv_known_answers () =
+  List.iter
+    (fun (input, want) ->
+      Alcotest.(check int) (Fmt.str "FNV-1a/32 %S" input) want
+        (Repr.Fnv.hash32 input))
+    [ ("", 0x811c9dc5); ("a", 0xe40c292c); ("foobar", 0xbf9cf968) ]
+
 let suite =
   [
     Alcotest.test_case "interning shares structure" `Quick test_interning;
@@ -286,4 +313,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_compare_total_order;
     QCheck_alcotest.to_alcotest prop_compliance_verdict_identical;
     QCheck_alcotest.to_alcotest prop_bisim_verdict_identical;
+    Alcotest.test_case "memo counts every lookup across domains" `Quick
+      test_memo_counts_across_domains;
+    Alcotest.test_case "FNV-1a/32 known answers" `Quick test_fnv_known_answers;
   ]
