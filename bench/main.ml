@@ -1223,115 +1223,6 @@ let timing_b4 () =
        (if !quick then [ 1; 2 ] else [ 1; 2; 3 ]))
 
 (* ------------------------------------------------------------------ *)
-(* B11 — compiled tables: first-analysis cost, interpreted vs cold
-   compile vs warm reload from the on-disk automaton cache.
-
-   Bechamel amortizes over thousands of iterations, which is exactly
-   wrong for a one-shot "first analysis after startup" cost, so this
-   bench times single runs with cleared caches and keeps the best of a
-   few repetitions. *)
-
-let b11_compile () =
-  section "B11: compiled tables — first analysis, cold vs warm";
-  (* Installation is sticky but dispatch is gated; leave the gate off
-     afterwards so B1–B10 keep measuring the interpreted engine. *)
-  Compile.Backend.install ();
-  Compile.Backend.set_enabled false;
-  let n = if !quick then 64 else 256 in
-  let reps = 5 in
-  (* One first-analysis sample: drop every derived-result cache, then
-     run [f] once. The store survives [clear_all] by design (entries
-     are structurally keyed), which is precisely the warm path. *)
-  let min_ms f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      Repr.Cache.clear_all ();
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-      if ms < !best then best := ms
-    done;
-    !best
-  in
-  let shapes =
-    [
-      ( Printf.sprintf "ping-pong n=%d" n,
-        Contract.project (ping n),
-        Contract.project (pong n) );
-      ( Printf.sprintf "wide n=%d" n,
-        Contract.project (wide_client n),
-        Contract.project (wide_server n) );
-    ]
-  in
-  let file = Filename.temp_file "susf-bench" ".susfc" in
-  Fun.protect
-    ~finally:(fun () ->
-      Compile.Store.detach ();
-      Compile.Backend.set_enabled false;
-      if Sys.file_exists file then Sys.remove file)
-  @@ fun () ->
-  (* Populate the on-disk cache once, from scratch. *)
-  (match Compile.Store.attach file with
-  | Ok _ -> ()
-  | Error diag -> pf "  (store refused: %s)@." diag);
-  Repr.Cache.clear_all ();
-  Compile.Backend.set_enabled true;
-  List.iter
-    (fun (_, c, s) ->
-      ignore (Compile.Backend.get c);
-      ignore (Compile.Backend.get s))
-    shapes;
-  (match Compile.Store.save () with
-  | Ok _ -> ()
-  | Error diag -> pf "  (store save failed: %s)@." diag);
-  Compile.Store.detach ();
-  (* Interpreted and cold-compile baselines run without the store. *)
-  let timed =
-    List.map
-      (fun (label, c, s) ->
-        Compile.Backend.set_enabled false;
-        let interp = min_ms (fun () -> Product.compliant c s) in
-        Compile.Backend.set_enabled true;
-        let cold = min_ms (fun () -> Product.compliant c s) in
-        (label, c, s, interp, cold))
-      shapes
-  in
-  (match Compile.Store.attach file with
-  | Ok loaded -> pf "  table cache: %d entries reloaded from disk@." loaded
-  | Error diag -> pf "  (store refused: %s)@." diag);
-  let lowered_before = Compile.Backend.lower_count () in
-  List.iter
-    (fun (label, c, s, interp, cold) ->
-      let warm = min_ms (fun () -> Product.compliant c s) in
-      pf "  %-16s first analysis: interpreted %8.3fms  cold %8.3fms  warm %8.3fms@."
-        label interp cold warm;
-      if not !quick then
-        check_line ~expected:"true"
-          ~got:(string_of_bool (warm < cold))
-          (Printf.sprintf "%s: warm reload beats cold compile" label))
-    timed;
-  let store_stats = List.assoc "compile.store" (Repr.Cache.stats ()) in
-  check_line ~expected:"true"
-    ~got:(string_of_bool (store_stats.Repr.Cache.hits > 0))
-    "warm runs answered from the table cache (hits > 0)";
-  check_line ~expected:"0"
-    ~got:(string_of_int (Compile.Backend.lower_count () - lowered_before))
-    "lowerings during warm runs (zero recompiles)";
-  Compile.Store.detach ();
-  (* B6 shape: validity of a long history under a counting policy —
-     the compiled path steps grounded bitset policy rows. Rows are
-     derived per process (never persisted), so there is no warm/cold
-     split, just interpreted vs compiled. *)
-  let h = history_of_length n in
-  Compile.Backend.set_enabled false;
-  let interp = min_ms (fun () -> Validity.check h) in
-  Compile.Backend.set_enabled true;
-  let compiled = min_ms (fun () -> Validity.check h) in
-  pf "  %-16s first analysis: interpreted %8.3fms  compiled %8.3fms@."
-    (Printf.sprintf "policy n=%d" n)
-    interp compiled
-
-(* ------------------------------------------------------------------ *)
 
 (* B12 — most-permissive controller synthesis: cost vs party count on
    the supply-chain family, the declining (broken) variant at every
@@ -1579,7 +1470,7 @@ let all : (string * (unit -> unit)) list =
     ("b1", b1_shape); ("b2", b2_shape); ("b3", b3_shape); ("b4", b4_shape);
     ("b5", b5_recovery); ("b5-def4", b5_ablation); ("b6", b6_ablation);
     ("b7", b7_ablation); ("b8", b8_broker); ("b9", b9_recovery);
-    ("b10", b10_sharded); ("b11", b11_compile);
+    ("b10", b10_sharded);
     ("b12", b12_orchestration); ("b13", b13_mediation);
     ("t-paper", timing_e); ("t-b1", timing_b1); ("t-b2", timing_b2);
     ("t-b3", timing_b3); ("t-b4", timing_b4); ("t-b5", timing_b5);

@@ -79,37 +79,6 @@ let metrics_arg =
           "Collect metrics (counters, gauges, histograms) during the run and \
            write a JSON snapshot to $(docv). See docs/OBSERVABILITY.md.")
 
-(* --- the compiled analysis engine -------------------------------------- *)
-
-let compiled_arg =
-  Arg.(
-    value
-    & opt ~vopt:"yes" string "yes"
-    & info [ "compiled" ] ~docv:"yes|no"
-        ~doc:
-          "Use the table-compiled analysis engine (the default). \
-           $(b,--compiled=no) forces the interpreted reference paths; \
-           verdicts are identical either way. See docs/COMPILE.md.")
-
-let apply_compiled = function
-  | "yes" | "on" | "true" -> Compile.Backend.set_enabled true
-  | "no" | "off" | "false" -> Compile.Backend.set_enabled false
-  | s ->
-      Fmt.epr "bad --compiled: %S (want yes or no)@." s;
-      exit 2
-
-let table_cache_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "table-cache" ] ~docv:"FILE"
-        ~doc:
-          "Persistent automaton cache: load compiled transition tables from \
-           $(docv) at startup and atomically save new ones back at shutdown, \
-           so warm restarts (and $(b,--recover)) reload tables instead of \
-           recompiling. A damaged or version-stale file is refused with a \
-           diagnostic and rebuilt from scratch. See docs/COMPILE.md.")
-
 (* Install the requested observability sinks, run the command body (which
    returns the exit code instead of calling [exit]), flush the JSON
    files, and only then exit. *)
@@ -135,9 +104,8 @@ let with_obs ~trace ~metrics f =
 let report_exit ok = if ok then exit 0 else exit 1
 
 let check_cmd =
-  let run file client plan_name json trace metrics compiled =
+  let run file client plan_name json trace metrics =
     with_obs ~trace ~metrics @@ fun () ->
-    apply_compiled compiled;
     let spec = load file in
     let repo = Syntax.Spec.repo spec in
     let ok = ref true in
@@ -169,7 +137,7 @@ let check_cmd =
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
       const run $ file_arg $ client_arg $ plan_arg $ json_arg $ trace_arg
-      $ metrics_arg $ compiled_arg)
+      $ metrics_arg)
 
 (* --- check-network --- *)
 
@@ -241,9 +209,8 @@ let plans_cmd =
              when a valid plan exists. Exits 1 when some client gets \
              neither a plan, nor a coalition, nor a mediator.")
   in
-  let run file client orchestrate mediate trace metrics compiled =
+  let run file client orchestrate mediate trace metrics =
     with_obs ~trace ~metrics @@ fun () ->
-    apply_compiled compiled;
     let spec = load file in
     let repo = Syntax.Spec.repo spec in
     let ok = ref true in
@@ -311,7 +278,7 @@ let plans_cmd =
   Cmd.v (Cmd.info "plans" ~doc)
     Term.(
       const run $ file_arg $ client_arg $ orchestrate_arg $ mediate_arg
-      $ trace_arg $ metrics_arg $ compiled_arg)
+      $ trace_arg $ metrics_arg)
 
 (* --- compliance --- *)
 
@@ -319,14 +286,13 @@ let compliance_cmd =
   let svc n =
     Arg.(required & pos n (some string) None & info [] ~docv:"SERVICE" ~doc:"Service or client name.")
   in
-  let run file a b compiled =
+  let run file a b =
     let spec = load file in
     let lookup n =
       match Syntax.Spec.find_client spec n with
       | Some h -> h
       | None -> service_of spec n
     in
-    apply_compiled compiled;
     let ca = Core.Contract.project (lookup a) in
     let cb = Core.Contract.project (lookup b) in
     Fmt.pr "%s! = %a@.%s! = %a@." a Core.Contract.pp ca b Core.Contract.pp cb;
@@ -340,7 +306,7 @@ let compliance_cmd =
   in
   let doc = "Decide compliance of two services (Theorem 1)." in
   Cmd.v (Cmd.info "compliance" ~doc)
-    Term.(const run $ file_arg $ svc 1 $ svc 2 $ compiled_arg)
+    Term.(const run $ file_arg $ svc 1 $ svc 2)
 
 (* --- validity --- *)
 
@@ -1048,21 +1014,8 @@ let serve_cmd =
   in
   let run file script queue budget floor json trace metrics journal
       snapshot_every recover force faults listen shards batch connect conns
-      check do_shutdown net_timeout compiled table_cache =
+      check do_shutdown net_timeout =
     with_obs ~trace ~metrics @@ fun () ->
-    apply_compiled compiled;
-    (match table_cache with
-    | None -> ()
-    | Some f -> (
-        match Compile.Store.attach f with
-        | Ok n ->
-            if n > 0 then
-              Fmt.epr "-- table cache: %d compiled contracts loaded from %s@."
-                n f
-        | Error diag ->
-            (* refused cache: never trust a damaged table — recompile
-               everything and overwrite the file at shutdown *)
-            Fmt.epr "warning: %s — rebuilding table cache@." diag));
     let spec = load file in
     let hexpr_of_string src =
       try Syntax.Parser.hexpr_of_string ~automata:spec.Syntax.Spec.automata src
@@ -1262,235 +1215,207 @@ let serve_cmd =
           open_conns;
       if errs = [] then 0 else 1
     in
-    let code =
-      match (listen, connect) with
-      | Some _, Some _ ->
-          Fmt.epr "--listen and --connect are mutually exclusive@.";
+    match (listen, connect) with
+    | Some _, Some _ ->
+        Fmt.epr "--listen and --connect are mutually exclusive@.";
+        exit 2
+    | Some port, None -> serve_listen port
+    | None, Some hostport -> serve_connect hostport
+    | None, None ->
+      let items = load_script () in
+      let sfaults =
+        match faults with
+        | None -> []
+        | Some s -> (
+            match Runtime.Faults.parse_serve s with
+            | Ok fs -> fs
+            | Error msg ->
+                Fmt.epr "--faults: %s@." msg;
+                exit 2)
+      in
+      (match journal with
+      | Some j when (not recover) && (not force) && Sys.file_exists j ->
+          Fmt.epr
+            "%s exists — pass --force to overwrite it, or --recover to \
+             resume from it@."
+            j;
           exit 2
-      | Some port, None -> serve_listen port
-      | None, Some hostport -> serve_connect hostport
-      | None, None ->
-        let items = load_script () in
-        let sfaults =
-          match faults with
-          | None -> []
-          | Some s -> (
-              match Runtime.Faults.parse_serve s with
-              | Ok fs -> fs
-              | Error msg ->
-                  Fmt.epr "--faults: %s@." msg;
-                  exit 2)
-        in
-        (match journal with
-        | Some j when (not recover) && (not force) && Sys.file_exists j ->
-            Fmt.epr
-              "%s exists — pass --force to overwrite it, or --recover to \
-               resume from it@."
-              j;
-            exit 2
-        | _ -> ());
-        (* A fresh journaled run must not inherit a previous run's
-           snapshot: --recover pairs FILE with FILE.snapshot
-           unconditionally, and a stale snapshot whose [upto] happens
-           to fit the new journal would silently restore the wrong
-           run's state. *)
-        (match journal with
-        | Some j when not recover ->
-            let snap = j ^ ".snapshot" in
-            if Sys.file_exists snap then Sys.remove snap
-        | _ -> ());
-        let broker, recovered =
-          if not recover then (Broker.create ~admission repo, None)
-          else
-            match journal with
-            | None ->
-                Fmt.epr "--recover needs --journal@.";
-                exit 2
-            | Some j -> (
-                match
-                  Broker.Recovery.recover ~hexpr_of_string
-                    ~snapshot:(j ^ ".snapshot") ~admission ~journal:j repo
-                with
-                | Error msg ->
-                    Fmt.epr "recovery failed: %s@." msg;
-                    exit 2
-                | Ok (b, r) ->
-                    if r.Broker.Recovery.torn_dropped then
-                      Broker.Journal.drop_torn_tail j;
-                    Fmt.epr "-- %a@." Broker.Recovery.pp_report r;
-                    (b, Some r))
-        in
-        (* resume: skip the script submissions the journal already
-           covers — keyed on the recorded submission index, not a
-           count, because shed markers interleave with submissions that
-           were still queued at the crash and must be re-submitted —
-           and verify each skipped one against its journal entry *)
-        let items =
-          let covered =
-            match recovered with
-            | Some r -> r.Broker.Recovery.events
-            | None -> []
-          in
-          match
-            Broker.Recovery.resume_script ~hexpr_to_string ~covered items
-          with
-          | Ok items -> items
-          | Error msg ->
-              Fmt.epr "--recover: %s@." msg;
-              exit 2
-        in
-        let writer =
-          Option.map
-            (fun j ->
-              Broker.Journal.create ~hexpr_to_string ~append:recover ~batch j)
-            journal
-        in
-        let logged =
-          ref
-            (match recovered with
-            | Some r -> r.Broker.Recovery.entries
-            | None -> 0)
-        in
-        let accepted =
-          ref
-            (match recovered with
-            | Some r -> r.Broker.Recovery.entries - r.Broker.Recovery.sheds
-            | None -> 0)
-        in
-        let last_snap = ref !accepted in
-        (* submission indices of the queued-but-unprocessed requests,
-           mirroring the broker's FIFO: the write-ahead hook pops the
-           index the processed request was submitted under *)
-        let pending = Queue.create () in
-        let exception Crashed of Runtime.Faults.serve_kind in
-        let hook ~seq ~level request =
-          (match Runtime.Faults.serve_fires sfaults ~accepted:!accepted with
-          | Some k -> raise (Crashed k)
-          | None -> ());
-          let submit = Queue.pop pending in
-          Option.iter
-            (fun w ->
-              Broker.Journal.append w
-                {
-                  Broker.Journal.seq;
-                  submit;
-                  shed = false;
-                  rescued = false;
-                  level;
-                  request;
-                };
-              incr logged)
-            writer;
-          incr accepted
-        in
-        if Option.is_some writer || sfaults <> [] then
-          Broker.set_journal broker (Some hook);
-        let maybe_snapshot () =
+      | _ -> ());
+      (* A fresh journaled run must not inherit a previous run's
+         snapshot: --recover pairs FILE with FILE.snapshot
+         unconditionally, and a stale snapshot whose [upto] happens
+         to fit the new journal would silently restore the wrong
+         run's state. *)
+      (match journal with
+      | Some j when not recover ->
+          let snap = j ^ ".snapshot" in
+          if Sys.file_exists snap then Sys.remove snap
+      | _ -> ());
+      let broker, recovered =
+        if not recover then (Broker.create ~admission repo, None)
+        else
           match journal with
-          | Some j when snapshot_every > 0 && !accepted - !last_snap >= snapshot_every
-            ->
-              (* the snapshot's [upto] claims those entries are on disk,
-                 so a group-commit buffer must be flushed first *)
-              Option.iter Broker.Journal.flush writer;
-              Broker.Recovery.write ~hexpr_to_string (j ^ ".snapshot")
-                (Broker.Recovery.snapshot_of broker ~upto:!logged);
-              last_snap := !accepted
-          | _ -> ()
+          | None ->
+              Fmt.epr "--recover needs --journal@.";
+              exit 2
+          | Some j -> (
+              match
+                Broker.Recovery.recover ~hexpr_of_string
+                  ~snapshot:(j ^ ".snapshot") ~admission ~journal:j repo
+              with
+              | Error msg ->
+                  Fmt.epr "recovery failed: %s@." msg;
+                  exit 2
+              | Ok (b, r) ->
+                  if r.Broker.Recovery.torn_dropped then
+                    Broker.Journal.drop_torn_tail j;
+                  Fmt.epr "-- %a@." Broker.Recovery.pp_report r;
+                  (b, Some r))
+      in
+      (* resume: skip the script submissions the journal already
+         covers — keyed on the recorded submission index, not a
+         count, because shed markers interleave with submissions that
+         were still queued at the crash and must be re-submitted —
+         and verify each skipped one against its journal entry *)
+      let items =
+        let covered =
+          match recovered with
+          | Some r -> r.Broker.Recovery.events
+          | None -> []
         in
-        let responses = ref [] in
-        let crashed = ref None in
-        let push r = responses := r :: !responses in
-        let rec drain_steps () =
-          match Broker.step broker with
-          | None -> ()
-          | Some r ->
-              push r;
-              drain_steps ()
-        in
-        (try
-           List.iter
-             (fun (idx, item) ->
-               (match item with
-               | Broker.Script.Submit r -> (
-                   match Broker.submit broker r with
-                   | None -> Queue.add idx pending
-                   | Some resp ->
-                       (* a full-queue answer consumed this submission
-                          and a sequence number, so journal a marker —
-                          otherwise --recover would re-submit it. Shed
-                          and rescued markers are distinguished so
-                          recovery can re-run the rescue's floor-level
-                          serve. The floor is read from the broker, not
-                          the CLI: [policy floor LEVEL] can have changed
-                          it since startup, and the rescue was answered
-                          at the live value *)
-                       let shed =
-                         match resp.Broker.outcome with
-                         | Broker.Rejected Broker.Shed -> true
-                         | _ -> false
-                       in
-                       Option.iter
-                         (fun w ->
-                           Broker.Journal.append w
-                             {
-                               Broker.Journal.seq = resp.Broker.seq;
-                               submit = idx;
-                               shed;
-                               rescued = not shed;
-                               level =
-                                 (if shed then Core.Compliance.Strict
-                                  else (Broker.admission broker).Broker.floor);
-                               request = r;
-                             };
-                           incr logged)
-                         writer;
-                       push resp)
-               | Broker.Script.Tick -> Option.iter push (Broker.step broker)
-               | Broker.Script.Drain -> drain_steps ());
-               maybe_snapshot ())
-             items;
-           drain_steps ()
-         with Crashed k -> crashed := Some k);
-        (match !crashed with
-        | Some Runtime.Faults.Torn_write ->
-            Option.iter Broker.Journal.tear writer
-        | _ -> ());
-        Option.iter Broker.Journal.close writer;
-        let responses = List.rev !responses in
-        let stats = Broker.stats broker in
-        if json then
-          Fmt.pr "%a@." Reports.Json.pp
-            (Reports.Json.Obj
-               [
-                 ( "responses",
-                   Reports.Json.List
-                     (List.map Reports.Encode.broker_response responses) );
-                 ("stats", Reports.Encode.broker_stats stats);
-               ])
-        else begin
-          List.iter (fun r -> Fmt.pr "%a@." Broker.pp_response r) responses;
-          Fmt.pr "-- %a@." Broker.pp_stats stats
-        end;
-        (match !crashed with
-        | None -> 0
-        | Some k ->
-            Fmt.epr "-- crashed (%s) after %d accepted events%s@."
-              (match k with
-              | Runtime.Faults.Crash_serve -> "crash"
-              | Runtime.Faults.Torn_write -> "torn write")
-              !accepted
-              (match journal with
-              | Some j -> Fmt.str "; resume with --recover --journal %s" j
-              | None -> "");
-            3)
-    in
-    (match table_cache with
-    | None -> ()
-    | Some _ -> (
-        match Compile.Store.save () with
-        | Ok _ -> ()
-        | Error e -> Fmt.epr "warning: failed to save table cache: %s@." e));
-    code
+        match
+          Broker.Recovery.resume_script ~hexpr_to_string ~covered items
+        with
+        | Ok items -> items
+        | Error msg ->
+            Fmt.epr "--recover: %s@." msg;
+            exit 2
+      in
+      let writer =
+        Option.map
+          (fun j ->
+            Broker.Journal.create ~hexpr_to_string ~append:recover ~batch j)
+          journal
+      in
+      let logged =
+        ref
+          (match recovered with
+          | Some r -> r.Broker.Recovery.entries
+          | None -> 0)
+      in
+      let accepted =
+        ref
+          (match recovered with
+          | Some r -> r.Broker.Recovery.entries - r.Broker.Recovery.sheds
+          | None -> 0)
+      in
+      let last_snap = ref !accepted in
+      (* submission indices of the queued-but-unprocessed requests,
+         mirroring the broker's FIFO: the write-ahead hook pops the
+         index the processed request was submitted under *)
+      let pending = Queue.create () in
+      let exception Crashed of Runtime.Faults.serve_kind in
+      let hook ~seq ~level request =
+        (match Runtime.Faults.serve_fires sfaults ~accepted:!accepted with
+        | Some k -> raise (Crashed k)
+        | None -> ());
+        let submit = Queue.pop pending in
+        Option.iter
+          (fun w ->
+            Broker.Journal.append w
+              {
+                Broker.Journal.seq;
+                submit;
+                shed = false;
+                rescued = false;
+                level;
+                request;
+              };
+            incr logged)
+          writer;
+        incr accepted
+      in
+      if Option.is_some writer || sfaults <> [] then
+        Broker.set_journal broker (Some hook);
+      let maybe_snapshot () =
+        match journal with
+        | Some j when snapshot_every > 0 && !accepted - !last_snap >= snapshot_every
+          ->
+            (* the snapshot's [upto] claims those entries are on disk,
+               so a group-commit buffer must be flushed first *)
+            Option.iter Broker.Journal.flush writer;
+            Broker.Recovery.write ~hexpr_to_string (j ^ ".snapshot")
+              (Broker.Recovery.snapshot_of broker ~upto:!logged);
+            last_snap := !accepted
+        | _ -> ()
+      in
+      let responses = ref [] in
+      let crashed = ref None in
+      let push r = responses := r :: !responses in
+      let rec drain_steps () =
+        match Broker.step broker with
+        | None -> ()
+        | Some r ->
+            push r;
+            drain_steps ()
+      in
+      (try
+         List.iter
+           (fun (idx, item) ->
+             (match item with
+             | Broker.Script.Submit r -> (
+                 match Broker.submit broker r with
+                 | None -> Queue.add idx pending
+                 | Some resp ->
+                     (* a full-queue answer consumed this submission
+                        and a sequence number, so journal a marker —
+                        otherwise --recover would re-submit it *)
+                     Option.iter
+                       (fun w ->
+                         Broker.Journal.append w
+                           (Broker.Journal.submit_answer broker ~submit:idx r
+                              resp);
+                         incr logged)
+                       writer;
+                     push resp)
+             | Broker.Script.Tick -> Option.iter push (Broker.step broker)
+             | Broker.Script.Drain -> drain_steps ());
+             maybe_snapshot ())
+           items;
+         drain_steps ()
+       with Crashed k -> crashed := Some k);
+      (match !crashed with
+      | Some Runtime.Faults.Torn_write ->
+          Option.iter Broker.Journal.tear writer
+      | _ -> ());
+      Option.iter Broker.Journal.close writer;
+      let responses = List.rev !responses in
+      let stats = Broker.stats broker in
+      if json then
+        Fmt.pr "%a@." Reports.Json.pp
+          (Reports.Json.Obj
+             [
+               ( "responses",
+                 Reports.Json.List
+                   (List.map Reports.Encode.broker_response responses) );
+               ("stats", Reports.Encode.broker_stats stats);
+             ])
+      else begin
+        List.iter (fun r -> Fmt.pr "%a@." Broker.pp_response r) responses;
+        Fmt.pr "-- %a@." Broker.pp_stats stats
+      end;
+      (match !crashed with
+      | None -> 0
+      | Some k ->
+          Fmt.epr "-- crashed (%s) after %d accepted events%s@."
+            (match k with
+            | Runtime.Faults.Crash_serve -> "crash"
+            | Runtime.Faults.Torn_write -> "torn write")
+            !accepted
+            (match journal with
+            | Some j -> Fmt.str "; resume with --recover --journal %s" j
+            | None -> "");
+          3)
   in
   let doc =
     "Run the orchestration broker over a workload script: a long-lived \
@@ -1503,7 +1428,7 @@ let serve_cmd =
       $ json_arg $ trace_arg $ metrics_arg $ journal_arg $ snapshot_every_arg
       $ recover_arg $ force_arg $ serve_faults_arg $ listen_arg $ shards_arg
       $ batch_arg $ connect_arg $ conns_arg $ check_arg $ shutdown_arg
-      $ net_timeout_arg $ compiled_arg $ table_cache_arg)
+      $ net_timeout_arg)
 
 (* --- show --- *)
 
@@ -1517,7 +1442,6 @@ let show_cmd =
   Cmd.v (Cmd.info "show" ~doc) Term.(const run $ file_arg)
 
 let () =
-  Compile.Backend.install ();
   let doc = "secure and unfailing services: verification of service compositions" in
   let info = Cmd.info "susf" ~version:"1.0.0" ~doc in
   exit (Cmd.eval (Cmd.group info

@@ -379,71 +379,6 @@ module Make (A : ALPHABET) = struct
     let d = complete ~alphabet:sigma d in
     { d with finals = States.diff d.states d.finals }
 
-  let minimize a =
-    let d = trim (determinize a) in
-    if States.is_empty d.states then d
-    else begin
-      let sigma = alphabet d in
-      let states = States.elements d.states in
-      (* Moore refinement: blocks are numbered; a state's signature is its
-         block together with the blocks reached on each symbol. *)
-      let block = Hashtbl.create 97 in
-      List.iter
-        (fun s ->
-          Hashtbl.replace block s (if States.mem s d.finals then 1 else 0))
-        states;
-      let next_of s sym =
-        let tgt = step d (States.singleton s) sym in
-        match States.choose_opt tgt with
-        | None -> -1
-        | Some t -> Hashtbl.find block t
-      in
-      let changed = ref true in
-      while !changed do
-        changed := false;
-        let sig_tbl = Hashtbl.create 97 in
-        let fresh = ref 0 in
-        let new_block = Hashtbl.create 97 in
-        List.iter
-          (fun s ->
-            let signature =
-              (Hashtbl.find block s, List.map (next_of s) sigma)
-            in
-            let b =
-              match Hashtbl.find_opt sig_tbl signature with
-              | Some b -> b
-              | None ->
-                  let b = !fresh in
-                  incr fresh;
-                  Hashtbl.replace sig_tbl signature b;
-                  b
-            in
-            Hashtbl.replace new_block s b)
-          states;
-        let differs =
-          List.exists
-            (fun s -> Hashtbl.find block s <> Hashtbl.find new_block s)
-            states
-        in
-        if differs then begin
-          List.iter
-            (fun s -> Hashtbl.replace block s (Hashtbl.find new_block s))
-            states;
-          changed := true
-        end
-      done;
-      let b s = Hashtbl.find block s in
-      let trans =
-        transitions d |> List.map (fun (s, x, t) -> (b s, x, b t))
-        |> List.sort_uniq compare
-      in
-      create
-        ~init:(States.elements d.init |> List.map b |> List.sort_uniq compare)
-        ~finals:
-          (States.elements d.finals |> List.map b |> List.sort_uniq compare)
-        ~trans
-    end
-
   let equivalent ~alphabet:sigma a b =
     let ca = complement ~alphabet:sigma a in
     let cb = complement ~alphabet:sigma b in

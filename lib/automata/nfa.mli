@@ -101,9 +101,6 @@ module Make (A : ALPHABET) : sig
   (** Complement w.r.t. the given alphabet (the automaton is completed
       and determinized first). *)
 
-  val minimize : t -> t
-  (** Moore partition refinement on the determinized automaton. *)
-
   val equivalent : alphabet:symbol list -> t -> t -> bool
   (** Language equivalence over the given alphabet. *)
 

@@ -30,6 +30,27 @@ type entry = {
   request : Engine.request;
 }
 
+(* A full-queue answer consumed a submission and a sequence number
+   without reaching the write-ahead hook. A rescue is marked with the
+   floor live on the engine when it answered: a policy change can have
+   moved it since startup. *)
+let submit_answer engine ~submit request (resp : Engine.response) =
+  let shed =
+    match resp.Engine.outcome with
+    | Engine.Rejected Engine.Shed -> true
+    | _ -> false
+  in
+  {
+    seq = resp.Engine.seq;
+    submit;
+    shed;
+    rescued = not shed;
+    level =
+      (if shed then Core.Compliance.Strict
+       else (Engine.admission engine).Engine.floor);
+    request;
+  }
+
 type error = { path : string; line : int; msg : string }
 
 let pp_error ppf e =

@@ -48,6 +48,15 @@ type entry = {
   request : Engine.request;
 }
 
+val submit_answer :
+  Engine.t -> submit:int -> Engine.request -> Engine.response -> entry
+(** The marker for a submission the engine answered at once (queue
+    full): a shed marker for a shed, otherwise a rescue marker at the
+    engine's {e current} floor — a policy change can have moved it
+    since startup. Journal it at submit time: the submission consumed a
+    sequence number without reaching the write-ahead hook, and without
+    the marker recovery would re-submit it. *)
+
 type error = { path : string; line : int; msg : string }
 (** [line] is 1-based ([0] when the file could not be read at all). *)
 

@@ -7,8 +7,9 @@
                               answered once, from shard 0), SEQ the
                               per-shard sequence number, OUTCOME the
                               one-line rendering of [Engine.pp_outcome]
-     err MESSAGE              the line did not parse (nothing was
-                              submitted; the connection stays usable)
+     err MESSAGE              the line did not parse, or is longer
+                              than [max_line] (nothing was submitted;
+                              the connection stays usable)
      ok bye                   the reply to the 'shutdown' verb, sent
                               only after every shard has drained and
                               the journals are flushed and closed — a
@@ -31,9 +32,14 @@ let one_line s =
   |> List.filter (fun l -> l <> "")
   |> String.concat " "
 
+(* The longest request line the server buffers, in bytes. *)
+let max_line = 1 lsl 20
+
 type conn = {
   fd : Unix.file_descr;
   rbuf : Buffer.t;  (* partial input line, select-loop private *)
+  mutable skipping : bool;
+      (* an overlong line was answered: drop input through its newline *)
   wlock : Mutex.t;  (* serializes response writes across shards *)
   mutable closed : bool;
   mutable last_read : float;  (* of the last accepted/readable moment *)
@@ -123,17 +129,41 @@ let handle_line t conn line =
               (Fmt.str "ok %s %d %s" tag resp.Engine.seq
                  (one_line (Fmt.str "%a" Engine.pp_outcome resp.Engine.outcome))))
 
+let line_too_long conn =
+  Obs.Metrics.incr "net.errors";
+  write_line conn "err line too long";
+  Buffer.reset conn.rbuf
+
+(* Only the [len] fresh bytes are scanned for newlines, and a partial
+   line is buffered up to [max_line] bytes: past that it is answered
+   once, and skipped through its newline. *)
 let feed t conn bytes len =
-  Buffer.add_subbytes conn.rbuf bytes 0 len;
-  let text = Buffer.contents conn.rbuf in
+  let rec newline i =
+    if i >= len then None
+    else if Bytes.get bytes i = '\n' then Some i
+    else newline (i + 1)
+  in
   let rec go start =
-    match String.index_from_opt text start '\n' with
-    | None ->
-        Buffer.clear conn.rbuf;
-        Buffer.add_substring conn.rbuf text start (String.length text - start)
+    match newline start with
     | Some i ->
-        handle_line t conn (String.sub text start (i - start));
+        let n = i - start in
+        if conn.skipping then conn.skipping <- false
+        else if Buffer.length conn.rbuf + n > max_line then line_too_long conn
+        else begin
+          Buffer.add_subbytes conn.rbuf bytes start n;
+          let line = Buffer.contents conn.rbuf in
+          Buffer.reset conn.rbuf;
+          handle_line t conn line
+        end;
         go (i + 1)
+    | None ->
+        let n = len - start in
+        if conn.skipping then ()
+        else if Buffer.length conn.rbuf + n > max_line then begin
+          line_too_long conn;
+          conn.skipping <- true
+        end
+        else Buffer.add_subbytes conn.rbuf bytes start n
   in
   go 0
 
@@ -155,6 +185,7 @@ let step t =
               {
                 fd = cfd;
                 rbuf = Buffer.create 256;
+                skipping = false;
                 wlock = Mutex.create ();
                 closed = false;
                 last_read = Unix.gettimeofday ();

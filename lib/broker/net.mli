@@ -12,6 +12,9 @@
                              [Engine.pp_outcome]
     err MESSAGE              parse failure; nothing was submitted, the
                              connection stays usable
+    err line too long        the line exceeds 1 MiB; it is answered
+                             once and skipped through its newline, and
+                             the connection stays usable
     ok pong                  reply to the 'ping' verb
     ok bye                   reply to the 'shutdown' verb, sent {e
                              after} every shard has drained and the

@@ -54,32 +54,6 @@ let seqs t = Array.map (fun s -> Engine.seq s.engine) t.shards
 
 (* ---- the worker ------------------------------------------------------- *)
 
-(* Journal a full-queue answer (shed or rescue marker) at submit time,
-   exactly as the script serve loop does: the submission consumed a
-   sequence number without reaching the write-ahead hook. The rescue
-   level is read off the live engine — [Set_policy] can have moved the
-   floor since startup. *)
-let journal_submit_answer sh ~submit request (resp : Engine.response) =
-  Option.iter
-    (fun w ->
-      let shed =
-        match resp.Engine.outcome with
-        | Engine.Rejected Engine.Shed -> true
-        | _ -> false
-      in
-      Journal.append w
-        {
-          Journal.seq = resp.Engine.seq;
-          submit;
-          shed;
-          rescued = not shed;
-          level =
-            (if shed then Core.Compliance.Strict
-             else (Engine.admission sh.engine).Engine.floor);
-          request;
-        })
-    sh.journal
-
 let run_cycle sh jobs =
   (* callbacks of the engine-queued submissions, FIFO alongside the
      engine's own queue; [sh.hook_pending] carries their indices for
@@ -116,7 +90,13 @@ let run_cycle sh jobs =
             Queue.add submit sh.hook_pending;
             Queue.add j.callback callbacks
         | Some resp ->
-            journal_submit_answer sh ~submit j.request resp;
+            (* a full-queue answer: journal its marker at submit
+               time, as the script serve loop does *)
+            Option.iter
+              (fun w ->
+                Journal.append w
+                  (Journal.submit_answer sh.engine ~submit j.request resp))
+              sh.journal;
             acc := (j.callback, resp) :: !acc)
     jobs;
   steps_dry ();

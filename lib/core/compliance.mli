@@ -71,6 +71,5 @@ val locally_ok : Contract.t -> Contract.t -> bool
 val compliant : Contract.t -> Contract.t -> bool
 (** [compliant client server] decides [client ⊢ server] by checking
     {!locally_ok} on every pair reachable from the initial one (the
-    greatest-fixed-point reading of Definition 4). Always interpreted:
-    it is the reference the Theorem 1 tests compare
-    [Product.compliant] against. *)
+    greatest-fixed-point reading of Definition 4). It is the reference
+    the Theorem 1 tests compare [Product.compliant] against. *)

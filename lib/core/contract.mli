@@ -82,8 +82,7 @@ val is_terminated : t -> bool
 
 val free_vars : t -> string list
 (** Free recursion variables (memoized). Closed contracts — the only
-    kind the projection produces and the table compiler accepts — have
-    none. *)
+    kind the projection produces — have none. *)
 
 val equal : t -> t -> bool
 (** Physical equality — O(1) thanks to maximal sharing. *)

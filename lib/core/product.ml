@@ -113,7 +113,9 @@ type survey = {
    contains a cycle — final states have no outgoing transitions, so any
    cycle is a live loop, and a maximal path is exactly one that ends
    client-terminated, ends stuck, or loops forever. *)
-let survey_interpreted c1 c2 =
+let survey c1 c2 =
+  Obs.Trace.with_span "product.survey" @@ fun () ->
+  Obs.Metrics.incr "product.surveys";
   let initial = (c1, c2) in
   let parent = Repr.Key.Pair_tbl.create 64 in
   Repr.Key.Pair_tbl.replace parent (key initial) None;
@@ -188,35 +190,9 @@ let survey_interpreted c1 c2 =
     first_counterexample = !first;
   }
 
-(* ---- compiled backend dispatch ---------------------------------------- *)
-
-(* A table-driven engine (lib/compile) can register here; core cannot
-   depend on it directly. [None] from the backend means "use the
-   interpreted path" — backends may decline, never force a verdict. The
-   record is installed once at executable startup, before any domains
-   spawn, so the plain ref needs no synchronisation. *)
-type backend = {
-  active : unit -> bool;
-  survey : Contract.t -> Contract.t -> survey option;
-}
-
-let backend : backend option ref = ref None
-let set_backend b = backend := b
-
-let survey c1 c2 =
-  Obs.Trace.with_span "product.survey" @@ fun () ->
-  Obs.Metrics.incr "product.surveys";
-  match !backend with
-  | Some b when b.active () -> (
-      match b.survey c1 c2 with
-      | Some s -> s
-      | None -> survey_interpreted c1 c2)
-  | _ -> survey_interpreted c1 c2
-
 (* Theorem 1's three readings of one relation — Definition 4, emptiness
    of [H₁ ⊗ H₂], no reachable stuck configuration — are all decided by
-   the survey, so there is one engine (and one compiled kernel) for
-   every pairwise question. *)
+   the survey, so there is one engine for every pairwise question. *)
 let compliant c1 c2 = (survey c1 c2).stuck_states = 0
 let counterexample c1 c2 = (survey c1 c2).first_counterexample
 

@@ -67,36 +67,16 @@ val survey : Contract.t -> Contract.t -> survey
 (** One reachability pass computing the measures every
     {!Compliance.level} is decided on — {!Planner.analyze} caches this
     per hash-consed contract-id pair, so one survey answers all levels.
-    Dispatches to the compiled backend when one is installed and
-    active; the compiled survey is byte-identical to the interpreted
-    one, counterexample included. *)
-
-val survey_interpreted : Contract.t -> Contract.t -> survey
-(** The interpreted survey, never dispatched — the oracle the compiled
-    path is tested against. *)
+    It walks the hash-consed contract graph directly: successors come
+    from the memoized [Contract.transitions]. *)
 
 val compliant : Contract.t -> Contract.t -> bool
 (** The Theorem 1 decision procedure: [(survey c1 c2).stuck_states = 0].
-    Every pairwise verdict comes from {!survey}, compiled or not. *)
+    Every pairwise verdict comes from {!survey}. *)
 
 val counterexample : Contract.t -> Contract.t -> counterexample option
 (** A shortest path into [F], if the contracts are not compliant: the
     survey's [first_counterexample]. *)
-
-(** {1 Compiled backend} *)
-
-(** Hook for a table-driven engine ([lib/compile]); [core] cannot
-    depend on it, so executables install the record at startup. A
-    backend survey returning [None] means "fall back to the
-    interpreted path". *)
-type backend = {
-  active : unit -> bool;
-  survey : Contract.t -> Contract.t -> survey option;
-}
-
-val set_backend : backend option -> unit
-(** Install (or remove) the compiled backend. Call before spawning
-    domains; the hook is read unsynchronised on hot paths. *)
 
 val admits : Compliance.level -> survey -> bool
 (** [Compliance.admits_measures] on the survey's measures. At

@@ -93,19 +93,6 @@ let check eta =
   go Monitor.empty eta
 
 module Abstract = struct
-  (* Hook for the grounded-row engine (lib/compile); installed once at
-     executable startup, [None] falls back to the symbolic step. The
-     compiled step returns exactly [States.elements] of the symbolic
-     result, so cursor representations never diverge. (Declared before
-     [type t] so [t]'s [active] field wins disambiguation below.) *)
-  type backend = {
-    active : unit -> bool;
-    step : Usage.Policy.t -> int list -> Usage.Event.t -> int list option;
-  }
-
-  let backend : backend option ref = ref None
-  let set_backend b = backend := b
-
   (* Sorted association list keyed by policy id; the policy value is kept
      alongside to drive the automaton. [active] is a sorted multiset of
      ids. *)
@@ -129,19 +116,11 @@ module Abstract = struct
     let finals = Usage.Policy.A.finals a in
     List.exists (fun s -> Usage.Policy.A.States.mem s finals) states
 
-  let step_states_interpreted p states e =
+  let step_states p states e =
+    Obs.Metrics.incr "validity.policy_steps";
     let a = Usage.Policy.automaton p in
     Usage.Policy.A.step a (Usage.Policy.A.States.of_list states) e
     |> Usage.Policy.A.States.elements
-
-  let step_states p states e =
-    Obs.Metrics.incr "validity.policy_steps";
-    match !backend with
-    | Some b when b.active () -> (
-        match b.step p states e with
-        | Some r -> r
-        | None -> step_states_interpreted p states e)
-    | _ -> step_states_interpreted p states e
 
   let active t = t.active
 

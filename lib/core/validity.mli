@@ -58,18 +58,6 @@ module Abstract : sig
   val compare : t -> t -> int
   val equal : t -> t -> bool
   val pp : t Fmt.t
-
-  (** Hook for the grounded policy-row engine ([lib/compile]); see
-      [Product.backend]. The compiled step must return exactly the
-      sorted state list of the symbolic step; [None] falls back. *)
-  type backend = {
-    active : unit -> bool;
-    step : Usage.Policy.t -> int list -> Usage.Event.t -> int list option;
-  }
-
-  val set_backend : backend option -> unit
-  (** Install (or remove) the compiled step at executable startup,
-      before spawning domains. *)
 end
 
 val check_expr :

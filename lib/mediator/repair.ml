@@ -8,9 +8,8 @@ open Core
    strict pipeline: the adapters join the repository as ordinary
    services, the mediated plan binds each site to its adapter, and
    [Planner.analyze] runs strict Compliance + Netcheck + Validity over
-   it — so security conditions are exactly those of a direct plan, and
-   compiled/interpreted byte-identity is inherited from the pipeline's
-   backend dispatch. The healed service's own event behaviour is held
+   it — so security conditions are exactly those of a direct plan. The
+   healed service's own event behaviour is held
    to the imposed policy by the eligibility check
    ([Validity.check_expr] on [φ[h]]), the same discipline coalition
    members answer to. *)

@@ -377,13 +377,10 @@ let synthesize ?(config = default_config) ~client ~service () =
    inputs must cover exactly the client's offers, and each of its
    outputs must be justified by a buffered or service-offered message
    the client accepts. On top of the walk, the client/adapter pair must
-   be strictly compliant for the {e interpreted} product oracle. *)
+   be strictly compliant (Theorem 1). *)
 let verify ?(config = default_config) ~client ~service m =
   let renameable a = not (List.mem a config.reserved) in
-  let strict =
-    (Product.survey_interpreted client m.adapter).Product.stuck_states = 0
-  in
-  if not strict then false
+  if not (Product.compliant client m.adapter) then false
   else begin
     let seen = Hashtbl.create 64 in
     let ok = ref true in

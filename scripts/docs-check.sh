@@ -13,12 +13,15 @@
 # flags) fails the check. printf/echo lines are run too, so docs can
 # set up their own fixtures (e.g. a log file to audit).
 #
-# Additionally, every backticked `broker.*` / `net.*` / `compile.*` /
-# `orchestration.*` / `mediator.*` instrument name mentioned in the docs must
-# exist verbatim as a
-# metric-name literal in
+# Additionally, every backticked instrument name mentioned in the docs
+# under one of the audited prefixes (`broker.`, `net.`, `orchestration.`,
+# `mediator.`, `product.`, `validity.`, `planner.`, `netcheck.`,
+# `contract.`, `repr.`) must exist verbatim as a metric-name literal in
 # lib/, bin/ or bench/, so the observability tables cannot drift from
-# the code. Wildcard mentions (`broker.shard.*`) are not audited.
+# the code. `NAME.hits` and `NAME.misses` also count as present when
+# `"NAME"` is a literal: Repr.Memo and Repr.Hashcons derive those
+# counters from the registered cache name. Wildcard mentions
+# (`broker.shard.*`) are not audited.
 set -u
 
 ROOT=$(CDPATH='' cd -- "$(dirname -- "$0")/.." && pwd)
@@ -90,9 +93,17 @@ fi
 # ---- instrument-name audit ------------------------------------------
 audited=0
 missing=0
-for name in $(grep -hoE '`(broker|net|compile|orchestration|mediator)\.[a-z0-9_.]+`' "$@" | tr -d '`' | sort -u); do
+literal() {
+  grep -rqF "\"$1\"" "$ROOT/lib" "$ROOT/bin" "$ROOT/bench"
+}
+prefixes='broker|net|orchestration|mediator|product|validity|planner|netcheck|contract|repr'
+for name in $(grep -hoE "\`($prefixes)\\.[a-z0-9_.]+\`" "$@" | tr -d '`' | sort -u); do
   audited=$((audited + 1))
-  if grep -rqF "\"$name\"" "$ROOT/lib" "$ROOT/bin" "$ROOT/bench"; then
+  case "$name" in
+    *.hits | *.misses) cache=${name%.*} ;;
+    *) cache= ;;
+  esac
+  if literal "$name" || { [ -n "$cache" ] && literal "$cache"; }; then
     echo "ok   instrument $name"
   else
     echo "FAIL instrument $name is in the docs but not in lib/ bin/ bench/"

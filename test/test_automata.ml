@@ -66,23 +66,11 @@ let test_union () =
   Alcotest.(check bool) "aa in union" true (N.accepts u [ 'a'; 'a' ]);
   Alcotest.(check bool) "ba not in union" false (N.accepts u [ 'b'; 'a' ])
 
-let test_determinize_minimize () =
+let test_determinize () =
   let d = N.determinize contains_aa in
   Alcotest.(check bool) "dfa accepts aa" true (N.accepts d [ 'a'; 'a' ]);
-  Alcotest.(check bool) "dfa rejects ab" false (N.accepts d [ 'a'; 'b' ]);
-  let m = N.minimize contains_aa in
-  Alcotest.(check bool) "minimal accepts baa" true (N.accepts m [ 'b'; 'a'; 'a' ]);
-  (* minimal DFA for "contains aa" over {a,b} has exactly 3 states *)
-  let m_ab =
-    N.minimize
-      (N.create ~init:[ 0 ] ~finals:[ 2 ]
-         ~trans:
-           [
-             (0, 'a', 0); (0, 'b', 0); (0, 'a', 1); (1, 'a', 2);
-             (2, 'a', 2); (2, 'b', 2);
-           ])
-  in
-  Alcotest.(check int) "3 states" 3 (N.size m_ab)
+  Alcotest.(check bool) "dfa accepts baa" true (N.accepts d [ 'b'; 'a'; 'a' ]);
+  Alcotest.(check bool) "dfa rejects ab" false (N.accepts d [ 'a'; 'b' ])
 
 let test_complement () =
   let c = N.complement ~alphabet:[ 'a'; 'b' ] contains_aa in
@@ -91,7 +79,7 @@ let test_complement () =
 
 let test_equivalent () =
   Alcotest.(check bool) "self-equivalent" true
-    (N.equivalent ~alphabet:[ 'a'; 'b' ] contains_aa (N.minimize contains_aa));
+    (N.equivalent ~alphabet:[ 'a'; 'b' ] contains_aa (N.determinize contains_aa));
   Alcotest.(check bool) "different" false
     (N.equivalent ~alphabet:[ 'a'; 'b' ] contains_aa ab_star)
 
@@ -124,13 +112,6 @@ let prop_determinize_preserves =
     (fun (spec, w) ->
       let a = build_nfa spec in
       N.accepts a w = N.accepts (N.determinize a) w)
-
-let prop_minimize_preserves =
-  QCheck.Test.make ~name:"minimize preserves acceptance" ~count:300
-    QCheck.(make Gen.(pair Testkit.Generators.nfa_gen Testkit.Generators.word_gen))
-    (fun (spec, w) ->
-      let a = build_nfa spec in
-      N.accepts a w = N.accepts (N.minimize a) w)
 
 let prop_complement_flips =
   QCheck.Test.make ~name:"complement flips acceptance" ~count:300
@@ -204,14 +185,13 @@ let suite =
     Alcotest.test_case "shortest accepted" `Quick test_shortest;
     Alcotest.test_case "product" `Quick test_product;
     Alcotest.test_case "union" `Quick test_union;
-    Alcotest.test_case "determinize/minimize" `Quick test_determinize_minimize;
+    Alcotest.test_case "determinize" `Quick test_determinize;
     Alcotest.test_case "complement" `Quick test_complement;
     Alcotest.test_case "equivalence" `Quick test_equivalent;
     Alcotest.test_case "trim" `Quick test_trim;
     Alcotest.test_case "sfa run" `Quick test_sfa_run;
     Alcotest.test_case "sfa concretize" `Quick test_sfa_concrete;
     QCheck_alcotest.to_alcotest prop_determinize_preserves;
-    QCheck_alcotest.to_alcotest prop_minimize_preserves;
     QCheck_alcotest.to_alcotest prop_complement_flips;
     QCheck_alcotest.to_alcotest prop_intersect_is_conj;
     QCheck_alcotest.to_alcotest prop_union_is_disj;

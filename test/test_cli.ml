@@ -193,40 +193,13 @@ let test_serve_script_diagnostics () =
   Alcotest.(check bool) "error names the token" true
     (Astring.String.is_infix ~affix:"frobnicate" err)
 
-(* stdout and exit code of one susf run *)
-let capture args =
-  let out = "capture.out" in
-  let code =
-    Sys.command
-      (Filename.quote_command susf ~stdout:out ~stderr:"/dev/null" args)
-  in
-  (code, In_channel.with_open_bin out In_channel.input_all)
-
-let test_compliance_engines_agree () =
-  (* both engines answer [compliance]: the verdict and counterexample
-     come from [Product.survey], compiled or interpreted *)
-  List.iter
-    (fun (a, b, want) ->
-      let run mode =
-        capture [ "compliance"; hotel; a; b; "--compiled=" ^ mode ]
-      in
-      let yes_code, yes_out = run "yes" and no_code, no_out = run "no" in
-      let pair = a ^ " " ^ b in
-      Alcotest.(check int) (pair ^ " exit") want yes_code;
-      Alcotest.(check int) (pair ^ " exit under --compiled=no") yes_code
-        no_code;
-      Alcotest.(check string) (pair ^ " stdout") yes_out no_out)
-    [ ("c1", "br", 0); ("br", "s3", 1) ]
-
 let test_metrics_hold_no_durations () =
   (* the metrics registry is deterministic: no CPU-time readings *)
-  Alcotest.(check int) "compiled check with metrics" 0
+  Alcotest.(check int) "check with metrics" 0
     (run
-       [ "check"; hotel; "-c"; "c1"; "-p"; "pi1"; "--compiled=yes";
-         "--metrics"; "durations.json" ]);
+       [ "check"; hotel; "-c"; "c1"; "-p"; "pi1"; "--metrics";
+         "durations.json" ]);
   let m = In_channel.with_open_text "durations.json" In_channel.input_all in
-  Alcotest.(check bool) "lowering was counted" true
-    (Astring.String.is_infix ~affix:"\"compile.lowerings\"" m);
   Alcotest.(check bool) "no *.time_us key" false
     (Astring.String.is_infix ~affix:".time_us\"" m)
 
@@ -259,8 +232,6 @@ let suite =
       (check_exit 0 [ "compliance"; hotel; "c1"; "br" ]);
     Alcotest.test_case "compliance (no)" `Quick
       (check_exit 1 [ "compliance"; hotel; "br"; "s2" ]);
-    Alcotest.test_case "compliance engines print identical bytes" `Quick
-      test_compliance_engines_agree;
     Alcotest.test_case "metrics snapshot holds no durations" `Quick
       test_metrics_hold_no_durations;
     Alcotest.test_case "subcontract" `Quick

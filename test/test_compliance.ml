@@ -138,6 +138,16 @@ let prop_theorem1 =
     (QCheck.pair Testkit.Generators.contract_arb Testkit.Generators.contract_arb)
     (fun (c, s) -> Compliance.compliant c s = Product.compliant c s)
 
+(* [susf dot] draws [Product.build]; every verdict comes from the
+   survey. Both must count the same stuck configurations. *)
+let prop_build_finals_are_survey_stucks =
+  QCheck.Test.make ~name:"Product.build finals = survey stuck states"
+    ~count:300
+    (QCheck.pair Testkit.Generators.contract_arb Testkit.Generators.contract_arb)
+    (fun (c, s) ->
+      List.length (Product.build c s).Product.finals
+      = (Product.survey c s).Product.stuck_states)
+
 (* --- Theorem 2 (E7): compliance is an invariant property ---
    The decision is equivalent to checking the state-local predicate on
    every reachable pair (no access to the past needed). *)
@@ -337,4 +347,5 @@ let suite =
       test_no_level_admits_violation;
     Alcotest.test_case "charged frontier keeps security fatal" `Quick
       test_charged_security_still_fatal;
+    QCheck_alcotest.to_alcotest prop_build_finals_are_survey_stucks;
   ]

@@ -8,11 +8,6 @@
 open Core
 open Orchestration
 
-let with_backend on f =
-  let prev = Compile.Backend.enabled () in
-  Compile.Backend.set_enabled on;
-  Fun.protect ~finally:(fun () -> Compile.Backend.set_enabled prev) f
-
 (* Replay a counterexample trace through the full product and confirm it
    lands on the advertised stuck state, which is concretely stuck for
    the advertised reason. *)
@@ -227,37 +222,6 @@ let test_fallback_ordering () =
   Alcotest.(check bool) "synthesis ran for the chain" true
     (counter "orchestration.synthesis.runs" > 0)
 
-(* --- byte-identity under --compiled=yes|no ---------------------------- *)
-
-let test_compiled_byte_identical () =
-  let render () =
-    let chains =
-      List.concat_map
-        (fun parties ->
-          [
-            Scenarios.Supply_chain.chain ~parties;
-            Scenarios.Supply_chain.broken ~parties;
-          ])
-        [ 3; 4; 5 ]
-    in
-    let cases =
-      chains
-      @ [
-          (Scenarios.Marketplace.repo, Scenarios.Marketplace.buyer);
-          (Scenarios.Marketplace.repo_no_escrow, Scenarios.Marketplace.buyer);
-          (Scenarios.Hotel.repo, ("c1", Scenarios.Hotel.client1));
-        ]
-    in
-    String.concat "\n"
-      (List.map
-         (fun (repo, client) ->
-           Fmt.str "%a" Orchestrate.pp_verdict (Orchestrate.analyze repo ~client))
-         cases)
-  in
-  let interpreted = with_backend false render in
-  let compiled = with_backend true render in
-  Alcotest.(check string) "verdicts byte-identical" interpreted compiled
-
 (* --- the lib/automata bridge ------------------------------------------ *)
 
 let test_principal_automata () =
@@ -343,8 +307,6 @@ let suite =
       test_marketplace_pruning;
     Alcotest.test_case "1:1 plans win before synthesis (metrics pin)" `Quick
       test_fallback_ordering;
-    Alcotest.test_case "verdicts byte-identical under --compiled=yes|no" `Quick
-      test_compiled_byte_identical;
     Alcotest.test_case "principal contract automata" `Quick
       test_principal_automata;
     QCheck_alcotest.to_alcotest prop_two_party_theorem1;

@@ -173,8 +173,8 @@ let test_ready_computations_not_quadratic () =
   Repr.Cache.clear_all ();
   let c = Contract.project Scenarios.Hotel.broker in
   let s = Contract.dual c in
-  (* the Definition 4 fixed point is always interpreted, so every
-     explored pair consults [Ready.ready_sets] *)
+  (* every pair the Definition 4 fixed point explores consults
+     [Ready.ready_sets] *)
   Alcotest.(check bool) "compliant with dual" true
     (Compliance.compliant c s);
   let r1 = counter "ready.computations" in

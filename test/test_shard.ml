@@ -430,6 +430,19 @@ let test_net_smoke () =
   Broker.Net.shutdown_conns conns;
   Domain.join d
 
+let connect port =
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+  let rec go tries =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    match Unix.connect fd addr with
+    | () -> (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
+    | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) when tries > 0 ->
+        (try Unix.close fd with Unix.Unix_error _ -> ());
+        Unix.sleepf 0.1;
+        go (tries - 1)
+  in
+  go 50
+
 (* Satellite: the per-connection idle read timeout. A connection that
    goes silent is answered 'err timeout' and closed; one that keeps
    talking refreshes its deadline and survives long past the limit;
@@ -450,21 +463,8 @@ let test_net_idle_timeout () =
   in
   let port = Broker.Net.port server in
   let d = Domain.spawn (fun () -> Broker.Net.serve server) in
-  let connect () =
-    let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
-    let rec go tries =
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      match Unix.connect fd addr with
-      | () -> (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
-      | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) when tries > 0 ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          Unix.sleepf 0.1;
-          go (tries - 1)
-    in
-    go 50
-  in
-  let silent_fd, silent_ic, _ = connect () in
-  let busy_fd, busy_ic, busy_oc = connect () in
+  let silent_fd, silent_ic, _ = connect port in
+  let busy_fd, busy_ic, busy_oc = connect port in
   (* the busy connection pings across several timeout windows: each
      read refreshes its deadline, so it must never be reaped *)
   for _ = 1 to 4 do
@@ -486,6 +486,30 @@ let test_net_idle_timeout () =
   flush busy_oc;
   Alcotest.(check string) "clean shutdown" "ok bye" (input_line busy_ic);
   (try Unix.close busy_fd with Unix.Unix_error _ -> ());
+  Domain.join d
+
+(* A line longer than the 1 MiB cap is answered once and skipped
+   through its newline; the same connection then serves the next
+   line. *)
+let test_net_line_cap () =
+  let pool =
+    Broker.Shard.create ~admission:Broker.default_admission ~shards:1
+      Scenarios.Churn.repo
+  in
+  let server = Broker.Net.create ~hexpr_of_string ~port:0 pool in
+  let d = Domain.spawn (fun () -> Broker.Net.serve server) in
+  let fd, ic, oc = connect (Broker.Net.port server) in
+  output_string oc (String.make (2 lsl 20) 'x');
+  output_string oc "\nping\n";
+  flush oc;
+  Alcotest.(check string) "overlong line refused" "err line too long"
+    (input_line ic);
+  Alcotest.(check string) "connection still serves" "ok pong"
+    (input_line ic);
+  output_string oc "shutdown\n";
+  flush oc;
+  Alcotest.(check string) "clean shutdown" "ok bye" (input_line ic);
+  (try Unix.close fd with Unix.Unix_error _ -> ());
   Domain.join d
 
 let suite =
@@ -514,5 +538,7 @@ let suite =
       test_net_smoke;
     Alcotest.test_case "socket front end: idle connections reaped" `Quick
       test_net_idle_timeout;
+    Alcotest.test_case "socket front end: overlong lines capped" `Quick
+      test_net_line_cap;
     QCheck_alcotest.to_alcotest prop_route_total;
   ]
