@@ -34,9 +34,14 @@ let rng_at offset =
 
 let section name = pf "@.==== %s ====@." name
 
+(* Every MISMATCH is counted: a run that printed one exits 1. *)
+let mismatches = ref 0
+
 let check_line ~expected ~got label =
+  let ok = String.equal expected got in
+  if not ok then incr mismatches;
   pf "  %-58s expected: %-14s got: %-14s %s@." label expected got
-    (if String.equal expected got then "OK" else "MISMATCH")
+    (if ok then "OK" else "MISMATCH")
 
 (* ------------------------------------------------------------------ *)
 (* E1 — Fig. 1: the usage automaton φ(bl,p,t) *)
@@ -1312,7 +1317,7 @@ let b12_orchestration () =
       flatten_l (List.init k (fun _ -> small)))
   in
   let ok = ref 0 and empty = ref 0 in
-  let unmatched = ref 0 and deadlock = ref 0 in
+  let unmatched = ref 0 and deadlock = ref 0 and starved = ref 0 in
   for _ = 1 to n do
     let cs = QCheck.Gen.generate1 ~rand gen in
     let parties =
@@ -1328,12 +1333,13 @@ let b12_orchestration () =
         incr empty;
         match ce.Orchestration.Controller.reason with
         | Orchestration.Controller.Unmatched_offer _ -> incr unmatched
-        | Orchestration.Controller.Deadlock -> incr deadlock)
+        | Orchestration.Controller.Deadlock -> incr deadlock
+        | Orchestration.Controller.Starved -> incr starved)
   done;
   pf
     "  corpus of %d random compositions: agreement %d, empty %d (unmatched \
-     %d, deadlock %d)@."
-    n !ok !empty !unmatched !deadlock;
+     %d, deadlock %d, starved %d)@."
+    n !ok !empty !unmatched !deadlock !starved;
   check_line ~expected:(string_of_int n)
     ~got:(string_of_int (!ok + !empty))
     "every composition settles";
@@ -1540,7 +1546,7 @@ let () =
           pf "unknown experiment %s (available: %s)@." name
             (String.concat " " (List.map fst all)))
     selected;
-  match !json with
+  (match !json with
   | None -> ()
   | Some file ->
       let open Reports.Json in
@@ -1566,4 +1572,8 @@ let () =
       output_string oc (to_string doc);
       output_char oc '\n';
       close_out oc;
-      pf "wrote %s (%d experiments)@." file (List.length !snapshots)
+      pf "wrote %s (%d experiments)@." file (List.length !snapshots));
+  if !mismatches > 0 then begin
+    Printf.eprintf "bench: %d MISMATCH line(s)\n" !mismatches;
+    exit 1
+  end

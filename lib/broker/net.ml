@@ -16,9 +16,18 @@
                               client that has read it can recover the
                               journals immediately
 
-   The accept/read loop is a single [Unix.select] thread; request
-   processing happens on the shard worker domains, whose response
-   callbacks write directly to the client socket (serialized by a
+   The accept/read loop is a single [Unix.select] thread, and requests
+   are processed on the shard worker domains, with one exception: when
+   a pass reads exactly one complete request line, the server has no
+   other open connection and the pool has one shard, the select thread
+   runs that request itself if the shard is idle with an empty queue,
+   so one request in flight costs no cross-domain wake-up. While two or
+   more connections are open every request goes to the workers, so a
+   slow request never holds the select thread while another connection
+   waits; multi-shard pools keep the worker path too (with one
+   connection over two shards the inline path measured slower, for
+   reasons not yet known). Whichever thread ran the cycle writes the
+   response to the client socket from its callback (serialized by a
    per-connection mutex — responses to one connection can complete on
    different shards concurrently). Responses to pipelined requests on
    one connection arrive in per-shard order but may interleave across
@@ -54,6 +63,11 @@ type t = {
       (* a connection with no readable input for this many seconds is
          answered 'err timeout' and closed; [None] (the default) keeps
          the historical pin-a-worker-forever behaviour *)
+  read_buf : Bytes.t;
+      (* select-loop private; [feed] copies what it keeps. One buffer per
+         server, not one per read: a 4 KiB block goes straight to the
+         major heap, and allocating one per request drove a major GC
+         cycle every few hundred requests *)
   mutable conns : conn list;
   mutable shutdown : conn option;
       (* the connection that sent 'shutdown': it gets the 'ok bye',
@@ -76,8 +90,8 @@ let create ~hexpr_of_string ?idle_timeout ?(port = 0) pool =
     | Unix.ADDR_INET (_, p) -> p
     | _ -> port
   in
-  { pool; lsock; port; hexpr_of_string; idle_timeout; conns = [];
-    shutdown = None }
+  { pool; lsock; port; hexpr_of_string; idle_timeout;
+    read_buf = Bytes.create 4096; conns = []; shutdown = None }
 
 let write_line conn line =
   Mutex.lock conn.wlock;
@@ -101,7 +115,7 @@ let close_conn conn =
   end;
   Mutex.unlock conn.wlock
 
-let handle_line t conn line =
+let handle_line t ~inline (conn, line) =
   let line = String.trim line in
   if line = "" || line.[0] = '#' then ()
   else if line = "shutdown" then begin
@@ -123,7 +137,7 @@ let handle_line t conn line =
           | Engine.Broadcast -> "*"
           | Engine.Shard i -> string_of_int i
         in
-        Shard.submit t.pool request ~callback:(fun ~shard:_ resp ->
+        Shard.submit ~inline t.pool request ~callback:(fun ~shard:_ resp ->
             Obs.Metrics.incr "net.responses";
             write_line conn
               (Fmt.str "ok %s %d %s" tag resp.Engine.seq
@@ -136,8 +150,9 @@ let line_too_long conn =
 
 (* Only the [len] fresh bytes are scanned for newlines, and a partial
    line is buffered up to [max_line] bytes: past that it is answered
-   once, and skipped through its newline. *)
-let feed t conn bytes len =
+   once, and skipped through its newline. Complete lines are pushed onto
+   [lines] (newest first) for [step] to handle. *)
+let feed lines conn bytes len =
   let rec newline i =
     if i >= len then None
     else if Bytes.get bytes i = '\n' then Some i
@@ -151,9 +166,8 @@ let feed t conn bytes len =
         else if Buffer.length conn.rbuf + n > max_line then line_too_long conn
         else begin
           Buffer.add_subbytes conn.rbuf bytes start n;
-          let line = Buffer.contents conn.rbuf in
-          Buffer.reset conn.rbuf;
-          handle_line t conn line
+          lines := (conn, Buffer.contents conn.rbuf) :: !lines;
+          Buffer.reset conn.rbuf
         end;
         go (i + 1)
     | None ->
@@ -168,7 +182,10 @@ let feed t conn bytes len =
   go 0
 
 (* One pass of the accept/read loop; returns [false] once the server
-   should stop (shutdown requested and observed). *)
+   should stop (shutdown requested and observed). The lines a pass
+   reads are handled after its reads, in read order; a lone line may
+   run inline (see the header). Idleness is judged at the end of the
+   reads, before any line is handled. *)
 let step t =
   let alive = List.filter (fun c -> not c.closed) t.conns in
   t.conns <- alive;
@@ -176,6 +193,7 @@ let step t =
   match Unix.select fds [] [] 0.2 with
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
   | readable, _, _ ->
+      let lines = ref [] in
       List.iter
         (fun fd ->
           if fd = t.lsock then begin
@@ -197,18 +215,23 @@ let step t =
             | None -> ()
             | Some conn -> (
                 conn.last_read <- Unix.gettimeofday ();
-                let buf = Bytes.create 4096 in
-                match Unix.read conn.fd buf 0 4096 with
+                let cap = Bytes.length t.read_buf in
+                match Unix.read conn.fd t.read_buf 0 cap with
                 | 0 -> close_conn conn
-                | n -> feed t conn buf n
+                | n -> feed lines conn t.read_buf n
                 | exception Unix.Unix_error _ -> close_conn conn))
         readable;
+      let now = Unix.gettimeofday () in
+      let alone c = List.for_all (fun o -> o == c || o.closed) t.conns in
+      (match !lines with
+      | [ ((from, _) as one) ] when Shard.shards t.pool = 1 && alone from ->
+          handle_line t ~inline:true one
+      | several -> List.iter (handle_line t ~inline:false) (List.rev several));
       (* reap idle connections: a client that connected and went silent
          would otherwise hold its slot forever *)
       (match t.idle_timeout with
       | None -> ()
       | Some limit ->
-          let now = Unix.gettimeofday () in
           List.iter
             (fun conn ->
               if

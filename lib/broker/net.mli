@@ -27,6 +27,19 @@
     strict pairing keep one request in flight per connection, as
     {!drive} does. Blank lines and [#] comment lines are ignored.
 
+    {b Who runs a request.} One [Unix.select] thread accepts and reads.
+    When one pass of it reads exactly one complete line, from the
+    server's only open connection, and the pool has one shard, the
+    request runs on that thread ([Shard.submit ~inline:true]) if the
+    shard is idle with an empty queue, so a lone request in flight costs
+    no cross-domain wake-up. All other requests — several lines in one
+    pass, two or more open connections, a multi-shard pool or a busy
+    shard — run on the shard worker domains, so a slow request never
+    holds the select thread while another connection waits. The thread
+    that ran a request writes its response, under a per-connection
+    mutex. Writes block: a client that never reads can stall that
+    thread.
+
     Instruments: [net.connections], [net.requests], [net.responses],
     [net.errors], [net.timeouts], [net.shutdowns], [net.port]. *)
 

@@ -1,9 +1,11 @@
-(* The sharded broker: N full engines, each owned by one worker domain,
+(* The sharded broker: N full engines, each served by one worker domain,
    with requests routed by [Engine.target] — session requests to their
    client's shard, repository mutations broadcast to every shard (each
    shard replicates the repository; hash-consing makes the replicas
    share structure). A shard is a deterministic single-threaded broker:
-   its worker is the only thread that ever touches its engine, so every
+   whoever holds its [busy] flag owns its engine — the worker for a
+   cycle over its queue, or an inline submitter that found the shard
+   idle with an empty queue — and at most one thread holds it, so every
    per-shard guarantee of the unsharded broker — submission-order
    processing, the oracle-replay property, byte-identical journal
    recovery — carries over verbatim, per shard.
@@ -31,17 +33,19 @@ type shard = {
   sid : int;
   engine : Engine.t;
   journal : Journal.writer option;
-  lock : Mutex.t;  (* guards jobs / submitted / stopping / busy / failed *)
-  wake : Condition.t;  (* signalled on new jobs and on stop *)
-  idle : Condition.t;  (* signalled when a worker cycle drains the queue *)
+  lock : Mutex.t;  (* guards jobs / stopping / busy / failed *)
+  wake : Condition.t;  (* signalled on new jobs, on stop, and when an
+                          inline cycle ends with jobs queued behind it *)
+  idle : Condition.t;  (* signalled whenever a cycle releases [busy] *)
   jobs : job Queue.t;
   hook_pending : int Queue.t;
       (* submission indices of the requests sitting in the engine's
-         FIFO, worker-private: the write-ahead hook pops the front to
-         journal the event under the index it was submitted with *)
-  mutable submitted : int;  (* per-shard submission index (journal key) *)
+         FIFO, owned with the engine: the write-ahead hook pops the front
+         to journal the event under the index it was submitted with *)
+  mutable submitted : int;
+      (* per-shard submission index (journal key), owned with the engine *)
   mutable stopping : bool;
-  mutable busy : bool;
+  mutable busy : bool;  (* a cycle is running: its runner owns the engine *)
   mutable failed : exn option;
   mutable worker : unit Domain.t option;
 }
@@ -109,9 +113,28 @@ let run_cycle sh jobs =
       Option.iter (fun cb -> cb ~shard:sh.sid resp) cb)
     (List.rev !acc)
 
+(* Run one cycle as the holder of [sh.busy] (set by the caller, under
+   the lock), then release it. The lock is never held across the cycle,
+   so a callback may submit. A failing cycle retires the shard exactly
+   as a failing worker cycle would. *)
+let run_owned sh jobs =
+  (try run_cycle sh jobs
+   with e ->
+     Mutex.lock sh.lock;
+     sh.failed <- Some e;
+     sh.stopping <- true;
+     Mutex.unlock sh.lock);
+  Mutex.lock sh.lock;
+  sh.busy <- false;
+  Condition.broadcast sh.idle;
+  (* the worker may be parked on [busy] with jobs behind it (or a stop);
+     with neither it has nothing to do, so it is left asleep *)
+  if sh.stopping || not (Queue.is_empty sh.jobs) then Condition.signal sh.wake;
+  Mutex.unlock sh.lock
+
 let rec worker sh =
   Mutex.lock sh.lock;
-  while Queue.is_empty sh.jobs && not sh.stopping do
+  while sh.busy || (Queue.is_empty sh.jobs && not sh.stopping) do
     Condition.wait sh.wake sh.lock
   done;
   if Queue.is_empty sh.jobs then begin
@@ -124,16 +147,7 @@ let rec worker sh =
     let jobs = List.of_seq (Queue.to_seq sh.jobs) in
     Queue.clear sh.jobs;
     Mutex.unlock sh.lock;
-    (try run_cycle sh jobs
-     with e ->
-       Mutex.lock sh.lock;
-       sh.failed <- Some e;
-       sh.stopping <- true;
-       Mutex.unlock sh.lock);
-    Mutex.lock sh.lock;
-    sh.busy <- false;
-    Condition.broadcast sh.idle;
-    Mutex.unlock sh.lock;
+    run_owned sh jobs;
     worker sh
   end
 
@@ -192,36 +206,45 @@ let create ?admission ?journal ~shards:n repo =
 let check_failed sh =
   match sh.failed with None -> () | Some e -> raise e
 
-let enqueue sh job =
+(* Hand [job] to its shard. With [inline], a shard that is idle with an
+   empty queue runs the job's cycle on the calling thread instead, so
+   no worker wakes up; otherwise the job queues for the worker. *)
+let enqueue ?(inline = false) sh job =
   Mutex.lock sh.lock;
   if sh.stopping then begin
     Mutex.unlock sh.lock;
     check_failed sh;
     invalid_arg "Shard.submit: pool stopped"
   end;
-  Queue.add job sh.jobs;
-  Obs.Metrics.set_max "broker.shard.queue.depth" (Queue.length sh.jobs);
-  Condition.signal sh.wake;
-  Mutex.unlock sh.lock
+  if inline && (not sh.busy) && Queue.is_empty sh.jobs then begin
+    sh.busy <- true;
+    Mutex.unlock sh.lock;
+    Obs.Metrics.incr "broker.shard.inline";
+    run_owned sh [ job ]
+  end
+  else begin
+    Queue.add job sh.jobs;
+    Obs.Metrics.set_max "broker.shard.queue.depth" (Queue.length sh.jobs);
+    Condition.signal sh.wake;
+    Mutex.unlock sh.lock
+  end
 
-let submit t ?callback request =
+let submit ?inline t ?callback request =
   match Engine.target ~shards:(Array.length t.shards) request with
   | Engine.Shard i ->
-      enqueue t.shards.(i) { request; callback; broadcast = false }
+      enqueue ?inline t.shards.(i) { request; callback; broadcast = false }
   | Engine.Broadcast ->
       (* every shard applies the mutation (FIFO per shard, so it orders
          correctly against that shard's session requests); the caller's
-         callback fires once, from shard 0 *)
+         callback fires once, from shard 0 — whose copy is handed over
+         last, so every other copy is queued before the callback can
+         fire *)
       Obs.Metrics.incr "broker.shard.broadcast";
-      Array.iter
-        (fun sh ->
-          enqueue sh
-            {
-              request;
-              callback = (if sh.sid = 0 then callback else None);
-              broadcast = true;
-            })
-        t.shards
+      let job callback = { request; callback; broadcast = true } in
+      for i = Array.length t.shards - 1 downto 1 do
+        enqueue t.shards.(i) (job None)
+      done;
+      enqueue ?inline t.shards.(0) (job callback)
 
 let drain t =
   Array.iter

@@ -69,24 +69,6 @@ let reserved_channels ~site_policy client_h service_h =
   in
   List.concat_map of_policy policies |> List.sort_uniq String.compare
 
-let projectable h =
-  match Contract.project h with
-  | _ -> true
-  | exception Contract.Unprojectable _ -> false
-
-(* The orchestration tier's eligibility filter, verbatim: mediation
-   candidates must respect the imposed policy on their histories,
-   project into the §4 fragment, and be session-flat. *)
-let candidates repo (site : Planner.site) =
-  List.filter
-    (fun (_, h) ->
-      Hexpr.requests h = []
-      && projectable h
-      && (match site.Planner.req.Hexpr.policy with
-         | None -> true
-         | Some phi -> Result.is_ok (Validity.check_expr (Hexpr.frame phi h))))
-    repo
-
 type site_result =
   | Bound_direct of string
   | Healed_via of healed
@@ -98,7 +80,7 @@ let heal_site ?(capacity = Synthesis.default_capacity) repo ~client_h
   | exception Contract.Unprojectable reason ->
       Error (Outside_fragment { rid; reason })
   | cb -> (
-      let cands = candidates repo site in
+      let cands = Orchestration.Orchestrate.candidates repo site in
       if cands = [] then Error (No_candidates { rid })
       else
         let rec try_cands last = function

@@ -72,9 +72,10 @@ val admits_weak_agreement : t -> bool
 
 val safe : t -> bool
 (** Every reachable non-{!client_done} state is locally good: each
-    enabled offer has a match and some match is enabled. Equivalently,
-    the most-permissive controller is the whole product (n-party strict
-    compliance; no pruning needed). *)
+    enabled offer has a match and some match is enabled. Then the
+    most-permissive controller is the whole product unless the
+    client-progress rule of {!Controller} condemns a state where the
+    client can no longer progress. *)
 
 (** {1 The lib/automata bridge}
 

@@ -1,6 +1,9 @@
 open Core
 
-type reason = Unmatched_offer of { party : int; channel : string } | Deadlock
+type reason =
+  | Unmatched_offer of { party : int; channel : string }
+  | Deadlock
+  | Starved
 
 type counterexample = {
   automaton : Automaton.t;
@@ -17,48 +20,110 @@ type t = {
   transitions : int;
 }
 
+let involves_client (m : Automaton.move) = m.sender = 0 || m.receiver = 0
+
+(* The client-progress rule: the nodes of the graph [succ] from which
+   a [success] node or a cycle containing a party-0 match is reachable.
+   A component's successors have lower ids ({!Scc.components}), so one
+   pass in id order decides each: it is live when it holds a success
+   node, an internal party-0 edge (internal edges lie on a cycle) or an
+   edge into a live component. *)
+let progressing succ success =
+  let comp, k = Scc.components succ in
+  let members = Array.make k [] in
+  Array.iteri (fun v c -> members.(c) <- v :: members.(c)) comp;
+  let live = Array.make k false in
+  for c = 0 to k - 1 do
+    live.(c) <-
+      List.exists
+        (fun v ->
+          success v
+          || List.exists
+               (fun (m, j) ->
+                 if comp.(j) = c then involves_client m else live.(comp.(j)))
+               succ.(v))
+        members.(c)
+  done;
+  Array.map (fun c -> live.(c)) comp
+
 (* The descent below steps from a bad state to a bad state marked
-   strictly earlier, so it needs the order in which the fixpoint marked
-   states: when s was marked, every target of its witnessing offer was
-   already bad, hence carries a smaller mark. *)
+   strictly earlier, so it needs the order in which states were marked:
+   when s was marked locally bad, every target of its witnessing offer
+   was already bad, hence carries a smaller mark. A state the progress
+   rule condemned ends the descent outright. *)
 let prune a =
   let n = Automaton.size a in
   let bad = Array.make n false in
+  let starved = Array.make n false in
   let mark = Array.make n max_int in
   let clock = ref 0 in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for s = 0 to n - 1 do
-      if (not bad.(s)) && not (Automaton.client_done a s) then begin
-        let ms = Automaton.moves a s in
-        let offer_ok (p, ch) =
-          List.exists
-            (fun ((m : Automaton.move), j) ->
-              m.sender = p && String.equal m.channel ch && not bad.(j))
-            ms
-        in
-        let locally_bad =
-          List.exists (fun o -> not (offer_ok o)) (Automaton.offers a s)
-          || not (List.exists (fun (_, j) -> not bad.(j)) ms)
-        in
-        if locally_bad then begin
-          bad.(s) <- true;
-          mark.(s) <- !clock;
-          incr clock;
-          changed := true
+  let condemn s =
+    bad.(s) <- true;
+    mark.(s) <- !clock;
+    incr clock
+  in
+  let local () =
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      for s = 0 to n - 1 do
+        if (not bad.(s)) && not (Automaton.client_done a s) then begin
+          let ms = Automaton.moves a s in
+          let offer_ok (p, ch) =
+            List.exists
+              (fun ((m : Automaton.move), j) ->
+                m.sender = p && String.equal m.channel ch && not bad.(j))
+              ms
+          in
+          let locally_bad =
+            List.exists (fun o -> not (offer_ok o)) (Automaton.offers a s)
+            || not (List.exists (fun (_, j) -> not bad.(j)) ms)
+          in
+          if locally_bad then begin
+            condemn s;
+            changed := true
+          end
         end
-      end
+      done
     done
-  done;
-  (bad, mark)
+  in
+  let progress () =
+    let surviving s =
+      if bad.(s) || Automaton.client_done a s then []
+      else List.filter (fun (_, j) -> not bad.(j)) (Automaton.moves a s)
+    in
+    let live =
+      progressing (Array.init n surviving) (Automaton.client_done a)
+    in
+    let changed = ref false in
+    for s = 0 to n - 1 do
+      if not (bad.(s) || live.(s)) then begin
+        condemn s;
+        starved.(s) <- true;
+        changed := true
+      end
+    done;
+    !changed
+  in
+  (* once the initial state is bad no controller exists, and its
+     descent only meets states marked before it: stop there *)
+  let rec stabilise () =
+    local ();
+    if (not bad.(0)) && progress () then stabilise ()
+  in
+  stabilise ();
+  (bad, starved, mark)
 
 (* A concrete run every orchestrator loses: at each bad state pick an
-   offer all of whose deliveries land in earlier-marked bad states and
-   follow the earliest; marks strictly decrease, and a minimally-marked
-   bad state is locally stuck outright. *)
-let counterexample_of a bad mark =
+   offer all of whose deliveries are bad and follow the earliest-marked
+   one, which must be marked before the state itself; marks strictly
+   decrease, and a minimally-marked bad state is locally stuck outright
+   or starved. *)
+let counterexample_of a bad starved mark =
   let rec descend s acc =
+    let stop reason =
+      { automaton = a; trace = List.rev acc; stuck = s; reason }
+    in
     let ms = Automaton.moves a s in
     let unmatched =
       List.find_opt
@@ -71,39 +136,45 @@ let counterexample_of a bad mark =
         (Automaton.offers a s)
     in
     match unmatched with
-    | Some (party, channel) ->
-        {
-          automaton = a;
-          trace = List.rev acc;
-          stuck = s;
-          reason = Unmatched_offer { party; channel };
-        }
+    | _ when starved.(s) -> stop Starved
+    | Some (party, channel) -> stop (Unmatched_offer { party; channel })
     | None ->
-        if ms = [] then
-          { automaton = a; trace = List.rev acc; stuck = s; reason = Deadlock }
+        if ms = [] then stop Deadlock
         else begin
-          let witness =
-            List.find
-              (fun (p, ch) ->
-                List.for_all
-                  (fun ((m : Automaton.move), j) ->
-                    (not (m.sender = p && String.equal m.channel ch))
-                    || bad.(j))
-                  ms)
-              (Automaton.offers a s)
-          in
-          let p, ch = witness in
-          let best =
+          let earliest follows =
             List.fold_left
               (fun acc ((m : Automaton.move), j) ->
-                if m.sender = p && String.equal m.channel ch then
+                if follows m then
                   match acc with
                   | Some (_, j') when mark.(j') <= mark.(j) -> acc
                   | _ -> Some (m, j)
                 else acc)
               None ms
           in
-          match best with
+          let of_offer (p, ch) (m : Automaton.move) =
+            m.sender = p && String.equal m.channel ch
+          in
+          (* the offer that condemned [s] qualifies; one whose earliest
+             delivery is [s] itself or later would loop. With no offer
+             qualifying, [s] fell because every match led to an earlier
+             bad state. *)
+          let witnessed =
+            List.find_map
+              (fun o ->
+                if List.for_all (fun (m, j) -> (not (of_offer o m)) || bad.(j)) ms
+                then
+                  match earliest (of_offer o) with
+                  | Some (_, j) as step when mark.(j) < mark.(s) -> step
+                  | _ -> None
+                else None)
+              (Automaton.offers a s)
+          in
+          let step =
+            match witnessed with
+            | Some _ -> witnessed
+            | None -> earliest (fun _ -> true)
+          in
+          match step with
           | None -> assert false
           | Some (m, j) -> descend j (m :: acc)
         end
@@ -121,13 +192,13 @@ let synthesize a =
     Obs.Trace.add_attr "parties" (Obs.Trace.Int parties);
     Obs.Trace.add_attr "product_states" (Obs.Trace.Int n)
   end;
-  let bad, mark = prune a in
+  let bad, starved, mark = prune a in
   let pruned = Array.fold_left (fun k b -> if b then k + 1 else k) 0 bad in
   Obs.Metrics.add "orchestration.states.pruned" pruned;
   if bad.(0) then begin
     if Obs.Trace.active () then
       Obs.Trace.add_attr "outcome" (Obs.Trace.Str "declined");
-    Error (counterexample_of a bad mark)
+    Error (counterexample_of a bad starved mark)
   end
   else begin
     let edges = Array.make n [] in
@@ -185,12 +256,13 @@ let verify c =
     seen.(0) <- true;
     Queue.push 0 queue;
     let visited = ref [] in
+    let success = Array.make n false in
     while not (Queue.is_empty queue) do
       let s = Queue.pop queue in
       visited := s :: !visited;
       let v = Automaton.state a s in
-      let done_ = Contract.is_terminated v.(0) in
-      if not done_ then begin
+      success.(s) <- Contract.is_terminated v.(0);
+      if not success.(s) then begin
         let out = c.edges.(s) in
         if out = [] then
           raise
@@ -254,28 +326,19 @@ let verify c =
           out
       end
     done;
-    (* agreement: success reachable, or the controller is live *)
-    let success = List.exists (fun s -> Automaton.client_done a s) !visited in
-    let live =
-      (* a cycle among visited states: three-colour DFS over kept edges *)
-      let colour = Array.make n 0 in
-      let rec dfs s =
-        colour.(s) <- 1;
-        let hit =
-          List.exists
-            (fun (_, j) ->
-              if colour.(j) = 1 then true
-              else if colour.(j) = 0 then dfs j
-              else false)
-            c.edges.(s)
-        in
-        colour.(s) <- 2;
-        hit
-      in
-      dfs 0
-    in
-    if not (success || live) then
-      raise (Bad "no successful state reachable and the controller is finite");
+    (* agreement: from every reachable state the client can still
+       finish, or take part in a loop *)
+    let live = progressing c.edges (fun s -> success.(s)) in
+    List.iter
+      (fun s ->
+        if not live.(s) then
+          raise
+            (Bad
+               (Fmt.str
+                  "state %d: client %s starves: no successful state and no \
+                   loop through it is reachable"
+                  s parties.(0).Automaton.name)))
+      !visited;
     Ok ()
   with Bad msg -> Error msg
 
@@ -284,6 +347,11 @@ let pp_reason ~names ppf = function
       Fmt.pf ppf "party %s offers %s with no matching input" names.(party)
         channel
   | Deadlock -> Fmt.pf ppf "deadlock: no match enabled, client not terminated"
+  | Starved ->
+      Fmt.pf ppf
+        "starved: client %s can neither terminate nor take part in a loop \
+         from here"
+        names.(0)
 
 let pp_counterexample ppf (ce : counterexample) =
   let parties = Automaton.parties ce.automaton in

@@ -44,6 +44,12 @@ type verdict =
   | Orchestrated of orchestrated
   | Declined of declined
 
+val candidates : Core.Network.repo -> Core.Planner.site -> Core.Network.repo
+(** The eligible members for one request site, in repository order: the
+    services that respect the site's imposed policy, project into the
+    §4 fragment and are session-flat (see above). The mediation tier
+    draws its candidates from the same filter. *)
+
 val default_max_parties : int
 (** 6 — the client plus up to five coalition members. *)
 

@@ -19,56 +19,12 @@ let reachable_from adj init =
   go init;
   seen
 
-(* Tarjan's strongly connected components, iterative. *)
-let sccs adj reachable =
-  let n = Array.length adj in
-  let index = Array.make n (-1) in
-  let low = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let stack = ref [] in
-  let comp = Array.make n (-1) in
-  let counter = ref 0 in
-  let n_comps = ref 0 in
-  let rec strongconnect v =
-    index.(v) <- !counter;
-    low.(v) <- !counter;
-    incr counter;
-    stack := v :: !stack;
-    on_stack.(v) <- true;
-    List.iter
-      (fun (_, w) ->
-        if index.(w) = -1 then begin
-          strongconnect w;
-          low.(v) <- min low.(v) low.(w)
-        end
-        else if on_stack.(w) then low.(v) <- min low.(v) index.(w))
-      adj.(v);
-    if low.(v) = index.(v) then begin
-      let c = !n_comps in
-      incr n_comps;
-      let rec pop () =
-        match !stack with
-        | [] -> ()
-        | w :: rest ->
-            stack := rest;
-            on_stack.(w) <- false;
-            comp.(w) <- c;
-            if w <> v then pop ()
-      in
-      pop ()
-    end
-  in
-  for v = 0 to n - 1 do
-    if reachable.(v) && index.(v) = -1 then strongconnect v
-  done;
-  (comp, !n_comps)
-
 let supremum ~n ~edges ~init =
   if n = 0 then Some 0.
   else begin
     let adj = out_edges n edges in
     let reach = reachable_from adj init in
-    let comp, n_comps = sccs adj reach in
+    let comp, n_comps = Core.Scc.components adj in
     (* unbounded iff a positive edge joins two nodes of one reachable SCC *)
     let unbounded =
       List.exists
@@ -79,8 +35,8 @@ let supremum ~n ~edges ~init =
     if unbounded then None
     else begin
       (* longest path on the condensation: process components in reverse
-         topological order (Tarjan numbers components in reverse order of
-         completion, so increasing component id = reverse topological). *)
+         topological order ([Core.Scc] numbers components in completion
+         order, so increasing component id = reverse topological). *)
       let best = Array.make n_comps neg_infinity in
       best.(comp.(init)) <- 0.;
       (* components are numbered such that edges go from higher to lower

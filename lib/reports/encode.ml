@@ -233,6 +233,8 @@ let orchestration_counterexample
     match ce.Orchestration.Controller.reason with
     | Orchestration.Controller.Deadlock ->
         Json.Obj [ ("kind", Json.String "deadlock") ]
+    | Orchestration.Controller.Starved ->
+        Json.Obj [ ("kind", Json.String "starved") ]
     | Orchestration.Controller.Unmatched_offer { party; channel } ->
         Json.Obj
           [

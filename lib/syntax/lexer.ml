@@ -164,7 +164,9 @@ let tokenize src =
       | c when is_digit c ->
           let rec scan j = if j < n && is_digit src.[j] then scan (j + 1) else j in
           let j = scan i in
-          emit i (INTLIT (int_of_string (String.sub src i (j - i))));
+          (match int_of_string_opt (String.sub src i (j - i)) with
+          | Some v -> emit i (INTLIT v)
+          | None -> fail i "integer literal out of range");
           go j
       | c when is_ident_start c ->
           let rec scan j =

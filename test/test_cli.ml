@@ -57,6 +57,22 @@ let test_fmt_reparses () =
   Alcotest.(check int) "reparses and verifies" 0
     (run [ "check"; "roundtrip.susf"; "-c"; "c1"; "-p"; "pi1" ])
 
+(* An out-of-range integer literal exits 2 with a FILE:LINE:COL
+   diagnostic, like every other lexer error. *)
+let test_int_overflow () =
+  let spec =
+    write_log "overflow.susf" "service s = #price(99999999999999999999999);\n"
+  in
+  let code =
+    Sys.command
+      (Filename.quote_command susf [ "check"; spec ]
+      ^ " > /dev/null 2> overflow.err")
+  in
+  Alcotest.(check int) "exit code" 2 code;
+  Alcotest.(check string) "diagnostic"
+    "overflow.susf:1:20: integer literal out of range"
+    (String.trim (In_channel.with_open_text "overflow.err" In_channel.input_all))
+
 let churn_script = "../examples/data/churn.script"
 
 let test_serve_outputs () =
@@ -282,4 +298,6 @@ let suite =
     Alcotest.test_case "audit exit codes" `Quick test_audit_codes;
     Alcotest.test_case "trace and metrics outputs" `Quick test_obs_outputs;
     Alcotest.test_case "fmt round trip" `Quick test_fmt_reparses;
+    Alcotest.test_case "integer overflow is a diagnostic" `Quick
+      test_int_overflow;
   ]

@@ -12,7 +12,11 @@
    - [// EXPECT-FAILOVER <client> <plan> <crashloc> <newloc|degraded>]
      crashes <crashloc> right after the client binds it and checks that
      the fault-tolerant runtime re-binds to <newloc> and completes (or
-     reports a Degraded outcome when no compliant substitute exists). *)
+     reports a Degraded outcome when no compliant substitute exists);
+   - [// EXPECT-ORCHESTRATE <client> <declined|m1,m2,...>]
+     runs the orchestration tier ([Orchestrate.analyze]): either no
+     orchestrator exists, or the coalitions' members, in site order,
+     are exactly m1,m2,... and every controller re-verifies. *)
 
 open Core
 
@@ -39,6 +43,8 @@ let expectations src =
          | "//" :: "EXPECT-FAILOVER" :: client :: plan :: crashloc :: target
            :: [] ->
              Some (`Failover (client, plan, crashloc, target))
+         | "//" :: "EXPECT-ORCHESTRATE" :: client :: verdict :: [] ->
+             Some (`Orchestrate (client, verdict))
          | _ -> None)
 
 let verdict_string (r : Planner.report) =
@@ -148,6 +154,32 @@ let run_file path () =
           | newloc, o ->
               Alcotest.failf "%s: expected completion via %s, got %a" path
                 newloc Simulate.pp_outcome o)
+      | `Orchestrate (client, expected) ->
+          let h = lookup_expr spec client in
+          let got =
+            match
+              Orchestration.Orchestrate.analyze (Syntax.Spec.repo spec)
+                ~client:(client, h)
+            with
+            | Orchestration.Orchestrate.Planned _ -> "planned"
+            | Orchestration.Orchestrate.Declined _ -> "declined"
+            | Orchestration.Orchestrate.Orchestrated o ->
+                List.iter
+                  (fun (c : Orchestration.Orchestrate.coalition) ->
+                    match Orchestration.Controller.verify c.controller with
+                    | Ok () -> ()
+                    | Error e ->
+                        Alcotest.failf "%s: %s controller fails: %s" path
+                          client e)
+                  o.Orchestration.Orchestrate.coalitions;
+                List.concat_map
+                  (fun (c : Orchestration.Orchestrate.coalition) -> c.members)
+                  o.Orchestration.Orchestrate.coalitions
+                |> String.concat ","
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s: orchestration of %s" path client)
+            expected got
       | `Effect (program, client) -> (
           let t =
             match Syntax.Spec.find_program spec program with

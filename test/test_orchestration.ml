@@ -42,6 +42,11 @@ let check_counterexample (ce : Controller.counterexample) =
            (fun ((m : Automaton.move), _) ->
              m.sender = party && String.equal m.channel channel)
            (Automaton.moves a final))
+  | Controller.Starved ->
+      (* not locally stuck: matches remain, none leads anywhere the
+         client progresses *)
+      Alcotest.(check bool) "starved: some match is still enabled" true
+        (Automaton.moves a final <> [])
 
 (* --- supply chains ---------------------------------------------------- *)
 
@@ -294,6 +299,73 @@ let prop_synthesis_sound =
           check_counterexample ce;
           true)
 
+(* --- the client-progress rule ------------------------------------------ *)
+
+(* Two members looping on p while the client waits for z: nothing is
+   locally stuck, yet the client never moves. Synthesis declines with a
+   starvation counterexample, and [verify] refuses a hand-made
+   controller that keeps the loop. *)
+let test_starving_coalition () =
+  let party name src =
+    {
+      Automaton.name;
+      contract = Contract.project (Syntax.Parser.hexpr_of_string src);
+    }
+  in
+  let a =
+    Automaton.build
+      [ party "c" "z?"; party "loop_out" "mu h. p!.h"; party "loop_in" "mu h. p?.h" ]
+  in
+  (match Controller.synthesize a with
+  | Ok _ -> Alcotest.fail "a loop without the client was accepted"
+  | Error ce -> (
+      check_counterexample ce;
+      match ce.Controller.reason with
+      | Controller.Starved -> ()
+      | _ -> Alcotest.fail "expected a starvation counterexample"));
+  let n = Automaton.size a in
+  let keep_all =
+    {
+      Controller.automaton = a;
+      good = Array.make n true;
+      edges = Array.init n (Automaton.moves a);
+      states = n;
+      transitions = 1;
+    }
+  in
+  match Controller.verify keep_all with
+  | Ok () -> Alcotest.fail "verify accepted a starving controller"
+  | Error e ->
+      Alcotest.(check bool) "verify names the starvation" true
+        (Astring.String.is_infix ~affix:"starves" e)
+
+(* A client that may send b forever to a member that loops back, or d
+   into a dead end. The start is condemned by its d offer while its b
+   offer loops back to it: the counterexample must follow d, to a state
+   condemned earlier, and not b back to the start, which would never
+   end. *)
+let test_counterexample_descends () =
+  let party name src =
+    {
+      Automaton.name;
+      contract = Contract.project (Syntax.Parser.hexpr_of_string src);
+    }
+  in
+  let a =
+    Automaton.build
+      [
+        party "p0" "mu h. (b!.h (+) d!.h)";
+        party "p1" "eps";
+        party "p2" "mu h. (b?.h + c?.h + d?.(c! (+) d!.h))";
+      ]
+  in
+  match Controller.synthesize a with
+  | Ok _ -> Alcotest.fail "a dead-end offer was accepted"
+  | Error ce ->
+      check_counterexample ce;
+      Alcotest.(check int) "one match, then stuck" 1
+        (List.length ce.Controller.trace)
+
 let suite =
   [
     Alcotest.test_case "supply chains 3-6 synthesize and verify" `Quick
@@ -311,4 +383,8 @@ let suite =
       test_principal_automata;
     QCheck_alcotest.to_alcotest prop_two_party_theorem1;
     QCheck_alcotest.to_alcotest prop_synthesis_sound;
+    Alcotest.test_case "a loop without the client starves it" `Quick
+      test_starving_coalition;
+    Alcotest.test_case "counterexamples descend past a self-loop" `Quick
+      test_counterexample_descends;
   ]

@@ -466,13 +466,15 @@ let test_net_idle_timeout () =
   let silent_fd, silent_ic, _ = connect port in
   let busy_fd, busy_ic, busy_oc = connect port in
   (* the busy connection pings across several timeout windows: each
-     read refreshes its deadline, so it must never be reaped *)
-  for _ = 1 to 4 do
+     read refreshes its deadline, so it must never be reaped. It sleeps
+     between pings only: the shutdown below must follow the last ping
+     well within the limit, or a loaded host could reap it first *)
+  for i = 1 to 4 do
+    if i > 1 then Unix.sleepf 0.2;
     output_string busy_oc "ping\n";
     flush busy_oc;
     Alcotest.(check string) "busy connection stays alive" "ok pong"
-      (input_line busy_ic);
-    Unix.sleepf 0.2
+      (input_line busy_ic)
   done;
   (* the silent one was reaped meanwhile: the server said why, then
      hung up *)
@@ -512,6 +514,258 @@ let test_net_line_cap () =
   (try Unix.close fd with Unix.Unix_error _ -> ());
   Domain.join d
 
+(* ------------------------------------------------------------------ *)
+(* Inline cycles *)
+
+(* An idle shard with an empty queue runs an inline submission's cycle
+   on the calling thread: the callback has fired when [submit] returns,
+   for a broadcast too (shard 0 runs its copy; the others are queued). *)
+let test_inline_idle () =
+  let run ~shards =
+    let pool =
+      Broker.Shard.create ~admission:Broker.default_admission ~shards
+        Scenarios.Churn.repo
+    in
+    List.iter
+      (fun r ->
+        let lock = Mutex.create () in
+        let fired = ref false in
+        Broker.Shard.submit ~inline:true pool
+          ~callback:(fun ~shard:_ _ ->
+            Mutex.lock lock;
+            fired := true;
+            Mutex.unlock lock)
+          r;
+        Mutex.lock lock;
+        let answered = !fired in
+        Mutex.unlock lock;
+        Alcotest.(check bool)
+          (Fmt.str "%d shard(s): %a answered before submit returned" shards
+             Broker.pp_request r)
+          true answered;
+        (* a broadcast's queued copies must finish before the next
+           request, or that request could find its shard busy *)
+        Broker.Shard.drain pool)
+      (churn_requests ());
+    Broker.Shard.stop pool
+  in
+  run ~shards:1;
+  run ~shards:2
+
+(* A busy shard queues an inline submission behind the running cycle:
+   [submit] returns without firing, the job then runs on the worker in
+   FIFO order, and [drain] and [stop] still return. *)
+let test_inline_busy () =
+  let pool =
+    Broker.Shard.create ~admission:Broker.default_admission ~shards:1
+      Scenarios.Churn.repo
+  in
+  let entered = Semaphore.Binary.make false
+  and release = Semaphore.Binary.make false in
+  let lock = Mutex.create () in
+  let fired = ref [] in
+  let record name ~shard:_ (resp : Broker.response) =
+    Mutex.lock lock;
+    fired := (name, resp.Broker.seq) :: !fired;
+    Mutex.unlock lock
+  in
+  let body = List.assoc "c1" Scenarios.Churn.clients in
+  Broker.Shard.submit pool
+    ~callback:(fun ~shard resp ->
+      record "open" ~shard resp;
+      Semaphore.Binary.release entered;
+      Semaphore.Binary.acquire release)
+    (Broker.Open { client = "c1"; body });
+  (* the worker now holds the shard, blocked in the open's callback *)
+  Semaphore.Binary.acquire entered;
+  Broker.Shard.submit ~inline:true pool ~callback:(record "serve")
+    (Broker.Serve { client = "c1" });
+  Mutex.lock lock;
+  let before = List.rev !fired in
+  Mutex.unlock lock;
+  Alcotest.(check (list (pair string int)))
+    "the inline submission queued behind the busy cycle" [ ("open", 0) ]
+    before;
+  Semaphore.Binary.release release;
+  Broker.Shard.drain pool;
+  Alcotest.(check (list (pair string int)))
+    "then ran on the worker, FIFO, consecutive seqs"
+    [ ("open", 0); ("serve", 1) ]
+    (List.rev !fired);
+  Broker.Shard.stop pool
+
+let one_line s =
+  String.split_on_char '\n' s
+  |> List.map String.trim
+  |> List.filter (fun l -> l <> "")
+  |> String.concat " "
+
+(* One connection with one request in flight over journaled shards:
+   every reply equals the rendering of its journal replay. On a
+   one-shard pool the requests run inline; on two shards they go to the
+   workers. *)
+let test_net_inline_replay () =
+  let run ~shards =
+    Obs.Metrics.install ();
+    Fun.protect ~finally:Obs.Metrics.uninstall @@ fun () ->
+    let admission = Broker.default_admission in
+    let paths = Array.init shards (fun _ -> tmpfile ()) in
+    let journal i = Broker.Journal.create ~hexpr_to_string paths.(i) in
+    let pool =
+      Broker.Shard.create ~admission ~journal ~shards Scenarios.Churn.repo
+    in
+    let server = Broker.Net.create ~hexpr_of_string ~port:0 pool in
+    let d = Domain.spawn (fun () -> Broker.Net.serve server) in
+    let conns, driven =
+      Broker.Net.drive ~port:(Broker.Net.port server) ~hexpr_to_string
+        [| churn_requests () |]
+    in
+    Broker.Net.shutdown_conns conns;
+    Domain.join d;
+    Alcotest.(check int) "every request answered"
+      (List.length (churn_requests ()))
+      (List.length driven);
+    let replayed =
+      Array.map
+        (fun path ->
+          let fresh = Broker.create ~admission Scenarios.Churn.repo in
+          List.map
+            (fun (e : Broker.Journal.entry) ->
+              let r =
+                Broker.replay fresh ~seq:e.seq ~level:e.level e.request
+              in
+              (r.Broker.seq, r))
+            (read_entries path).Broker.Journal.entries)
+        paths
+    in
+    List.iter
+      (fun (dv : Broker.Net.driven) ->
+        match String.split_on_char ' ' dv.reply with
+        | "ok" :: tag :: seq :: _ -> (
+            let shard = if tag = "*" then 0 else int_of_string tag in
+            let seq = int_of_string seq in
+            match List.assoc_opt seq replayed.(shard) with
+            | None -> Alcotest.failf "shard %d seq %d not journaled" shard seq
+            | Some r ->
+                Alcotest.(check string)
+                  (Fmt.str "shard %d seq %d reply = journal replay" shard seq)
+                  dv.reply
+                  (Fmt.str "ok %s %d %s" tag seq
+                     (one_line
+                        (Fmt.str "%a" Broker.pp_outcome r.Broker.outcome))))
+        | _ -> Alcotest.failf "%a -> %s" Broker.pp_request dv.request dv.reply)
+      driven;
+    Array.iter Sys.remove paths;
+    let inline =
+      Option.value ~default:0
+        (List.assoc_opt "broker.shard.inline"
+           (Obs.Metrics.snapshot ()).Obs.Metrics.counters)
+    in
+    Alcotest.(check bool)
+      (Fmt.str "%d shard(s): requests ran inline" shards)
+      (shards = 1) (inline > 0)
+  in
+  run ~shards:1;
+  run ~shards:2
+
+(* While a second connection is open the select thread runs no
+   request: a connection that pings inside its idle deadline is answered
+   while another connection's slow request runs. Had the select thread
+   run that request inline, the ping would sit unread past the deadline
+   and the connection would be reaped. *)
+let test_net_slow_neighbour () =
+  Obs.Metrics.install ();
+  Fun.protect ~finally:Obs.Metrics.uninstall @@ fun () ->
+  (* services that pair up in loops the client takes no part in: the
+     orchestrate verb tries every coalition of up to five of them before
+     it declines, tens of thousands of syntheses *)
+  let repo =
+    List.init 30 (fun i ->
+        ( Fmt.str "s%d" i,
+          hexpr_of_string
+            (if i mod 2 = 0 then Fmt.str "mu h. p%d!.h" i
+             else Fmt.str "mu h. p%d?.h" (i - 1)) ))
+  in
+  let pool =
+    Broker.Shard.create ~admission:Broker.default_admission ~shards:1 repo
+  in
+  let limit = 0.5 in
+  let server =
+    Broker.Net.create ~hexpr_of_string ~idle_timeout:limit ~port:0 pool
+  in
+  let port = Broker.Net.port server in
+  let d = Domain.spawn (fun () -> Broker.Net.serve server) in
+  let send oc line =
+    output_string oc (line ^ "\n");
+    flush oc
+  in
+  let ask ic oc line =
+    send oc line;
+    input_line ic
+  in
+  let slow_fd, slow_ic, slow_oc = connect port in
+  let quick_fd, quick_ic, quick_oc = connect port in
+  ignore (ask slow_ic slow_oc "open c = open(1){ z? }");
+  (* the quick connection's deadline runs from its first ping *)
+  Alcotest.(check string) "quick connection answered" "ok pong"
+    (ask quick_ic quick_oc "ping");
+  let sent = Semaphore.Binary.make false in
+  let quick =
+    Domain.spawn (fun () ->
+        Semaphore.Binary.acquire sent;
+        Unix.sleepf (0.7 *. limit);
+        ask quick_ic quick_oc "ping")
+  in
+  send slow_oc "orchestrate c";
+  Semaphore.Binary.release sent;
+  (* the slow connection keeps its own deadline fresh by pinging while
+     it waits: from here on it is read raw, a line at a time *)
+  let pending = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let rec next_line ~keepalive =
+    let s = Buffer.contents pending in
+    match String.index_opt s '\n' with
+    | Some i ->
+        Buffer.clear pending;
+        Buffer.add_string pending
+          (String.sub s (i + 1) (String.length s - i - 1));
+        String.sub s 0 i
+    | None -> (
+        match Unix.select [ slow_fd ] [] [] 0.1 with
+        | [], _, _ ->
+            if keepalive then send slow_oc "ping";
+            next_line ~keepalive
+        | _ ->
+            let n = Unix.read slow_fd chunk 0 (Bytes.length chunk) in
+            if n = 0 then Alcotest.fail "slow connection closed";
+            Buffer.add_subbytes pending chunk 0 n;
+            next_line ~keepalive)
+  in
+  let rec past_pongs ~keepalive =
+    match next_line ~keepalive with
+    | "ok pong" -> past_pongs ~keepalive
+    | line -> line
+  in
+  let reply = past_pongs ~keepalive:true in
+  Alcotest.(check string) "pinged inside its deadline: answered" "ok pong"
+    (Domain.join quick);
+  Alcotest.(check bool)
+    ("the slow request was answered: " ^ reply)
+    true
+    (String.starts_with ~prefix:"ok 0 " reply);
+  let inline =
+    Option.value ~default:0
+      (List.assoc_opt "broker.shard.inline"
+         (Obs.Metrics.snapshot ()).Obs.Metrics.counters)
+  in
+  Alcotest.(check int) "no inline cycle with two connections open" 0 inline;
+  send slow_oc "shutdown";
+  Alcotest.(check string) "clean shutdown" "ok bye"
+    (past_pongs ~keepalive:false);
+  List.iter
+    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    [ slow_fd; quick_fd ];
+  Domain.join d
+
 let suite =
   [
     Alcotest.test_case "route: pinned values, stability" `Quick
@@ -541,4 +795,13 @@ let suite =
     Alcotest.test_case "socket front end: overlong lines capped" `Quick
       test_net_line_cap;
     QCheck_alcotest.to_alcotest prop_route_total;
+    Alcotest.test_case "inline submit: an idle shard answers before return"
+      `Quick test_inline_idle;
+    Alcotest.test_case "inline submit: a busy shard queues, FIFO" `Quick
+      test_inline_busy;
+    Alcotest.test_case "socket front end: inline replies = journal replay"
+      `Quick test_net_inline_replay;
+    Alcotest.test_case "socket front end: a slow request holds up no other \
+                        connection"
+      `Quick test_net_slow_neighbour;
   ]

@@ -25,9 +25,14 @@ let test_lexer_positions () =
   | _ -> Alcotest.fail "expected two idents"
 
 let test_lexer_error () =
-  match Syntax.Lexer.tokenize "a $ b" with
+  (match Syntax.Lexer.tokenize "a $ b" with
   | exception Syntax.Lexer.Error (_, 1, 3) -> ()
-  | _ -> Alcotest.fail "expected a lexer error at 1:3"
+  | _ -> Alcotest.fail "expected a lexer error at 1:3");
+  (* an integer literal too large for [int] is positioned like any other
+     lexer error, not an uncaught [Failure] *)
+  match Syntax.Lexer.tokenize "#price(99999999999999999999999)" with
+  | exception Syntax.Lexer.Error ("integer literal out of range", 1, 8) -> ()
+  | _ -> Alcotest.fail "expected an out-of-range error at 1:8"
 
 let test_parse_atoms () =
   Alcotest.check h_testable "eps" Hexpr.nil (parse "eps");
