@@ -1034,14 +1034,24 @@ let serve_cmd =
       { Broker.queue_capacity = queue; plan_budget = budget; floor }
     in
     let repo = Syntax.Spec.repo spec in
-    if shards < 1 then begin
-      Fmt.epr "--shards must be >= 1@.";
-      exit 2
-    end;
-    if batch < 1 then begin
-      Fmt.epr "--batch must be >= 1@.";
-      exit 2
-    end;
+    List.iter
+      (fun (flag, n) ->
+        if n < 1 then begin
+          Fmt.epr "%s must be >= 1@." flag;
+          exit 2
+        end)
+      [
+        ("--shards", shards);
+        ("--batch", batch);
+        ("--conns", conns);
+        ("--queue", queue);
+        ("--budget", budget);
+      ];
+    (match net_timeout with
+    | Some secs when not (secs > 0.0) ->
+        Fmt.epr "--net-timeout must be > 0@.";
+        exit 2
+    | _ -> ());
     let load_script () =
       match script with
       | None ->

@@ -265,7 +265,7 @@ let serve t =
    per connection (send, then block on the response line), rotating
    across connections so up to M requests are in flight server-side at
    any moment. The per-connection request/response pairing this buys is
-   what the CI smoke and the bench validation key on. *)
+   what the CI socket smoke keys on. *)
 
 type driven = {
   stream : int;

@@ -134,14 +134,3 @@ let snapshot () =
             max_value = h.h_max;
           });
   }
-
-let pp_snapshot ppf s =
-  List.iter (fun (k, v) -> Fmt.pf ppf "  counter %-42s %10d@." k v) s.counters;
-  List.iter (fun (k, v) -> Fmt.pf ppf "  gauge   %-42s %10d@." k v) s.gauges;
-  List.iter
-    (fun (k, h) ->
-      Fmt.pf ppf "  histo   %-42s n=%d sum=%d max=%d avg=%.1f@." k h.count
-        h.sum h.max_value
-        (if h.count = 0 then 0.0
-         else float_of_int h.sum /. float_of_int h.count))
-    s.histograms

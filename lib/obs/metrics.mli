@@ -72,7 +72,3 @@ type snapshot = {
 
 val snapshot : unit -> snapshot
 (** A deterministic (name-sorted) copy of the registry. *)
-
-val pp_snapshot : snapshot Fmt.t
-(** Plain-text dump, one instrument per line (used by the bench
-    harness's [--obs] mode). *)

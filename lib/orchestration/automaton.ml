@@ -18,7 +18,6 @@ let moves t s = t.moves.(s)
 let offers t s = t.offers.(s)
 let requests t s = t.requests.(s)
 let client_done t s = Contract.is_terminated t.states.(s).(0)
-let all_done t s = Array.for_all Contract.is_terminated t.states.(s)
 
 (* State vectors are interned by their contract-id vectors: hash-consing
    makes the key cheap and equality exact. *)
@@ -103,124 +102,6 @@ let build ?(limit = 1_000_000) ps =
     requests = Array.of_list (List.rev !rev_requests);
   }
 
-(* Every state is reachable by construction, so the agreement questions
-   are state-set scans. *)
-let admits_agreement t =
-  let ok = ref false in
-  for s = 0 to size t - 1 do
-    if all_done t s then ok := true
-  done;
-  !ok
-
-let admits_weak_agreement t =
-  let ok = ref false in
-  for s = 0 to size t - 1 do
-    if client_done t s then ok := true
-  done;
-  !ok
-
-let locally_good t s =
-  client_done t s
-  || List.length t.moves.(s) > 0
-     && List.for_all
-          (fun (p, ch) ->
-            List.exists
-              (fun (m, _) -> m.sender = p && String.equal m.channel ch)
-              t.moves.(s))
-          t.offers.(s)
-
-let safe t =
-  let ok = ref true in
-  for s = 0 to size t - 1 do
-    if not (locally_good t s) then ok := false
-  done;
-  !ok
-
-module Label = struct
-  type t = { sender : int option; receiver : int option; channel : string }
-
-  let compare (a : t) (b : t) = Stdlib.compare a b
-
-  let pp ppf l =
-    match (l.sender, l.receiver) with
-    | Some s, Some r -> Fmt.pf ppf "%s:%d->%d" l.channel s r
-    | Some s, None -> Fmt.pf ppf "!%s@%d" l.channel s
-    | None, Some r -> Fmt.pf ppf "?%s@%d" l.channel r
-    | None, None -> Fmt.pf ppf "?!%s" l.channel
-end
-
-module Nfa = Automata.Nfa.Make (Label)
-
-let principal ~index party =
-  let sts = Contract.reachable party.contract in
-  let num c =
-    let rec go i = function
-      | [] -> invalid_arg "Orchestration.Automaton.principal: unreachable"
-      | c' :: rest -> if Contract.equal c c' then i else go (i + 1) rest
-    in
-    go 0 sts
-  in
-  let trans =
-    List.concat_map
-      (fun c ->
-        let s = num c in
-        List.map
-          (fun (d, ch, c') ->
-            let label =
-              match d with
-              | Contract.O ->
-                  { Label.sender = Some index; receiver = None; channel = ch }
-              | Contract.I ->
-                  { Label.sender = None; receiver = Some index; channel = ch }
-            in
-            (s, label, num c'))
-          (Contract.transitions c))
-      sts
-  in
-  let finals =
-    List.filteri (fun _ c -> Contract.is_terminated c) sts |> List.map num
-  in
-  Nfa.create ~init:[ num party.contract ] ~finals ~trans
-
-let to_nfa t =
-  let trans = ref [] in
-  for s = size t - 1 downto 0 do
-    List.iter
-      (fun (m, j) ->
-        trans :=
-          ( s,
-            {
-              Label.sender = Some m.sender;
-              receiver = Some m.receiver;
-              channel = m.channel;
-            },
-            j )
-          :: !trans)
-      t.moves.(s)
-  done;
-  let finals = ref [] in
-  for s = size t - 1 downto 0 do
-    if all_done t s then finals := s :: !finals
-  done;
-  Nfa.create ~init:[ 0 ] ~finals:!finals ~trans:!trans
-
-let agreement_witness t =
-  match Nfa.shortest_accepted (to_nfa t) with
-  | None -> None
-  | Some word ->
-      Some
-        (List.map
-           (fun (l : Label.t) ->
-             match (l.sender, l.receiver) with
-             | Some s, Some r -> { sender = s; receiver = r; channel = l.channel }
-             | _ -> assert false)
-           word)
-
 let pp_move ~parties ppf m =
   Fmt.pf ppf "%s: %s -> %s" m.channel parties.(m.sender).name
     parties.(m.receiver).name
-
-let pp_state t ppf s =
-  Fmt.pf ppf "⟨%a⟩"
-    Fmt.(array ~sep:(any ", ") Contract.pp)
-    t.states.(s)

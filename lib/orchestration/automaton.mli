@@ -58,54 +58,4 @@ val client_done : t -> int -> bool
 (** Party 0 has terminated — the pairwise notion of success (the paper
     abandons the server once the client is fulfilled). *)
 
-val all_done : t -> int -> bool
-(** Every party has terminated — the BDF notion of a final state. *)
-
-(** {1 Agreement} *)
-
-val admits_agreement : t -> bool
-(** Some reachable state is final for {e all} parties (BDF agreement). *)
-
-val admits_weak_agreement : t -> bool
-(** Some reachable state satisfies {!client_done} — the client-biased
-    notion matching the paper's pairwise success. *)
-
-val safe : t -> bool
-(** Every reachable non-{!client_done} state is locally good: each
-    enabled offer has a match and some match is enabled. Then the
-    most-permissive controller is the whole product unless the
-    client-progress rule of {!Controller} condemns a state where the
-    client can no longer progress. *)
-
-(** {1 The lib/automata bridge}
-
-    Principal automata and the product rendered as NFAs over
-    offer/request/match labels, so language-level questions (emptiness,
-    shortest witnesses) reuse the generic kit. *)
-
-module Label : sig
-  type t = { sender : int option; receiver : int option; channel : string }
-  (** [Some i, None] an offer by party [i]; [None, Some j] a request by
-      party [j]; [Some i, Some j] a match. *)
-
-  val compare : t -> t -> int
-  val pp : t Fmt.t
-end
-
-module Nfa : module type of Automata.Nfa.Make (Label)
-
-val principal : index:int -> party -> Nfa.t
-(** The principal contract automaton of one party: states are its
-    reachable residuals, finals the terminated ones, transitions its
-    offers and requests tagged with [index]. *)
-
-val to_nfa : t -> Nfa.t
-(** The product as an NFA over match labels; finals are the {!all_done}
-    states. [admits_agreement t ⟺ L(to_nfa t) ≠ ∅]. *)
-
-val agreement_witness : t -> move list option
-(** A shortest match trace reaching an all-final state, via
-    {!Nfa.shortest_accepted} — [None] iff agreement fails. *)
-
 val pp_move : parties:party array -> move Fmt.t
-val pp_state : t -> int Fmt.t

@@ -5,7 +5,7 @@
     backup hotels to publish/retract ({!spares}), and two {e noise}
     services ({!noise}) that no request site can talk to — publishing
     those must cause {e zero} index invalidations, the regression the
-    broker tests and bench pin down. *)
+    broker tests pin down. *)
 
 val repo : Core.Network.repo
 (** {!Hotel.repo}: the broker and the four hotels. *)

@@ -15,7 +15,7 @@
     retracted back to the [open] checkpoint and retried until the
     scheduler picks [noav]; under the default strict runtime it is what
     the engine reports as stuck. This is the scenario the reversible-
-    session tests and the B5/B8 degraded-mode benches are built on. *)
+    session tests and the B5 degraded-mode outcome mix are built on. *)
 
 val client_body : Core.Hexpr.t
 (** [Req.(Avail.Fee! + NoAv)] — the body of the client's request. *)

@@ -87,7 +87,7 @@ let pairs =
     ("rename", rename_client_body, rename_service);
   ]
 
-(* ---- parametric depth family (bench B13) ----------------------------- *)
+(* ---- parametric depth family (B13) ----------------------------------- *)
 
 let chan i = Printf.sprintf "x%d" i
 

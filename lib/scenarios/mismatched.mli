@@ -59,7 +59,7 @@ val reversed : int -> Core.Contract.t * Core.Contract.t
     service consumes them in reverse. With all channels reserved (see
     {!reversed_channels}) the only repair is to buffer all [n] messages
     and replay them backwards, so mediation cost scales with the
-    counterexample depth — the bench B13 family. Needs capacity ≥ n. *)
+    counterexample depth — the B13 family. Needs capacity ≥ n. *)
 
 val reversed_channels : int -> string list
 (** All channel names of {!reversed}[ n], to reserve renames away. *)

@@ -1,15 +1,15 @@
-(** The shared seeded-RNG convention of the test and bench harnesses.
+(** The shared seeded-RNG convention of the tests and the benchmark.
 
-    Every randomised harness (the workload generator, the bench
-    experiments, the property tests' auxiliary streams) draws from a
+    Every randomised harness (the workload generator, the seeded
+    reproduction corpora, the benchmark's generated specs) draws from a
     [Random.State.t] built here, so a replay with the same seed is
-    byte-for-byte identical and the seed is the only knob — the bench
-    harness exposes it as [--seed], the workload generator as its
-    [seed] field. The global [Random] state is never touched. *)
+    byte-for-byte identical and the seed is the only knob — the
+    workload generator exposes it as its [seed] field. The global
+    [Random] state is never touched. *)
 
 val default_seed : int
-(** [2013] — the paper's year, and the historical seed of the bench
-    experiments. *)
+(** [2013] — the paper's year, and the seed of the reproduction
+    corpora. *)
 
 val make : ?seed:int -> unit -> Random.State.t
 (** A fresh state from [seed] (default {!default_seed}); equal seeds

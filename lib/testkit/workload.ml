@@ -106,7 +106,3 @@ let generate p =
       retracts = !retracts;
       sessions = !sessions;
     } )
-
-let concurrent ~streams p =
-  let items, counts = generate p in
-  (Broker.Script.partition ~streams items, counts)

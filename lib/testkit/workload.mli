@@ -6,8 +6,8 @@
     services can join plans and a {e noise} pool that should cause zero
     invalidations), and hot-key-skewed serves. Generation draws only
     from a {!Rng} state built from [profile.seed], so equal profiles
-    give byte-identical streams — the bench harness replays them under
-    [--seed] and compares against the cold oracle. *)
+    give byte-identical streams — the broker tests replay them against
+    the cold oracle. *)
 
 open Core
 
@@ -36,13 +36,5 @@ type counts = { serves : int; publishes : int; retracts : int; sessions : int }
 
 val generate : profile -> Broker.Script.item list * counts
 (** The item stream (prologue + submissions + final drain) and what it
-    contains — benches assert the counts meet their floors instead of
+    contains — tests assert the counts meet their floors instead of
     trusting the probabilities. *)
-
-val concurrent : streams:int -> profile -> Broker.request list array * counts
-(** The concurrent load shape: {!generate}, then
-    [Broker.Script.partition] into [streams] per-connection request
-    streams — session requests follow their client (the shard routing
-    rule), mutations go to stream 0, tick/drain boundaries drop. Equal
-    profiles give identical stream arrays; only the runtime
-    interleaving across streams is left to the scheduler. *)

@@ -17,7 +17,7 @@
 # under one of the audited prefixes (`broker.`, `net.`, `orchestration.`,
 # `mediator.`, `product.`, `validity.`, `planner.`, `netcheck.`,
 # `contract.`, `repr.`) must exist verbatim as a metric-name literal in
-# lib/, bin/ or bench/, so the observability tables cannot drift from
+# lib/ or bin/, so the observability tables cannot drift from
 # the code. `NAME.hits` and `NAME.misses` also count as present when
 # `"NAME"` is a literal: Repr.Memo and Repr.Hashcons derive those
 # counters from the registered cache name. Wildcard mentions
@@ -26,15 +26,9 @@ set -u
 
 ROOT=$(CDPATH='' cd -- "$(dirname -- "$0")/.." && pwd)
 SUSF="$ROOT/_build/default/bin/susf.exe"
-BENCH="$ROOT/_build/default/bench/main.exe"
 
 if [ ! -x "$SUSF" ]; then
   echo "docs-check: $SUSF not found — run 'dune build' first" >&2
-  exit 2
-fi
-
-if [ ! -x "$BENCH" ]; then
-  echo "docs-check: $BENCH not found — run 'dune build' first" >&2
   exit 2
 fi
 
@@ -67,7 +61,6 @@ while IFS="$(printf '\t')" read -r file cmd; do
   case "$cmd" in
     susf\ *) run="\"$SUSF\" ${cmd#susf }" ;;
     dune\ exec\ bin/susf.exe\ --\ *) run="\"$SUSF\" ${cmd#dune exec bin/susf.exe -- }" ;;
-    dune\ exec\ bench/main.exe\ --\ *) run="\"$BENCH\" ${cmd#dune exec bench/main.exe -- }" ;;
     printf\ *|echo\ *) run="$cmd" ;;
     *) continue ;;
   esac
@@ -94,7 +87,7 @@ fi
 audited=0
 missing=0
 literal() {
-  grep -rqF "\"$1\"" "$ROOT/lib" "$ROOT/bin" "$ROOT/bench"
+  grep -rqF "\"$1\"" "$ROOT/lib" "$ROOT/bin"
 }
 prefixes='broker|net|orchestration|mediator|product|validity|planner|netcheck|contract|repr'
 for name in $(grep -hoE "\`($prefixes)\\.[a-z0-9_.]+\`" "$@" | tr -d '`' | sort -u); do
@@ -106,7 +99,7 @@ for name in $(grep -hoE "\`($prefixes)\\.[a-z0-9_.]+\`" "$@" | tr -d '`' | sort 
   if literal "$name" || { [ -n "$cache" ] && literal "$cache"; }; then
     echo "ok   instrument $name"
   else
-    echo "FAIL instrument $name is in the docs but not in lib/ bin/ bench/"
+    echo "FAIL instrument $name is in the docs but not in lib/ or bin/"
     missing=$((missing + 1))
     status=1
   fi

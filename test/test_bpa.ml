@@ -103,7 +103,7 @@ let test_regularize_open () =
 
 (* E8: the two static validity checkers agree *)
 let prop_bpa_agrees_with_direct =
-  QCheck.Test.make ~name:"E8: BPA model checking = direct exploration" ~count:250
+  QCheck.Test.make ~name:"E8: BPA model checking = direct exploration" ~count:1000
     Testkit.Generators.hexpr_arb (fun h ->
       Result.is_ok (Bpa.Check.valid h)
       = Result.is_ok (Validity.check_expr h))
@@ -120,6 +120,39 @@ let prop_unregularized_agrees =
       Result.is_ok (Bpa.Check.valid ~regularized:false h)
       = Result.is_ok (Validity.check_expr h))
 
+(* E8 (§3.1): every service of the §2 scenario is valid in isolation
+   under the BPA model checker. *)
+let test_hotel_services_valid () =
+  List.iter
+    (fun (loc, h) ->
+      Alcotest.(check bool) (loc ^ " is BPA-valid") true
+        (Result.is_ok (Bpa.Check.valid h)))
+    (("c1", Scenarios.Hotel.client1) :: Scenarios.Hotel.repo)
+
+(* B6: a tower of k nested at-most framings. The innermost at-most-1
+   counts every earlier event retroactively, so every tower is invalid,
+   and both engines must say so. *)
+let test_framing_towers () =
+  let rec tower k =
+    if k = 0 then Hexpr.ev "x"
+    else
+      Hexpr.frame
+        (Usage.Policy_lib.instantiate0 (Usage.Policy_lib.at_most ~n:k "x"))
+        (Hexpr.seq (Hexpr.ev "x") (tower (k - 1)))
+  in
+  List.iter
+    (fun k ->
+      let h = tower k in
+      Alcotest.(check bool)
+        (Fmt.str "direct verdict, %d nested framings" k)
+        false
+        (Result.is_ok (Validity.check_expr h));
+      Alcotest.(check bool)
+        (Fmt.str "bpa verdict, %d nested framings" k)
+        false
+        (Result.is_ok (Bpa.Check.valid h)))
+    [ 1; 2; 4; 8 ]
+
 let suite =
   [
     Alcotest.test_case "hexpr to BPA" `Quick test_translation;
@@ -134,4 +167,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_bpa_agrees_with_direct;
     QCheck_alcotest.to_alcotest prop_regularize_preserves_validity;
     QCheck_alcotest.to_alcotest prop_unregularized_agrees;
+    Alcotest.test_case "every §2 service is valid in isolation (E8)" `Quick
+      test_hotel_services_valid;
+    Alcotest.test_case "nested at-most towers are invalid (B6)" `Quick
+      test_framing_towers;
   ]

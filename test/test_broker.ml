@@ -45,9 +45,23 @@ let test_canned_script () =
    equals what a from-scratch planner computes on the current
    repository. *)
 
+(* The plans a cold planner analyzes to reach [verdict]: every
+   enumerated plan up to the first valid one, or all of them. *)
+let cold_cost repo ~client verdict =
+  let plans = Planner.enumerate repo ~client in
+  match verdict with
+  | Broker.Index.No_plan -> List.length plans
+  | Broker.Index.Valid r ->
+      let rec upto i = function
+        | [] -> i
+        | p :: rest ->
+            if Plan.equal p r.Planner.plan then i + 1 else upto (i + 1) rest
+      in
+      upto 0 plans
+
 let replay_against_oracle items =
   let b = Broker.create Scenarios.Churn.repo in
-  let mismatches = ref 0 and compared = ref 0 in
+  let mismatches = ref 0 and compared = ref 0 and cold = ref 0 in
   let handle (r : Broker.response) =
     match (r.Broker.request, r.Broker.outcome) with
     | ( Broker.Serve { client },
@@ -64,6 +78,7 @@ let replay_against_oracle items =
             let expect =
               Broker.Oracle.serve (Broker.repo b) ~client:(client, body)
             in
+            cold := !cold + cold_cost (Broker.repo b) ~client:(client, body) expect;
             if not (Broker.verdict_equal got expect) then incr mismatches)
     | _ -> ()
   in
@@ -81,7 +96,7 @@ let replay_against_oracle items =
           in
           go ())
     items;
-  (!compared, !mismatches)
+  (b, !compared, !mismatches, !cold)
 
 let prop_oracle_replay =
   QCheck.Test.make ~count:6 ~name:"broker serves = cold oracle (workloads)"
@@ -97,7 +112,7 @@ let prop_oracle_replay =
         }
       in
       let items, _ = Testkit.Workload.generate profile in
-      let compared, mismatches = replay_against_oracle items in
+      let _, compared, mismatches, _ = replay_against_oracle items in
       compared > 0 && mismatches = 0)
 
 (* ------------------------------------------------------------------ *)
@@ -720,6 +735,87 @@ let test_mediate_script_codec () =
   | Ok r -> Alcotest.failf "parsed to %a" Broker.pp_request r
   | Error e -> Alcotest.failf "parse failed: %s" e
 
+(* ------------------------------------------------------------------ *)
+(* B8: the churn workload at full size, and a burst past the queue *)
+
+(* The default seeded workload (240 requests): it must meet its churn
+   floors, every serve must match the cold oracle, and the dependency-
+   tracked index must analyze at least 5x fewer plans than the cold
+   planner would. *)
+let test_churn_workload () =
+  let items, counts =
+    Testkit.Workload.generate
+      (Testkit.Workload.default ~clients:Scenarios.Churn.clients
+         ~spares:Scenarios.Churn.spares ~noise:Scenarios.Churn.noise)
+  in
+  let submissions =
+    List.length
+      (List.filter (function Broker.Script.Submit _ -> true | _ -> false) items)
+  in
+  let churned = counts.Testkit.Workload.publishes + counts.retracts in
+  Alcotest.(check bool)
+    (Fmt.str "workload floors: %d requests, %d publish/retract" submissions
+       churned)
+    true
+    (submissions >= 200 && churned >= 20);
+  let b, compared, mismatches, cold = replay_against_oracle items in
+  Alcotest.(check int)
+    (Fmt.str "verdict mismatches vs cold oracle (%d serves compared)" compared)
+    0 mismatches;
+  let analyzed = (Broker.stats b).Broker.analyzed in
+  Alcotest.(check bool)
+    (Fmt.str "broker analyzed %d plans, cold %d: at least 5x fewer" analyzed
+       cold)
+    true
+    (cold >= 5 * max 1 analyzed)
+
+(* Every churn client open, then 12 serves without draining at queue
+   capacity 4: a strict floor sheds the 8 past capacity; an affectible
+   floor rescues them instead, each matching the cold oracle at the
+   level it was answered at. *)
+let test_burst_admission () =
+  let burst floor =
+    let b =
+      Broker.create
+        ~admission:{ Broker.queue_capacity = 4; plan_budget = 64; floor }
+        Scenarios.Churn.repo
+    in
+    List.iter
+      (fun (client, body) -> ignore (process b (Broker.Open { client; body })))
+      Scenarios.Churn.clients;
+    (b, overload b 12)
+  in
+  let strict, immediate = burst Compliance.Strict in
+  ignore (Broker.drain strict);
+  Alcotest.(check int) "burst of 12 serves past queue capacity 4: shed" 8
+    (List.length
+       (List.filter
+          (fun (r : Broker.response) ->
+            match r.Broker.outcome with
+            | Broker.Rejected Broker.Shed -> true
+            | _ -> false)
+          immediate));
+  let loose, immediate = burst Compliance.Affectible in
+  let body = List.assoc "c1" (Broker.clients loose) in
+  List.iter
+    (fun (r : Broker.response) ->
+      match r.Broker.outcome with
+      | Broker.Served { report; level; _ } ->
+          Alcotest.(check bool)
+            "rescued verdict matches the cold oracle at its level" true
+            (Broker.verdict_equal (Broker.Index.Valid report)
+               (Broker.Oracle.serve ~level (Broker.repo loose)
+                  ~client:("c1", body)))
+      | _ -> ())
+    immediate;
+  ignore (Broker.drain loose);
+  let shed b = (Broker.stats b).Broker.shed in
+  Alcotest.(check bool)
+    (Fmt.str "affectible floor sheds less: %d vs %d strict-only" (shed loose)
+       (shed strict))
+    true
+    (shed loose < shed strict)
+
 let suite =
   [
     Alcotest.test_case "canned churn scenario" `Quick test_canned_script;
@@ -761,4 +857,8 @@ let suite =
       test_mediate_declines;
     Alcotest.test_case "mediate round-trips the script codec" `Quick
       test_mediate_script_codec;
+    Alcotest.test_case "churn workload vs cold recomputation (B8)" `Quick
+      test_churn_workload;
+    Alcotest.test_case "burst admission: strict sheds, affectible rescues (B8)"
+      `Quick test_burst_admission;
   ]

@@ -195,6 +195,29 @@ let test_serve_rescue_floor_change () =
   Alcotest.(check string) "recovery replays the rescue at the journaled floor"
     (served_mix "rfull.txt") (served_mix "rpost.txt")
 
+(* Numbers the serve loop cannot honour are usage errors, caught before
+   any work starts: exit 2 with a one-line message, never an uncaught
+   exception or a run that sheds or degrades everything. *)
+let test_serve_bad_numbers () =
+  List.iter
+    (fun (flag, message) ->
+      let code =
+        Sys.command
+          (Filename.quote_command susf
+             [ "serve"; hotel; "--script"; churn_script; flag ]
+          ^ " > /dev/null 2> bad-number.err")
+      in
+      Alcotest.(check int) (flag ^ " exit code") 2 code;
+      Alcotest.(check string) (flag ^ " message") message
+        (String.trim
+           (In_channel.with_open_text "bad-number.err" In_channel.input_all)))
+    [
+      ("--conns=0", "--conns must be >= 1");
+      ("--net-timeout=0", "--net-timeout must be > 0");
+      ("--queue=0", "--queue must be >= 1");
+      ("--budget=-5", "--budget must be >= 1");
+    ]
+
 let test_serve_script_diagnostics () =
   let bad = write_log "bad.script" "serve c1\nfrobnicate c1\n" in
   let code =
@@ -300,4 +323,6 @@ let suite =
     Alcotest.test_case "fmt round trip" `Quick test_fmt_reparses;
     Alcotest.test_case "integer overflow is a diagnostic" `Quick
       test_int_overflow;
+    Alcotest.test_case "serve rejects out-of-range numbers" `Quick
+      test_serve_bad_numbers;
   ]

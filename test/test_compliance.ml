@@ -134,7 +134,7 @@ let test_finals_have_no_successors () =
 (* --- Theorem 1 (E6): the two decision procedures agree --- *)
 
 let prop_theorem1 =
-  QCheck.Test.make ~name:"Theorem 1: Def.4 = product emptiness" ~count:500
+  QCheck.Test.make ~name:"Theorem 1: Def.4 = product emptiness" ~count:2000
     (QCheck.pair Testkit.Generators.contract_arb Testkit.Generators.contract_arb)
     (fun (c, s) -> Compliance.compliant c s = Product.compliant c s)
 
@@ -323,6 +323,34 @@ let test_charged_security_still_fatal () =
                 (Compliance.level_to_string level)))
     [ Compliance.Skip_k 3; Compliance.Affectible ]
 
+(* B1: the product automaton grows linearly with the contracts. A
+   ping-pong of n rounds has 2n+1 states and 2n transitions; a choice
+   over n channels has 2 states and n transitions. Both are compliant. *)
+let test_product_shape () =
+  let rec ping n =
+    if n = 0 then Hexpr.nil
+    else Hexpr.select [ ("msg", Hexpr.branch [ ("ack", ping (n - 1)) ]) ]
+  in
+  let rec pong n =
+    if n = 0 then Hexpr.nil
+    else Hexpr.branch [ ("msg", Hexpr.select [ ("ack", pong (n - 1)) ]) ]
+  in
+  let channels n = List.init n (fun i -> (Fmt.str "c%d" i, Hexpr.nil)) in
+  let shape c s =
+    let p = Product.build (Contract.project c) (Contract.project s) in
+    (List.length p.Product.states, List.length p.Product.delta, Product.language_empty p)
+  in
+  for n = 1 to 64 do
+    Alcotest.(check (triple int int bool))
+      (Fmt.str "ping-pong, %d rounds" n)
+      ((2 * n) + 1, 2 * n, true)
+      (shape (ping n) (pong n));
+    Alcotest.(check (triple int int bool))
+      (Fmt.str "wide choice, %d channels" n)
+      (2, n, true)
+      (shape (Hexpr.select (channels n)) (Hexpr.branch (channels n)))
+  done
+
 let suite =
   [
     Alcotest.test_case "simple pairs" `Quick test_simple_pairs;
@@ -348,4 +376,6 @@ let suite =
     Alcotest.test_case "charged frontier keeps security fatal" `Quick
       test_charged_security_still_fatal;
     QCheck_alcotest.to_alcotest prop_build_finals_are_survey_stucks;
+    Alcotest.test_case "product size vs contract size (B1)" `Quick
+      test_product_shape;
   ]

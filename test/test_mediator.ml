@@ -255,6 +255,81 @@ let prop_scrambles_mediable =
                ~config:{ Synthesis.capacity = n + 1; reserved }
                ~client:c ~service:s m)
 
+(* --- mediation vs counterexample depth (B13) ----------------------------- *)
+
+let buffered (m : Synthesis.mediator) =
+  List.length
+    (List.filter
+       (fun (s : Synthesis.step) ->
+         match s.Synthesis.repair with Synthesis.Buffered _ -> true | _ -> false)
+       m.Synthesis.steps)
+
+(* A reversed pipe of depth n with every name reserved: the only repair
+   buffers all n messages and replays them backwards, and the mediated
+   triple re-verifies strictly. *)
+let test_reversed_pipes () =
+  List.iter
+    (fun n ->
+      let client, service = Scenarios.Mismatched.reversed n in
+      let config =
+        {
+          Synthesis.capacity = n + 1;
+          reserved = Scenarios.Mismatched.reversed_channels n;
+        }
+      in
+      match Synthesis.synthesize ~config ~client ~service () with
+      | Error ce ->
+          Alcotest.failf "reversed %d declined: %a" n
+            Synthesis.pp_counterexample ce
+      | Ok m ->
+          Alcotest.(check int)
+            (Fmt.str "reversed %d: every message buffered" n)
+            n (buffered m);
+          Alcotest.(check bool)
+            (Fmt.str "reversed %d re-verifies" n)
+            true
+            (Synthesis.verify ~config ~client ~service m))
+    [ 2; 4; 8; 16 ]
+
+(* A seeded corpus of 200 scrambled pipelines, a quarter of which mute
+   the service's closing done!, leaving the client waiting forever. The
+   mix is exact: mediation heals every live scramble and declines every
+   muted one. *)
+let test_scramble_corpus () =
+  let rand = Testkit.Rng.make () in
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 2 5 in
+      let* order = shuffle_l (List.init n (fun i -> i + 1)) in
+      let* mute = map (fun k -> k = 0) (int_bound 3) in
+      return (n, order, mute))
+  in
+  let muted = ref 0 in
+  for _ = 1 to 200 do
+    let n, order, mute = QCheck.Gen.generate1 ~rand gen in
+    if mute then incr muted;
+    let chan i = Fmt.str "x%d" i in
+    let client =
+      Hexpr.seq_all
+        (List.init n (fun i -> Hexpr.send (chan (i + 1))) @ [ Hexpr.recv "done" ])
+    in
+    let service =
+      Hexpr.seq_all
+        (List.map (fun i -> Hexpr.recv (chan i)) order
+        @ if mute then [] else [ Hexpr.send "done" ])
+    in
+    let repaired =
+      Result.is_ok
+        (synth ~reserved:(Scenarios.Mismatched.reversed_channels n)
+           ~capacity:(n + 1) client service)
+    in
+    Alcotest.(check bool)
+      (Fmt.str "order %a%s: repaired" Fmt.(Dump.list int) order
+         (if mute then ", muted" else ""))
+      (not mute) repaired
+  done;
+  Alcotest.(check bool) "the corpus mutes some scrambles" true (!muted > 0)
+
 let suite =
   [
     Alcotest.test_case "mismatched pairs mediable" `Quick test_pairs_mediable;
@@ -276,4 +351,8 @@ let suite =
     Alcotest.test_case "ladder: policy-blocked client declines" `Quick
       test_blocked_client_declines;
     QCheck_alcotest.to_alcotest prop_scrambles_mediable;
+    Alcotest.test_case "reversed pipes buffer every message (B13)" `Quick
+      test_reversed_pipes;
+    Alcotest.test_case "scrambles: live repaired, muted declined (B13)" `Quick
+      test_scramble_corpus;
   ]

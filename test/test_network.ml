@@ -207,7 +207,7 @@ let unmonitored_all_valid plan client seeds =
         t.Simulate.final)
     seeds
 
-let seeds = List.init 30 (fun i -> i + 1)
+let seeds = List.init 100 (fun i -> i + 1)
 
 let test_monitor_off_valid_plan () =
   Alcotest.(check bool) "pi1 unmonitored stays valid" true

@@ -70,19 +70,17 @@ let test_supply_chain_synthesizes () =
           (match Controller.verify c.Orchestrate.controller with
           | Ok () -> ()
           | Error e -> Alcotest.fail ("controller fails verification: " ^ e));
-          (* the chain is linear: nothing to prune, the controller is the
-             whole product and the product admits full agreement *)
-          let auto = c.Orchestrate.controller.Controller.automaton in
-          Alcotest.(check bool) "safe (no pruning needed)" true
-            (Automaton.safe auto);
-          Alcotest.(check bool) "admits agreement" true
-            (Automaton.admits_agreement auto);
-          (match Automaton.agreement_witness auto with
-          | Some w ->
-              Alcotest.(check int) "shortest agreement = 2(k) matches"
-                (2 * (parties - 1))
-                (List.length w)
-          | None -> Alcotest.fail "expected an agreement witness")
+          (* B12: the chain is linear, so nothing is pruned — the
+             controller is the whole product, the 2(k-1)-match
+             conversation through 2k-1 states *)
+          let ctrl = c.Orchestrate.controller in
+          Alcotest.(check int)
+            (Fmt.str "chain of %d: linear controller (B12)" parties)
+            ((2 * parties) - 1)
+            ctrl.Controller.states;
+          Alcotest.(check int) "nothing pruned"
+            (Automaton.size ctrl.Controller.automaton)
+            ctrl.Controller.states
       | v ->
           Alcotest.failf "expected an orchestration: %a" Orchestrate.pp_verdict
             v)
@@ -160,8 +158,8 @@ let test_marketplace_pruning () =
       (match Controller.verify ctrl with
       | Ok () -> ()
       | Error e -> Alcotest.fail ("controller fails verification: " ^ e));
-      Alcotest.(check bool) "the full product is not safe" false
-        (Automaton.safe four);
+      Alcotest.(check bool) "the rogue's states are pruned" true
+        (ctrl.Controller.states < Automaton.size four);
       for s = 0 to Automaton.size four - 1 do
         List.iter
           (fun ((m : Automaton.move), _) ->
@@ -226,23 +224,6 @@ let test_fallback_ordering () =
   in
   Alcotest.(check bool) "synthesis ran for the chain" true
     (counter "orchestration.synthesis.runs" > 0)
-
-(* --- the lib/automata bridge ------------------------------------------ *)
-
-let test_principal_automata () =
-  let c = Contract.project Scenarios.Marketplace.buyer_body in
-  let nfa = Automaton.principal ~index:0 { Automaton.name = "buyer"; contract = c } in
-  Alcotest.(check int) "five residuals" 5 (Automaton.Nfa.size nfa);
-  Alcotest.(check int) "four labelled steps" 4
-    (List.length (Automaton.Nfa.transitions nfa));
-  Alcotest.(check bool) "accepts its own conversation" true
-    (Automaton.Nfa.accepts nfa
-       [
-         { Automaton.Label.sender = Some 0; receiver = None; channel = "rfq" };
-         { Automaton.Label.sender = None; receiver = Some 0; channel = "bid" };
-         { Automaton.Label.sender = Some 0; receiver = None; channel = "pay" };
-         { Automaton.Label.sender = None; receiver = Some 0; channel = "item" };
-       ])
 
 (* --- two parties reduce to Theorem 1 ---------------------------------- *)
 
@@ -379,8 +360,6 @@ let suite =
       test_marketplace_pruning;
     Alcotest.test_case "1:1 plans win before synthesis (metrics pin)" `Quick
       test_fallback_ordering;
-    Alcotest.test_case "principal contract automata" `Quick
-      test_principal_automata;
     QCheck_alcotest.to_alcotest prop_two_party_theorem1;
     QCheck_alcotest.to_alcotest prop_synthesis_sound;
     Alcotest.test_case "a loop without the client starves it" `Quick

@@ -376,3 +376,79 @@ let suite =
       Alcotest.test_case "outside the fragment (enumeration)" `Quick
         test_outside_fragment_listed;
     ]
+
+(* --- the paper's plan claims for C1, reason by reason (E4) ---------- *)
+
+let test_plan_failures_c1 () =
+  let verdict loc =
+    match
+      (Planner.analyze repo ~client:("c1", Scenarios.Hotel.client1)
+         (Plan.of_list [ (1, "br"); (3, loc) ]))
+        .Planner.verdict
+    with
+    | Ok _ -> "valid"
+    | Error (Planner.Not_compliant _) -> "not-compliant"
+    | Error (Planner.Insecure _) -> "insecure"
+    | Error (Planner.Unserved _) -> "unserved"
+    | Error (Planner.Outside_fragment _) -> "outside-fragment"
+  in
+  Alcotest.(check string) "{1[br],3[s1]}: s1 black-listed" "insecure"
+    (verdict "s1");
+  Alcotest.(check string) "{1[br],3[s2]}: Del unhandled" "not-compliant"
+    (verdict "s2");
+  Alcotest.(check string) "{1[br],3[s3]} = pi1" "valid" (verdict "s3");
+  Alcotest.(check string) "{1[br],3[s4]}: price/rating thresholds" "insecure"
+    (verdict "s4")
+
+(* --- plan synthesis vs repository size (B2) ---------------------------
+   With the broker and k compliant, cheap hotels, request 1 binds one of
+   k+1 services and, under the broker, request 3 one of k+1 again:
+   k + (k+1) = 2k+1 complete plans for C1, valid exactly when they go
+   through the broker to a hotel. *)
+
+let test_plans_vs_repository_size () =
+  let client = ("c1", Scenarios.Hotel.client1) in
+  for k = 1 to 16 do
+    let repo =
+      ("br", Scenarios.Hotel.broker)
+      :: List.init k (fun i ->
+             let loc = Fmt.str "h%d" i in
+             (loc, Scenarios.Hotel.hotel loc ~price:(40 + i) ~rating:100 ~extra:[]))
+    in
+    Alcotest.(check (pair int int))
+      (Fmt.str "%d hotels: plans, valid plans" k)
+      ((2 * k) + 1, k)
+      ( List.length (Planner.enumerate repo ~client),
+        List.length (Planner.valid_plans ~all:false repo ~client) )
+  done
+
+(* --- interleaved state space vs number of clients (B4) ----------------
+   k copies of C1 under pi1 interleave freely: 13^k states, and each of
+   the k clients contributes its 14 moves from every state of the
+   others, k * 14 * 13^(k-1) transitions. *)
+
+let test_interleaved_space () =
+  let rec pow b = function 0 -> 1 | e -> b * pow b (e - 1) in
+  List.iter
+    (fun k ->
+      let clients =
+        List.init k (fun i ->
+            (Scenarios.Hotel.plan1, (Fmt.str "c%d" i, Scenarios.Hotel.client1)))
+      in
+      let s = Netcheck.explore_interleaved repo clients in
+      Alcotest.(check (pair int int))
+        (Fmt.str "%d clients: states, transitions" k)
+        (pow 13 k, k * 14 * pow 13 (k - 1))
+        (s.Netcheck.states, s.Netcheck.transitions))
+    [ 1; 2; 3 ]
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "failure reasons for C1 (E4)" `Quick
+        test_plan_failures_c1;
+      Alcotest.test_case "plans vs repository size (B2)" `Quick
+        test_plans_vs_repository_size;
+      Alcotest.test_case "interleaved state space (B4)" `Quick
+        test_interleaved_space;
+    ]

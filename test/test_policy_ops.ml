@@ -49,9 +49,25 @@ let test_conj_same_automaton_different_actuals () =
 
 let test_conj_all () =
   Alcotest.(check bool) "empty" true (Usage.Policy_ops.conj_all [] = None);
-  match Usage.Policy_ops.conj_all [ never_z ] with
+  (match Usage.Policy_ops.conj_all [ never_z ] with
   | Some p -> Alcotest.(check string) "singleton" "never_z()" (Usage.Policy.id p)
-  | None -> Alcotest.fail "singleton must conjoin"
+  | None -> Alcotest.fail "singleton must conjoin");
+  (* B7: one conjoined automaton decides what four separate framings
+     decide, on a 64-event trace and on the same trace with a u *)
+  let policies =
+    List.map
+      (fun e -> Usage.Policy_lib.instantiate0 (Usage.Policy_lib.never e))
+      [ "u"; "v"; "w"; "q" ]
+  in
+  let conj = Option.get (Usage.Policy_ops.conj_all policies) in
+  let trace = List.init 64 (fun i -> ev (Printf.sprintf "e%d" (i mod 7))) in
+  List.iter
+    (fun (name, tr, expected) ->
+      Alcotest.(check bool) (name ^ ": separate checks") expected
+        (List.for_all (fun p -> Usage.Policy.respects p tr) policies);
+      Alcotest.(check bool) (name ^ ": conjunction agrees") expected
+        (Usage.Policy.respects conj tr))
+    [ ("64 events", trace, true); ("64 events and a u", trace @ [ ev "u" ], false) ]
 
 let test_event_names () =
   Alcotest.(check (list string)) "names" [ "z" ]

@@ -909,6 +909,66 @@ let test_ladder_crash_resume () =
     Sys.remove jpath
   done
 
+(* ------------------------------------------------------------------ *)
+(* B9: recovery vs journal length on the churn workload *)
+
+(* Journal 60, 120 and 240 seeded churn requests, snapshot at 3/4 of the
+   run, then recover twice: by full journal replay and from the snapshot
+   plus the journal suffix. Every client's next serve must render
+   byte-identically on both recovered brokers and the uninterrupted
+   one (the three serves evolve them in lockstep). *)
+let test_recovery_vs_journal_length () =
+  List.iter
+    (fun n ->
+      let items, _ =
+        Testkit.Workload.generate
+          {
+            (Testkit.Workload.default ~clients:Scenarios.Churn.clients
+               ~spares:Scenarios.Churn.spares ~noise:Scenarios.Churn.noise)
+            with
+            Testkit.Workload.requests = n;
+          }
+      in
+      let reqs = submits items in
+      let jpath, broker, _ = journaled_run reqs in
+      (* the comparison serves below must not hit the closed writer *)
+      Broker.set_journal broker None;
+      let snap_at = 3 * List.length reqs / 4 in
+      let spath = tmpfile () in
+      let at_snapshot = Broker.create Scenarios.Churn.repo in
+      List.iteri
+        (fun i r -> if i < snap_at then ignore (Broker.process at_snapshot r))
+        reqs;
+      Broker.Recovery.write ~hexpr_to_string spath
+        (Broker.Recovery.snapshot_of at_snapshot ~upto:snap_at);
+      let recover ?snapshot () =
+        match
+          Broker.Recovery.recover ~hexpr_of_string ?snapshot ~journal:jpath
+            Scenarios.Churn.repo
+        with
+        | Error msg -> Alcotest.failf "%d requests: recovery failed: %s" n msg
+        | Ok (b, _) -> b
+      in
+      let full = recover () and from_snapshot = recover ~snapshot:spath () in
+      let serve b client =
+        Fmt.str "%a" Broker.pp_outcome
+          (Broker.process b (Broker.Serve { client })).Broker.outcome
+      in
+      List.iter
+        (fun (client, _) ->
+          let want = serve broker client in
+          Alcotest.(check string)
+            (Fmt.str "%d requests, %s: full replay" n client)
+            want (serve full client);
+          Alcotest.(check string)
+            (Fmt.str "%d requests, %s: snapshot at %d" n client snap_at)
+            want
+            (serve from_snapshot client))
+        (Broker.clients broker);
+      Sys.remove jpath;
+      Sys.remove spath)
+    [ 60; 120; 240 ]
+
 let suite =
   [
     Alcotest.test_case "request codec round trips" `Quick test_codec_roundtrip;
@@ -933,4 +993,6 @@ let suite =
     Alcotest.test_case "crash mid repair-ladder recovers byte-identically"
       `Quick test_ladder_crash_resume;
     QCheck_alcotest.to_alcotest prop_chaos_recovery;
+    Alcotest.test_case "recovery vs journal length (B9)" `Quick
+      test_recovery_vs_journal_length;
   ]

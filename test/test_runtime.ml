@@ -296,6 +296,38 @@ let test_determinism () =
   Alcotest.(check int) "same fault count" a.Runtime.Engine.faults_injected
     b.Runtime.Engine.faults_injected
 
+(* B5: the degraded-mode outcome mix. The loose scenario wedges whenever
+   the scheduler takes [avail]; over the same 100 seeded runs with a 5%
+   drop rate on [req], strict admission leaves those runs stuck, while
+   affectible admission retracts each wedge to the [open] checkpoint,
+   never hard-fails, and completes more runs. *)
+let test_loose_outcome_mix () =
+  let sweep level =
+    let completed = ref 0 and stuck = ref 0 and rollbacks = ref 0 in
+    for seed = 1 to 100 do
+      let r =
+        Runtime.Engine.run ~level
+          ~faults:[ Faults.rate 0.05 (Faults.Drop "req") ]
+          ~seed Scenarios.Loose.repo loose_clients (Simulate.random ~seed)
+      in
+      rollbacks := !rollbacks + r.Runtime.Engine.rollbacks;
+      match r.Runtime.Engine.trace.Simulate.outcome with
+      | Simulate.Completed -> incr completed
+      | Simulate.Stuck _ -> incr stuck
+      | Simulate.Degraded _ | Simulate.Out_of_fuel | Simulate.Stopped -> ()
+    done;
+    (!completed, !stuck, !rollbacks)
+  in
+  let strict_completed, _, _ = sweep Compliance.Strict in
+  let completed, stuck, rollbacks = sweep Compliance.Affectible in
+  Alcotest.(check int) "no hard failure under affectible admission" 0 stuck;
+  Alcotest.(check bool) "wedges were retracted" true (rollbacks > 0);
+  Alcotest.(check bool)
+    (Fmt.str "retraction completes more runs (%d vs %d strict)" completed
+       strict_completed)
+    true
+    (completed > strict_completed)
+
 let suite =
   [
     Alcotest.test_case "zero faults: hotel identity" `Quick
@@ -322,4 +354,6 @@ let suite =
     Alcotest.test_case "fault spec round-trip" `Quick test_parse_roundtrip;
     Alcotest.test_case "circuit breaker" `Quick test_breaker;
     Alcotest.test_case "seeded runs are reproducible" `Quick test_determinism;
+    Alcotest.test_case "loose scenario outcome mix (B5)" `Quick
+      test_loose_outcome_mix;
   ]

@@ -230,6 +230,58 @@ let ladder_fired acked =
       | _ -> false)
     acked
 
+(* Replay each shard's journal against a fresh engine: every response
+   the pool acked from that shard must come back byte-identical (acked
+   is completion-ordered across shards, the journal is the per-shard
+   order, so replies are matched by seq), and every verdict the
+   recovered engine caches must match the cold oracle at its recorded
+   level. One assertion per shard and property, naming the offending
+   seqs or clients, keeps a 3000-request run's log short. Returns the
+   recovered engines. *)
+let check_journal_replay ~admission paths acked =
+  let render r = Fmt.str "%a" Broker.pp_response r in
+  Array.mapi
+    (fun i path ->
+      let fresh = Broker.create ~admission Scenarios.Churn.repo in
+      let by_seq = Hashtbl.create 256 in
+      List.iter
+        (fun (e : Broker.Journal.entry) ->
+          let r =
+            if e.shed then Broker.replay_shed fresh ~seq:e.seq e.request
+            else if e.rescued then
+              Broker.replay_rescue fresh ~seq:e.seq ~level:e.level e.request
+            else Broker.replay fresh ~seq:e.seq ~level:e.level e.request
+          in
+          Hashtbl.replace by_seq r.Broker.seq (render r))
+        (read_entries path).Broker.Journal.entries;
+      Alcotest.(check (list int))
+        (Fmt.str "shard %d: acked seqs missing from or changed by replay" i)
+        []
+        (List.filter_map
+           (fun (shard, (r : Broker.response)) ->
+             if shard <> i then None
+             else
+               match Hashtbl.find_opt by_seq r.Broker.seq with
+               | Some s when String.equal s (render r) -> None
+               | _ -> Some r.Broker.seq)
+           acked);
+      Alcotest.(check (list string))
+        (Fmt.str "shard %d: clients not oracle-clean at their level" i)
+        []
+        (List.filter_map
+           (fun (client, level) ->
+             let body = List.assoc client (Broker.clients fresh) in
+             let oracle =
+               Broker.Oracle.serve ~level (Broker.repo fresh)
+                 ~client:(client, body)
+             in
+             match Broker.cached_verdict fresh client with
+             | Some (v, _) when Broker.verdict_equal v oracle -> None
+             | _ -> Some client)
+           (Broker.served_clients fresh));
+      fresh)
+    paths
+
 let test_shard_merge_replay () =
   let shards = 3 in
   let admission =
@@ -257,62 +309,17 @@ let test_shard_merge_replay () =
     (List.length acked);
   Alcotest.(check bool) "the ladder fired under pressure" true
     (ladder_fired acked);
-  for i = 0 to shards - 1 do
-    let entries = (read_entries paths.(i)).Broker.Journal.entries in
-    (* replay the journal against a fresh engine: every response the
-       live shard acked must come back byte-identical *)
-    let fresh = Broker.create ~admission Scenarios.Churn.repo in
-    let replayed =
-      List.map
-        (fun (e : Broker.Journal.entry) ->
-          if e.shed then Broker.replay_shed fresh ~seq:e.seq e.request
-          else if e.rescued then
-            Broker.replay_rescue fresh ~seq:e.seq ~level:e.level e.request
-          else Broker.replay fresh ~seq:e.seq ~level:e.level e.request)
-        entries
-    in
-    let live =
-      List.filter (fun (s, _) -> s = i) acked |> List.map snd
-    in
-    (* acked is completion-ordered across shards; the journal is the
-       per-shard order. Index replayed responses by seq. *)
-    let by_seq =
-      List.map (fun (r : Broker.response) -> (r.Broker.seq, r)) replayed
-    in
-    List.iter
-      (fun (r : Broker.response) ->
-        match List.assoc_opt r.Broker.seq by_seq with
-        | None ->
-            Alcotest.failf "shard %d: acked seq %d missing from journal" i
-              r.Broker.seq
-        | Some r' ->
-            Alcotest.(check string)
-              (Fmt.str "shard %d seq %d byte-identical" i r.Broker.seq)
-              (Fmt.str "%a" Broker.pp_response r)
-              (Fmt.str "%a" Broker.pp_response r'))
-      live;
-    (* the recovered engine equals the stopped shard: same repo render,
-       same next seq, and every cached verdict oracle-clean *)
-    let original = Broker.Shard.engine pool i in
-    Alcotest.(check int)
-      (Fmt.str "shard %d seq resumes" i)
-      (Broker.seq original) (Broker.seq fresh);
-    List.iter
-      (fun (client, level) ->
-        let body = List.assoc client (Broker.clients fresh) in
-        let oracle =
-          Broker.Oracle.serve ~level (Broker.repo fresh) ~client:(client, body)
-        in
-        match Broker.cached_verdict fresh client with
-        | Some (v, _) ->
-            Alcotest.(check bool)
-              (Fmt.str "shard %d %s oracle-clean at its level" i client)
-              true
-              (Broker.verdict_equal v oracle)
-        | None -> Alcotest.failf "shard %d: %s lost its verdict" i client)
-      (Broker.served_clients fresh);
-    Sys.remove paths.(i)
-  done
+  (* the recovered engine equals the stopped shard: every reply, the
+     next seq, and every cached verdict oracle-clean *)
+  let recovered = check_journal_replay ~admission paths acked in
+  Array.iteri
+    (fun i fresh ->
+      Alcotest.(check int)
+        (Fmt.str "shard %d seq resumes" i)
+        (Broker.seq (Broker.Shard.engine pool i))
+        (Broker.seq fresh))
+    recovered;
+  Array.iter Sys.remove paths
 
 (* Crash at every batch boundary of every shard's journal: recovery
    from each prefix must succeed and leave an oracle-clean broker —
@@ -766,6 +773,110 @@ let test_net_slow_neighbour () =
     [ slow_fd; quick_fd ];
   Domain.join d
 
+(* ------------------------------------------------------------------ *)
+(* B10: the closed-loop churn workload across shard counts *)
+
+(* 3000 seeded churn requests without a hot key, over 16 clients that
+   cycle through the churn scenario's three bodies, partitioned into 16
+   client-affine streams. *)
+let closed_loop_streams () =
+  let clients =
+    List.init 16 (fun i ->
+        let name, body = List.nth Scenarios.Churn.clients (i mod 3) in
+        (Fmt.str "%s_x%d" name i, body))
+  in
+  let items, _ =
+    Testkit.Workload.generate
+      {
+        (Testkit.Workload.default ~clients ~spares:Scenarios.Churn.spares
+           ~noise:Scenarios.Churn.noise)
+        with
+        Testkit.Workload.requests = 3000;
+        hot = 0.0;
+      }
+  in
+  Broker.Script.partition ~streams:16 items
+
+(* Drive [streams] closed-loop through a pool of [shards] journaling with
+   [batch]: each ack submits its stream's next request, so at most one
+   request per stream is in flight and a queue of 64 never sheds. Every
+   stream starts from inside the first ack, and a shard stays busy while
+   its callbacks run, so on one shard each cycle runs exactly what the
+   previous cycle's callbacks submitted: the flush count depends on the
+   workload, not on the scheduler. Then every ack must survive journal
+   replay ([check_journal_replay]). *)
+let run_closed_loop ~batch ~shards streams =
+  let admission =
+    { Broker.queue_capacity = 64; plan_budget = 64; floor = Compliance.Strict }
+  in
+  let paths = Array.init shards (fun _ -> tmpfile ()) in
+  let pool =
+    Broker.Shard.create ~admission
+      ~journal:(fun i -> Broker.Journal.create ~hexpr_to_string ~batch paths.(i))
+      ~shards Scenarios.Churn.repo
+  in
+  let total = Array.fold_left (fun n s -> n + List.length s) 0 streams in
+  let lock = Mutex.create () in
+  let acked = ref [] in
+  let ack ~shard resp =
+    Mutex.protect lock (fun () -> acked := (shard, resp) :: !acked)
+  in
+  let rec launch = function
+    | [] -> ()
+    | r :: rest ->
+        Broker.Shard.submit pool r ~callback:(fun ~shard resp ->
+            ack ~shard resp;
+            launch rest)
+  in
+  (match streams.(0) with
+  | [] -> Alcotest.fail "stream 0 is empty, yet it carries the mutations"
+  | r :: rest ->
+      Broker.Shard.submit pool r ~callback:(fun ~shard resp ->
+          ack ~shard resp;
+          for i = 1 to Array.length streams - 1 do
+            launch streams.(i)
+          done;
+          launch rest));
+  (* every submission after the first comes from a callback that acked
+     first, so a drain without a new ack means the pool went quiet *)
+  let rec wait seen =
+    Broker.Shard.drain pool;
+    let now = Mutex.protect lock (fun () -> List.length !acked) in
+    if now < total then
+      if now = seen then Alcotest.failf "%d of %d requests acked" now total
+      else wait now
+  in
+  wait (-1);
+  Broker.Shard.stop pool;
+  Alcotest.(check int)
+    (Fmt.str "every request acked (%d shards, batch %d)" shards batch)
+    total (List.length !acked);
+  ignore (check_journal_replay ~admission paths !acked);
+  Array.iter Sys.remove paths
+
+(* Replay holds at every shard count; on one shard, group commit with
+   batch 16 must at least halve the flushes of flush-per-append batch 1
+   on the same workload. *)
+let test_closed_loop () =
+  let streams = closed_loop_streams () in
+  let flushes batch =
+    Obs.Metrics.install ();
+    Fun.protect ~finally:Obs.Metrics.uninstall @@ fun () ->
+    run_closed_loop ~batch ~shards:1 streams;
+    Option.value ~default:0
+      (List.assoc_opt "broker.journal.group_commit.flushes"
+         (Obs.Metrics.snapshot ()).Obs.Metrics.counters)
+  in
+  let f16 = flushes 16 in
+  List.iter
+    (fun shards -> run_closed_loop ~batch:16 ~shards streams)
+    [ 2; 4; 8 ];
+  let f1 = flushes 1 in
+  Alcotest.(check bool)
+    (Fmt.str "batch 16 flushes <= half of batch 1 (%d vs %d)" f16 f1)
+    true
+    (f16 * 2 <= f1)
+
 let suite =
   [
     Alcotest.test_case "route: pinned values, stability" `Quick
@@ -804,4 +915,6 @@ let suite =
     Alcotest.test_case "socket front end: a slow request holds up no other \
                         connection"
       `Quick test_net_slow_neighbour;
+    Alcotest.test_case "closed-loop shards: replay and group commit (B10)"
+      `Quick test_closed_loop;
   ]

@@ -176,6 +176,28 @@ let prop_valid_prefix_closed =
       QCheck.assume (Validity.valid h);
       List.for_all Validity.valid (History.prefixes h))
 
+(* E3 (§2): a hotel H respects a client's policy φ iff φ[H] is
+   statically valid — every trace of events H may fire satisfies φ. *)
+let test_hotels_against_policies () =
+  let respects phi h = Result.is_ok (Validity.check_expr (Hexpr.frame phi h)) in
+  List.iter
+    (fun (loc, under_phi1, under_phi2) ->
+      let h = List.assoc loc Scenarios.Hotel.hotels in
+      Alcotest.(check bool)
+        (loc ^ " under phi1 (client C1)")
+        under_phi1
+        (respects Scenarios.Hotel.phi1 h);
+      Alcotest.(check bool)
+        (loc ^ " under phi2 (client C2)")
+        under_phi2
+        (respects Scenarios.Hotel.phi2 h))
+    [
+      ("s1", false, false);
+      ("s2", true, true);
+      ("s3", true, false);
+      ("s4", false, true);
+    ]
+
 let suite =
   [
     Alcotest.test_case "flatten and active" `Quick test_flatten_active;
@@ -195,4 +217,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_check_agrees_with_valid;
     QCheck_alcotest.to_alcotest prop_abstract_agrees;
     QCheck_alcotest.to_alcotest prop_valid_prefix_closed;
+    Alcotest.test_case "hotels against the clients' policies (E3)" `Quick
+      test_hotels_against_policies;
   ]
