@@ -1118,28 +1118,15 @@ let serve_cmd =
                     b)
       in
       if recover then begin
-        (* the sharded recovery contract: every recovered verdict must
-           equal a cold planner run at its recorded level on the
-           recovered repository replica *)
         let checked = ref 0 and mismatches = ref 0 in
         Array.iteri
           (fun i b ->
+            checked := !checked + List.length (Broker.served_clients b);
             List.iter
-              (fun (c, level) ->
-                match List.assoc_opt c (Broker.clients b) with
-                | None -> ()
-                | Some body -> (
-                    incr checked;
-                    let oracle =
-                      Broker.Oracle.serve ~level (Broker.repo b)
-                        ~client:(c, body)
-                    in
-                    match Broker.cached_verdict b c with
-                    | Some (v, _) when Broker.verdict_equal v oracle -> ()
-                    | _ ->
-                        incr mismatches;
-                        Fmt.epr "MISMATCH shard %d client %s@." i c))
-              (Broker.served_clients b))
+              (fun c ->
+                incr mismatches;
+                Fmt.epr "MISMATCH shard %d client %s@." i c)
+              (Broker.Recovery.check_oracle b))
           engines;
         Fmt.epr
           "-- %d recovered verdicts checked against the cold oracle, %d \
@@ -1307,96 +1294,50 @@ let serve_cmd =
             Broker.Journal.create ~hexpr_to_string ~append:recover ~batch j)
           journal
       in
-      let logged =
-        ref
-          (match recovered with
-          | Some r -> r.Broker.Recovery.entries
-          | None -> 0)
-      in
-      let accepted =
-        ref
-          (match recovered with
-          | Some r -> r.Broker.Recovery.entries - r.Broker.Recovery.sheds
-          | None -> 0)
+      (* [accepted] counts processed events (the fault trigger and the
+         snapshot cadence); journal entries are the recovered ones plus
+         those appended since *)
+      let recovered_entries, accepted =
+        match recovered with
+        | Some r ->
+            ( r.Broker.Recovery.entries,
+              ref (r.Broker.Recovery.entries - r.Broker.Recovery.sheds) )
+        | None -> (0, ref 0)
       in
       let last_snap = ref !accepted in
-      (* submission indices of the queued-but-unprocessed requests,
-         mirroring the broker's FIFO: the write-ahead hook pops the
-         index the processed request was submitted under *)
-      let pending = Queue.create () in
       let exception Crashed of Runtime.Faults.serve_kind in
-      let hook ~seq ~level request =
-        (match Runtime.Faults.serve_fires sfaults ~accepted:!accepted with
+      let accept () =
+        match Runtime.Faults.serve_fires sfaults ~accepted:!accepted with
         | Some k -> raise (Crashed k)
-        | None -> ());
-        let submit = Queue.pop pending in
-        Option.iter
-          (fun w ->
-            Broker.Journal.append w
-              {
-                Broker.Journal.seq;
-                submit;
-                shed = false;
-                rescued = false;
-                level;
-                request;
-              };
-            incr logged)
-          writer;
-        incr accepted
+        | None -> incr accepted
       in
-      if Option.is_some writer || sfaults <> [] then
-        Broker.set_journal broker (Some hook);
-      let maybe_snapshot () =
-        match journal with
-        | Some j when snapshot_every > 0 && !accepted - !last_snap >= snapshot_every
-          ->
+      let after () =
+        match (journal, writer) with
+        | Some j, Some w
+          when snapshot_every > 0 && !accepted - !last_snap >= snapshot_every ->
             (* the snapshot's [upto] claims those entries are on disk,
                so a group-commit buffer must be flushed first *)
-            Option.iter Broker.Journal.flush writer;
+            Broker.Journal.flush w;
             Broker.Recovery.write ~hexpr_to_string (j ^ ".snapshot")
-              (Broker.Recovery.snapshot_of broker ~upto:!logged);
+              (Broker.Recovery.snapshot_of broker
+                 ~upto:(recovered_entries + Broker.Journal.appended w));
             last_snap := !accepted
         | _ -> ()
       in
       let responses = ref [] in
-      let crashed = ref None in
-      let push r = responses := r :: !responses in
-      let rec drain_steps () =
-        match Broker.step broker with
-        | None -> ()
-        | Some r ->
-            push r;
-            drain_steps ()
+      let crashed =
+        match
+          Broker.Journal.run
+            (Broker.Journal.feed ?writer ~accept broker)
+            ~after
+            ~emit:(fun r -> responses := r :: !responses)
+            items
+        with
+        | () -> None
+        | exception Crashed k -> Some k
       in
-      (try
-         List.iter
-           (fun (idx, item) ->
-             (match item with
-             | Broker.Script.Submit r -> (
-                 match Broker.submit broker r with
-                 | None -> Queue.add idx pending
-                 | Some resp ->
-                     (* a full-queue answer consumed this submission
-                        and a sequence number, so journal a marker —
-                        otherwise --recover would re-submit it *)
-                     Option.iter
-                       (fun w ->
-                         Broker.Journal.append w
-                           (Broker.Journal.submit_answer broker ~submit:idx r
-                              resp);
-                         incr logged)
-                       writer;
-                     push resp)
-             | Broker.Script.Tick -> Option.iter push (Broker.step broker)
-             | Broker.Script.Drain -> drain_steps ());
-             maybe_snapshot ())
-           items;
-         drain_steps ()
-       with Crashed k -> crashed := Some k);
-      (match !crashed with
-      | Some Runtime.Faults.Torn_write ->
-          Option.iter Broker.Journal.tear writer
+      (match (crashed, writer) with
+      | Some Runtime.Faults.Torn_write, Some w -> Broker.Journal.tear w
       | _ -> ());
       Option.iter Broker.Journal.close writer;
       let responses = List.rev !responses in
@@ -1414,7 +1355,7 @@ let serve_cmd =
         List.iter (fun r -> Fmt.pr "%a@." Broker.pp_response r) responses;
         Fmt.pr "-- %a@." Broker.pp_stats stats
       end;
-      (match !crashed with
+      (match crashed with
       | None -> 0
       | Some k ->
           Fmt.epr "-- crashed (%s) after %d accepted events%s@."

@@ -309,41 +309,15 @@ let retire_contract t h =
 (* ---- serving --------------------------------------------------------- *)
 
 let entry_of_verdict t name (s : session) ~level verdict =
-  let locs, contracts =
+  let locs =
     match verdict with
-    | Index.No_plan -> ([], [])
+    | Index.No_plan -> []
     | Index.Valid (r : Planner.report) ->
-        let locs =
-          Plan.bindings r.Planner.plan
-          |> List.map snd
-          |> List.sort_uniq String.compare
-        in
-        let contracts =
-          List.filter_map
-            (fun l ->
-              match List.assoc_opt l t.repo with
-              | None -> None
-              | Some h -> (
-                  match Contract.project h with
-                  | exception Contract.Unprojectable _ -> None
-                  | c -> Some c))
-            locs
-        in
-        (locs, contracts)
+        Plan.bindings r.Planner.plan
+        |> List.map snd
+        |> List.sort_uniq String.compare
   in
-  let contracts =
-    match Contract.project s.body with
-    | exception Contract.Unprojectable _ -> contracts
-    | c -> c :: contracts
-  in
-  {
-    Index.client = name;
-    verdict;
-    level;
-    locs;
-    contracts;
-    policies = universe_of t s;
-  }
+  { Index.client = name; verdict; level; locs; policies = universe_of t s }
 
 (* The budgeted first-valid search at one admission level. [store]
    decides whether a settled verdict is cached: the queued serve path
@@ -482,51 +456,18 @@ let apply t ~level = function
           t.repo_policies <- new_repo_policies;
           if not (Hexpr.equal old service) then retire_contract t old;
           Ack)
-  | Orchestrate { client } -> (
-      (* the admission path of the orchestration tier: serve-first (the
-         cached 1:1 answer keeps its oracle and invalidation contract),
-         synthesis only on No_plan. Synthesis answers are deterministic
-         and recomputed per request — never cached in the index, so the
-         invalidation and recovery contracts are untouched. *)
-      Obs.Metrics.incr "broker.orchestrate.requests";
-      match List.assoc_opt client t.sessions with
-      | None -> Rejected (Unknown_client client)
-      | Some s -> (
-          match serve t ~level client with
-          | Rejected No_plan -> (
-              match
-                Orchestration.Orchestrate.synthesize_client t.repo
-                  ~client:(client, s.body)
-              with
-              | Ok o ->
-                  let coalitions =
-                    List.map
-                      (fun (c : Orchestration.Orchestrate.coalition) ->
-                        (c.rid, c.members))
-                      o.Orchestration.Orchestrate.coalitions
-                  in
-                  let states, transitions =
-                    List.fold_left
-                      (fun (st, tr) (c : Orchestration.Orchestrate.coalition) ->
-                        ( st + c.controller.Orchestration.Controller.states,
-                          tr + c.controller.Orchestration.Controller.transitions
-                        ))
-                      (0, 0) o.Orchestration.Orchestrate.coalitions
-                  in
-                  Orchestrated { coalitions; states; transitions }
-              | Error d ->
-                  Rejected
-                    (No_orchestration
-                       (Fmt.str "%a" Orchestration.Orchestrate.pp_declined d)))
-          | o -> o))
-  | Mediate { client } -> (
-      (* the full repair ladder as an admission path: serve-first
-         (cached, oracle-equal), coalition synthesis second, adapter
+  | (Orchestrate { client } | Mediate { client }) as request -> (
+      (* the repair ladder as an admission path: serve-first (the cached
+         1:1 answer keeps its oracle and invalidation contract),
+         coalition synthesis on No_plan, and for [Mediate] adapter
          synthesis last — only then a decline, carrying both traces.
          The synthesis rungs are deterministic and recomputed per
          request, never cached in the index, so the invalidation and
          recovery contracts are untouched. *)
-      Obs.Metrics.incr "broker.mediate.requests";
+      let mediate = match request with Mediate _ -> true | _ -> false in
+      Obs.Metrics.incr
+        (if mediate then "broker.mediate.requests"
+         else "broker.orchestrate.requests");
       match List.assoc_opt client t.sessions with
       | None -> Rejected (Unknown_client client)
       | Some s -> (
@@ -552,6 +493,10 @@ let apply t ~level = function
                       (0, 0) o.Orchestration.Orchestrate.coalitions
                   in
                   Orchestrated { coalitions; states; transitions }
+              | Error d when not mediate ->
+                  Rejected
+                    (No_orchestration
+                       (Fmt.str "%a" Orchestration.Orchestrate.pp_declined d))
               | Error coalition -> (
                   match
                     Mediator.Repair.heal t.repo ~client:(client, s.body)

@@ -4,7 +4,7 @@
 
     Where the one-shot tools ([Planner.valid_plans], [susf plan])
     recompute everything per invocation, the broker caches each
-    client's verdict in an {!Index} with reverse-dependency maps, and a
+    client's verdict in an {!Index} keyed by client, and a
     repository mutation invalidates {e only} the dependent entries —
     re-serving an unaffected client is a cache hit that never calls
     [Planner.analyze]. The invalidation contract (which mutations drop
@@ -235,12 +235,13 @@ val process : t -> request -> response
 
 (** {1 Durability hooks}
 
-    The primitives {!Journal} and {!Recovery} are built on. Shed
-    submissions never reach the hook — they mutate nothing — but they
-    {e do} consume a sequence number and a script submission, so a
-    journaling serve loop records them itself, at submit time, from the
-    [Rejected Shed] response ({!submit}'s [Some] return); recovery
-    restores their numbering with {!replay_shed}. *)
+    The primitives {!Journal} and {!Recovery} are built on. Serving
+    loops reach them through the one journaled feed ({!Journal.feed}):
+    it owns the write-ahead hook, and it journals full-queue answers
+    itself, at submit time — a shed or rescue never reaches the hook,
+    but it {e does} consume a sequence number and a submission.
+    {!Journal.replay} hands each journal entry back to {!replay},
+    {!replay_shed} or {!replay_rescue}. *)
 
 val seq : t -> int
 (** The sequence number the next processed request will be answered
@@ -264,9 +265,9 @@ val served_clients : t -> (string * Compliance.level) list
     which verdicts to rebuild, and at which level. *)
 
 val cached_verdict : t -> string -> (Index.verdict * Compliance.level) option
-(** The live index entry for this client, if any — what recovery
-    verification compares against {!Oracle.serve} at the recorded
-    level. *)
+(** The live index entry for this client, if any — what
+    {!Recovery.check_oracle} compares against {!Oracle.serve} at the
+    recorded level. *)
 
 val restore :
   ?admission:admission ->

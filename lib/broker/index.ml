@@ -7,36 +7,27 @@ type entry = {
   verdict : verdict;
   level : Compliance.level;
   locs : string list;
-  contracts : Contract.t list;
   policies : string list;
 }
 
 type t = {
   entries : (string, entry) Hashtbl.t;
   by_loc : (string, string list ref) Hashtbl.t;
-  by_contract : (int, string list ref) Hashtbl.t;
-  by_policy : (string, string list ref) Hashtbl.t;
 }
 
-let create () =
-  {
-    entries = Hashtbl.create 64;
-    by_loc = Hashtbl.create 64;
-    by_contract = Hashtbl.create 64;
-    by_policy = Hashtbl.create 64;
-  }
+let create () = { entries = Hashtbl.create 64; by_loc = Hashtbl.create 64 }
 
-let link tbl k client =
-  match Hashtbl.find_opt tbl k with
+let link t loc client =
+  match Hashtbl.find_opt t.by_loc loc with
   | Some cell -> if not (List.mem client !cell) then cell := client :: !cell
-  | None -> Hashtbl.replace tbl k (ref [ client ])
+  | None -> Hashtbl.replace t.by_loc loc (ref [ client ])
 
-let unlink tbl k client =
-  match Hashtbl.find_opt tbl k with
+let unlink t loc client =
+  match Hashtbl.find_opt t.by_loc loc with
   | None -> ()
   | Some cell ->
       cell := List.filter (fun c -> c <> client) !cell;
-      if !cell = [] then Hashtbl.remove tbl k
+      if !cell = [] then Hashtbl.remove t.by_loc loc
 
 let find t client = Hashtbl.find_opt t.entries client
 
@@ -45,28 +36,18 @@ let drop t client =
   | None -> false
   | Some e ->
       Hashtbl.remove t.entries client;
-      List.iter (fun l -> unlink t.by_loc l client) e.locs;
-      List.iter
-        (fun c -> unlink t.by_contract (Contract.id c) client)
-        e.contracts;
-      List.iter (fun p -> unlink t.by_policy p client) e.policies;
+      List.iter (fun l -> unlink t l client) e.locs;
       true
 
 let store t e =
   ignore (drop t e.client);
   Hashtbl.replace t.entries e.client e;
-  List.iter (fun l -> link t.by_loc l e.client) e.locs;
-  List.iter (fun c -> link t.by_contract (Contract.id c) e.client) e.contracts;
-  List.iter (fun p -> link t.by_policy p e.client) e.policies
+  List.iter (fun l -> link t l e.client) e.locs
 
-let deps tbl k =
-  match Hashtbl.find_opt tbl k with
+let clients_of_loc t loc =
+  match Hashtbl.find_opt t.by_loc loc with
   | None -> []
   | Some cell -> List.sort String.compare !cell
-
-let clients_of_loc t loc = deps t.by_loc loc
-let clients_of_contract t id = deps t.by_contract id
-let clients_of_policy t p = deps t.by_policy p
 
 let fold t f init = Hashtbl.fold (fun _ e acc -> f acc e) t.entries init
 let size t = Hashtbl.length t.entries

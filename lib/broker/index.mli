@@ -1,14 +1,12 @@
 (** The broker's incremental verdict index: cached planner verdicts
-    keyed by client, with {e reverse-dependency maps} from the things a
-    verdict was computed from — service locations, hash-consed contract
-    ids, policy names — back to the entries that used them. A
-    repository mutation invalidates exactly the dependent entries;
-    everything else keeps serving from cache.
-
-    The index stores facts, the {!Broker} decides staleness: see
-    [docs/BROKER.md] for the invalidation contract (which mutations
-    must drop which entries, and why that is exactly the set a
-    cold-start planner could answer differently on). *)
+    keyed by client, with a {e reverse-dependency map} from each
+    plan-bound service location back to the entries whose plans bind
+    it. The {!Broker} decides staleness: a mutation drops the entries
+    bound to a touched location ({!clients_of_loc}), then scans every
+    surviving entry for a changed policy universe or a newly relevant
+    service — see [docs/BROKER.md] for the invalidation contract
+    (which mutations must drop which entries, and why that is exactly
+    the set a cold-start planner could answer differently on). *)
 
 open Core
 
@@ -28,10 +26,6 @@ type entry = {
   locs : string list;
       (** plan-bound service locations the analysis consulted
           (empty for [No_plan]) *)
-  contracts : Contract.t list;
-      (** the projected contracts the analysis consulted (client and
-          bound services) — holding the values here {e roots} them, so
-          their hash-consing ids stay valid reverse-map keys *)
   policies : string list;
       (** the policy universe (ids) the netcheck ran under *)
 }
@@ -48,9 +42,7 @@ val drop : t -> string -> bool
     [true] if one was present. *)
 
 val clients_of_loc : t -> string -> string list
-val clients_of_contract : t -> int -> string list
-val clients_of_policy : t -> string -> string list
-(** Who depends on this location / contract id / policy name. *)
+(** The clients whose cached plan binds this location, sorted. *)
 
 val fold : t -> ('a -> entry -> 'a) -> 'a -> 'a
 val size : t -> int

@@ -252,3 +252,76 @@ let drop_torn_tail path =
       Out_channel.with_open_bin tmp (fun oc ->
           Out_channel.output_string oc keep);
       Sys.rename tmp path
+
+(* ---- the journaled feed ----------------------------------------------- *)
+
+(* The write-ahead contract, written once: every event that consumes a
+   sequence number is journaled under the index of the submission that
+   carried it. Processed events reach the journal through the engine's
+   hook, which pops the index their request was queued under; a
+   full-queue answer never reaches the hook, so it is journaled here,
+   at submit time. *)
+type feed = {
+  engine : Engine.t;
+  writer : writer option;
+  pending : int Queue.t;
+      (* submission indices of the requests in the engine's FIFO, front
+         first — kept only with a writer, whose hook pops them *)
+}
+
+let feed ?writer ?accept engine =
+  let pending = Queue.create () in
+  let hook ~seq ~level request =
+    (match accept with Some accept -> accept () | None -> ());
+    match writer with
+    | Some w ->
+        append w
+          { seq; submit = Queue.pop pending; shed = false; rescued = false;
+            level; request }
+    | None -> ()
+  in
+  Engine.set_journal engine
+    (if Option.is_none writer && Option.is_none accept then None
+     else Some hook);
+  { engine; writer; pending }
+
+let submit f ~submit request =
+  match Engine.submit f.engine request with
+  | None ->
+      if Option.is_some f.writer then Queue.add submit f.pending;
+      None
+  | Some resp as answer ->
+      Option.iter
+        (fun w -> append w (submit_answer f.engine ~submit request resp))
+        f.writer;
+      answer
+
+let process f ~submit request =
+  if Option.is_some f.writer then Queue.add submit f.pending;
+  Engine.process f.engine request
+
+let run f ?(after = ignore) ~emit items =
+  (* one response per step, emitted as it is produced: a crash inside a
+     drain must not lose the responses that drain already produced *)
+  let rec drain () =
+    match Engine.step f.engine with
+    | None -> ()
+    | Some r ->
+        emit r;
+        drain ()
+  in
+  List.iter
+    (fun (index, item) ->
+      (match item with
+      | Script.Submit r -> Option.iter emit (submit f ~submit:index r)
+      | Script.Tick -> Option.iter emit (Engine.step f.engine)
+      | Script.Drain -> drain ());
+      after ())
+    items;
+  drain ()
+
+let replay engine e =
+  if e.shed then Engine.replay_shed engine ~seq:e.seq e.request
+  else if e.rescued then
+    Engine.replay_rescue engine ~seq:e.seq ~level:e.level e.request
+  else Engine.replay engine ~seq:e.seq ~level:e.level e.request

@@ -13,7 +13,7 @@
     skips by), and [PAYLOAD] is the single-line script-syntax rendering
     of the request ({!Script.request_line}) — the journal reuses the
     script grammar, so it is human-readable. A payload prefixed with
-    [shed ] is a {e shed marker}: the serve loop records a shed
+    [shed ] is a {e shed marker}: the journaled {!feed} records a shed
     submission at submit time (it consumed a submission and a sequence
     number but was never applied), so recovery can skip it and restore
     the response numbering. A payload prefixed with [rescued ] is a
@@ -47,15 +47,6 @@ type entry = {
           shed markers and all pre-level journals) *)
   request : Engine.request;
 }
-
-val submit_answer :
-  Engine.t -> submit:int -> Engine.request -> Engine.response -> entry
-(** The marker for a submission the engine answered at once (queue
-    full): a shed marker for a shed, otherwise a rescue marker at the
-    engine's {e current} floor — a policy change can have moved it
-    since startup. Journal it at submit time: the submission consumed a
-    sequence number without reaching the write-ahead hook, and without
-    the marker recovery would re-submit it. *)
 
 type error = { path : string; line : int; msg : string }
 (** [line] is 1-based ([0] when the file could not be read at all). *)
@@ -149,3 +140,58 @@ val drop_torn_tail : string -> unit
     prefix instead of gluing onto torn garbage. Atomic (write-to-temp
     + rename), so a crash mid-truncation cannot damage the durable
     prefix. A no-op on clean, missing or empty files. *)
+
+(** {1 The journaled feed}
+
+    The one copy of the write-ahead contract: [susf serve --script],
+    each {!Shard} cycle and the recovery tests all run it. The rule:
+    every event that consumes a sequence number is journaled under the
+    index of the submission that carried it.
+
+    The feed installs and owns the engine's write-ahead hook
+    ({!Engine.set_journal}), so {!Engine.step} on a fed engine journals
+    each event it processes. A full-queue answer never reaches that
+    hook, so {!submit} journals it as a shed or rescue marker; without
+    the marker recovery would re-submit it. A rescue is marked at the
+    engine's {e current} floor: a policy change can have moved it since
+    startup. *)
+
+type feed
+
+val feed : ?writer:writer -> ?accept:(unit -> unit) -> Engine.t -> feed
+(** Take over the engine's write-ahead hook. With [?writer], every
+    event is appended to it, and each request waiting in the engine's
+    queue is paired with its submission index until the hook pops it;
+    without one nothing is journaled or kept. [?accept] runs before
+    each processed event is journaled or applied; an exception it
+    raises (an injected crash) propagates and the event is neither
+    journaled nor applied. With neither the hook is removed. *)
+
+val submit : feed -> submit:int -> Engine.request -> Engine.response option
+(** {!Engine.submit} submission number [submit]; a full-queue answer is
+    journaled as its marker before it is returned. *)
+
+val process : feed -> submit:int -> Engine.request -> Engine.response
+(** {!Engine.process} submission number [submit], bypassing admission
+    (how a shard applies a broadcast). Call it with the engine's queue
+    empty: the event is journaled as the next one processed. *)
+
+val run :
+  feed ->
+  ?after:(unit -> unit) ->
+  emit:(Engine.response -> unit) ->
+  (int * Script.item) list ->
+  unit
+(** Feed script items, each paired with its submission index (as
+    {!Recovery.resume_script} numbers them), then drain what is left
+    queued. [emit] receives every response the moment it is produced —
+    a [Drain] steps one request at a time — so an exception raised
+    mid-run (from [accept] or [after]) leaves the caller holding
+    exactly the responses produced before it. [after] runs once after
+    each item. *)
+
+val replay : Engine.t -> entry -> Engine.response
+(** Replay one journal entry during recovery: a shed marker through
+    {!Engine.replay_shed}, a rescue marker through
+    {!Engine.replay_rescue}, any other entry through {!Engine.replay}
+    at its journaled level. *)

@@ -253,19 +253,7 @@ let recover ~hexpr_of_string ?snapshot ?admission ~journal repo =
               | Error msg -> Error msg
               | Ok (t, skip, rebuilt) ->
                   let suffix = List.filteri (fun i _ -> i >= skip) entries in
-                  List.iter
-                    (fun (e : Journal.entry) ->
-                      ignore
-                        (if e.Journal.shed then
-                           Engine.replay_shed t ~seq:e.Journal.seq
-                             e.Journal.request
-                         else if e.Journal.rescued then
-                           Engine.replay_rescue t ~seq:e.Journal.seq
-                             ~level:e.Journal.level e.Journal.request
-                         else
-                           Engine.replay t ~seq:e.Journal.seq
-                             ~level:e.Journal.level e.Journal.request))
-                    suffix;
+                  List.iter (fun e -> ignore (Journal.replay t e)) suffix;
                   (* the gauges carry the crashed process's last values
                      (or nothing) — re-emit them from restored state *)
                   Engine.refresh_gauges t;
@@ -296,6 +284,20 @@ let recover ~hexpr_of_string ?snapshot ?admission ~journal repo =
                         torn_dropped = torn;
                         events = entries;
                       } ))))
+
+(* The sharded recovery contract: every verdict a recovered broker
+   serves from its index equals a cold planner run at the level it was
+   settled at, on the recovered repository. *)
+let check_oracle t =
+  let repo = Engine.repo t and sessions = Engine.clients t in
+  List.filter_map
+    (fun (client, level) ->
+      let body = List.assoc client sessions in
+      let oracle = Engine.Oracle.serve ~level repo ~client:(client, body) in
+      match Engine.cached_verdict t client with
+      | Some (v, _) when Engine.verdict_equal v oracle -> None
+      | _ -> Some client)
+    (Engine.served_clients t)
 
 (* ---- resuming a script past a recovered prefix ------------------------ *)
 

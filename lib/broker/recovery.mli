@@ -82,16 +82,20 @@ val recover :
     a snapshot covering more events than the journal holds. A torn
     {e final} journal line is not corruption: it is dropped and
     reported in the {!report}, and the restored state is the
-    consistent prefix. Shed markers replay through
-    [Engine.replay_shed] and rescue markers through
-    [Engine.replay_rescue], so the recovered broker resumes response
-    numbering exactly where the crashed one stopped; every other entry
-    replays at its journaled level ([Engine.replay]). After the replay
+    consistent prefix. Every entry replays through {!Journal.replay},
+    markers included, so the recovered broker resumes response
+    numbering exactly where the crashed one stopped. After the replay
     the [broker.queue.depth] / [broker.admission.level] gauges are
     re-emitted from the restored state ([Engine.refresh_gauges]) —
     they must not carry the crashed process's last values. Runs under
     a [broker.recovery] span and bumps the [broker.recovery.*]
     counters. *)
+
+val check_oracle : Engine.t -> string list
+(** Hold each of the {!Engine.served_clients} against
+    {!Engine.Oracle.serve} at the level its verdict was settled at, on
+    the broker's repository, and return the clients whose cached
+    verdict differs, in that order. A recovered broker returns none. *)
 
 val resume_script :
   hexpr_to_string:(Core.Hexpr.t -> string) ->

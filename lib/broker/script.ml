@@ -167,41 +167,25 @@ let request_of_line ~hexpr_of_string line =
   | Ok (Some (Tick | Drain)) | Ok None -> Error "not a request line"
   | Error msg -> Error msg
 
-let replay broker items =
-  let responses =
-    List.concat_map
-      (function
-        | Submit r -> Option.to_list (Engine.submit broker r)
-        | Tick -> Option.to_list (Engine.step broker)
-        | Drain -> Engine.drain broker)
-      items
-  in
-  responses @ Engine.drain broker
-
 (* Split a script into per-connection request streams for the socket
-   front end: session requests follow their client (the same FNV rule
-   the shards route by, so one client's open/serve/close order is
-   preserved end to end), mutations and policy changes go to stream 0,
-   and tick/drain boundaries are dropped — concurrency replaces them. *)
+   front end: requests follow their shard's routing rule
+   ([Engine.target]), so one client's open/serve/close order is
+   preserved end to end; broadcasts (mutations, policy changes) go to
+   stream 0, and tick/drain boundaries are dropped — concurrency
+   replaces them. *)
 let partition ~streams items =
   if streams < 1 then invalid_arg "Script.partition: streams must be >= 1";
   let out = Array.make streams [] in
-  let push i r = out.(i) <- r :: out.(i) in
   List.iter
     (function
       | Tick | Drain -> ()
-      | Submit r -> (
-          match r with
-          | Engine.Open { client; _ }
-          | Engine.Close { client }
-          | Engine.Serve { client }
-          | Engine.Orchestrate { client }
-          | Engine.Mediate { client }
-          | Engine.Run { client; _ } ->
-              push (Engine.route ~shards:streams client) r
-          | Engine.Publish _ | Engine.Retract _ | Engine.Update _
-          | Engine.Set_policy _ ->
-              push 0 r))
+      | Submit r ->
+          let i =
+            match Engine.target ~shards:streams r with
+            | Engine.Shard i -> i
+            | Engine.Broadcast -> 0
+          in
+          out.(i) <- r :: out.(i))
     items;
   Array.map List.rev out
 

@@ -1,10 +1,11 @@
 (** Deterministic workload scripts for the broker.
 
     A script is a line-oriented text format replayed through one
-    broker's event loop — the transport of [susf serve --script] and of
-    the {!Testkit} workload generator, and the reason broker runs are
-    reproducible byte-for-byte: the same script against the same
-    starting repository yields the same responses.
+    broker's event loop ({!Journal.run}) — the transport of
+    [susf serve --script] and of the {!Testkit} workload generator, and
+    the reason broker runs are reproducible byte-for-byte: the same
+    script against the same starting repository yields the same
+    responses.
 
     {v
     # whole-line comment (blank lines ignored; '#' inside a line is
@@ -65,16 +66,10 @@ val request_of_line :
 val partition : streams:int -> item list -> Engine.request list array
 (** Split a script into per-connection request streams for the socket
     front end ({!Net.drive}): session requests follow their client
-    (via {!Engine.route}, the shard routing rule, so one client's
+    (via {!Engine.target}, the shard routing rule, so one client's
     open/serve/close order survives per-shard FIFO processing),
-    mutations and [policy] go to stream 0, [tick]/[drain] boundaries
-    are dropped — concurrent submission replaces them. Raises
+    broadcasts (mutations and [policy]) go to stream 0, [tick]/[drain]
+    boundaries are dropped — concurrent submission replaces them. Raises
     [Invalid_argument] when [streams < 1]. *)
-
-val replay : Engine.t -> item list -> Engine.response list
-(** Feed the items through the broker in order and return every
-    response produced (shed submissions respond immediately; queued
-    ones respond at their [tick]/[drain]). A final implicit [Drain]
-    flushes whatever the script left queued. *)
 
 val pp_item : item Fmt.t

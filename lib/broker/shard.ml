@@ -38,10 +38,9 @@ type shard = {
                           inline cycle ends with jobs queued behind it *)
   idle : Condition.t;  (* signalled whenever a cycle releases [busy] *)
   jobs : job Queue.t;
-  hook_pending : int Queue.t;
-      (* submission indices of the requests sitting in the engine's
-         FIFO, owned with the engine: the write-ahead hook pops the front
-         to journal the event under the index it was submitted with *)
+  feed : Journal.feed;
+      (* the engine under the write-ahead contract: a cycle submits,
+         processes and steps through it *)
   mutable submitted : int;
       (* per-shard submission index (journal key), owned with the engine *)
   mutable stopping : bool;
@@ -60,19 +59,15 @@ let seqs t = Array.map (fun s -> Engine.seq s.engine) t.shards
 
 let run_cycle sh jobs =
   (* callbacks of the engine-queued submissions, FIFO alongside the
-     engine's own queue; [sh.hook_pending] carries their indices for
-     the write-ahead hook *)
+     engine's own queue; a step journals through the feed's hook *)
   let callbacks = Queue.create () in
   let acc = ref [] in
-  let steps_dry () =
-    let rec go () =
-      match Engine.step sh.engine with
-      | None -> ()
-      | Some resp ->
-          acc := (Queue.pop callbacks, resp) :: !acc;
-          go ()
-    in
-    go ()
+  let rec steps_dry () =
+    match Engine.step sh.engine with
+    | None -> ()
+    | Some resp ->
+        acc := (Queue.pop callbacks, resp) :: !acc;
+        steps_dry ()
   in
   List.iter
     (fun j ->
@@ -84,24 +79,12 @@ let run_cycle sh jobs =
            apply the replicated mutation bypassing admission: the
            bounded queue sheds load, and replication is not load *)
         steps_dry ();
-        Queue.add submit sh.hook_pending;
-        let resp = Engine.process sh.engine j.request in
-        acc := (j.callback, resp) :: !acc
+        acc := (j.callback, Journal.process sh.feed ~submit j.request) :: !acc
       end
       else
-        match Engine.submit sh.engine j.request with
-        | None ->
-            Queue.add submit sh.hook_pending;
-            Queue.add j.callback callbacks
-        | Some resp ->
-            (* a full-queue answer: journal its marker at submit
-               time, as the script serve loop does *)
-            Option.iter
-              (fun w ->
-                Journal.append w
-                  (Journal.submit_answer sh.engine ~submit j.request resp))
-              sh.journal;
-            acc := (j.callback, resp) :: !acc)
+        match Journal.submit sh.feed ~submit j.request with
+        | None -> Queue.add j.callback callbacks
+        | Some resp -> acc := (j.callback, resp) :: !acc)
     jobs;
   steps_dry ();
   (* the group-commit barrier: everything this cycle journaled becomes
@@ -157,40 +140,22 @@ let of_engines ?journal engines =
   if Array.length engines = 0 then
     invalid_arg "Shard.of_engines: need at least one engine";
   let make sid engine =
-    let j = Option.map (fun f -> f sid) journal in
-    let sh =
-      {
-        sid;
-        engine;
-        journal = j;
-        lock = Mutex.create ();
-        wake = Condition.create ();
-        idle = Condition.create ();
-        jobs = Queue.create ();
-        hook_pending = Queue.create ();
-        submitted = 0;
-        stopping = false;
-        busy = false;
-        failed = None;
-        worker = None;
-      }
-    in
-    Option.iter
-      (fun w ->
-        Engine.set_journal engine
-          (Some
-             (fun ~seq ~level request ->
-               Journal.append w
-                 {
-                   Journal.seq;
-                   submit = Queue.pop sh.hook_pending;
-                   shed = false;
-                   rescued = false;
-                   level;
-                   request;
-                 })))
-      j;
-    sh
+    let writer = Option.map (fun f -> f sid) journal in
+    {
+      sid;
+      engine;
+      journal = writer;
+      feed = Journal.feed ?writer engine;
+      lock = Mutex.create ();
+      wake = Condition.create ();
+      idle = Condition.create ();
+      jobs = Queue.create ();
+      submitted = 0;
+      stopping = false;
+      busy = false;
+      failed = None;
+      worker = None;
+    }
   in
   let t = { shards = Array.mapi make engines } in
   Array.iter

@@ -41,9 +41,9 @@ val create :
   Core.Network.repo ->
   t
 (** A pool of [shards] fresh engines over (replicas of) this
-    repository, workers spawned. With [?journal], shard [i] installs
-    the write-ahead hook on journal [journal i] — shed and rescue
-    markers included, exactly as the script serve loop records them.
+    repository, workers spawned. With [?journal], shard [i] runs its
+    engine through the journaled {!Journal.feed} on [journal i] — shed
+    and rescue markers included, as the script serve loop does.
     Raises [Invalid_argument] when [shards < 1]. *)
 
 val of_engines : ?journal:(int -> Journal.writer) -> Engine.t array -> t

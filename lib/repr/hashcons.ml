@@ -70,7 +70,4 @@ module Make (C : ConsedType) = struct
     in
     Mutex.unlock t.lock;
     r
-
-  let length t = W.count t.tbl
-  let next_id t = t.next
 end

@@ -49,11 +49,4 @@ module Make (C : ConsedType) : sig
   (** The canonical representative: the existing consed value if this
       shape was seen (and is still alive), otherwise a fresh one with
       the next id. *)
-
-  val length : table -> int
-  (** Live interned values (GC-dependent). *)
-
-  val next_id : table -> int
-  (** The id the next fresh value will get; equals the number of fresh
-      interns so far. *)
 end

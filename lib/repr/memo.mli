@@ -1,11 +1,11 @@
 (** Id-keyed memo tables for analysis results.
 
     A memo table caches a pure function of hash-consed values, keyed by
-    their integer ids — so lookups hash a machine word (or a pair of
-    them), never a term. Because ids are unique for the lifetime of the
-    interned value and never reused while it is reachable, an id-keyed
-    entry can never be observed stale; at worst {!Cache.clear_all}
-    drops it and the next query recomputes.
+    their integer ids — so lookups hash a machine word, never a term.
+    Because ids are unique for the lifetime of the interned value and
+    never reused while it is reachable, an id-keyed entry can never be
+    observed stale; at worst {!Cache.clear_all} drops it and the next
+    query recomputes.
 
     Every table registers itself in {!Cache} {e with} a clear hook and
     mirrors its hit/miss counts to [Obs.Metrics] as [<name>.hits] /
@@ -21,26 +21,3 @@ val create :
 val find : ('a, 'b) t -> 'a -> compute:('a -> 'b) -> 'b
 (** Cached result for [a], running [compute a] on a miss and storing
     the result. [compute] must be pure in [key a]. *)
-
-val clear : ('a, 'b) t -> unit
-(** Drop all entries (counters are untouched). *)
-
-val remove : ('a, 'b) t -> int -> unit
-(** Drop the entry for one key (also reachable process-wide through
-    {!Cache.invalidate}). *)
-
-(** Tables keyed by an ordered pair of consed values — for relations
-    such as the planner's compliance cache. *)
-module Pair : sig
-  type ('a, 'b) t
-
-  val create :
-    ?initial_size:int -> name:string -> key:('a -> int) -> unit -> ('a, 'b) t
-
-  val find : ('a, 'b) t -> 'a -> 'a -> compute:('a -> 'a -> 'b) -> 'b
-  val clear : ('a, 'b) t -> unit
-
-  val remove_involving : ('a, 'b) t -> int -> unit
-  (** Drop every pair with this id on either side — the
-      {!Cache.invalidate} hook of pair tables. O(entries). *)
-end

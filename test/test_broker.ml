@@ -23,9 +23,12 @@ let check_served ?cached msg o =
 
 let test_canned_script () =
   let b = Broker.create Scenarios.Churn.repo in
-  let responses = Broker.Script.replay b Scenarios.Churn.script in
-  Alcotest.(check bool) "responses produced" true (List.length responses > 0);
-  (match List.rev responses with
+  let responses = ref [] in
+  Broker.Journal.run (Broker.Journal.feed b)
+    ~emit:(fun r -> responses := r :: !responses)
+    (List.mapi (fun i item -> (i, item)) Scenarios.Churn.script);
+  Alcotest.(check bool) "responses produced" true (!responses <> []);
+  (match !responses with
   | { Broker.outcome = Broker.Ran { completed; _ }; _ } :: _ ->
       Alcotest.(check bool) "final run completed" true completed
   | r :: _ ->
@@ -82,20 +85,8 @@ let replay_against_oracle items =
             if not (Broker.verdict_equal got expect) then incr mismatches)
     | _ -> ()
   in
-  List.iter
-    (function
-      | Broker.Script.Submit r -> Option.iter handle (Broker.submit b r)
-      | Broker.Script.Tick -> Option.iter handle (Broker.step b)
-      | Broker.Script.Drain ->
-          let rec go () =
-            match Broker.step b with
-            | Some r ->
-                handle r;
-                go ()
-            | None -> ()
-          in
-          go ())
-    items;
+  Broker.Journal.run (Broker.Journal.feed b) ~emit:handle
+    (List.mapi (fun i item -> (i, item)) items);
   (b, !compared, !mismatches, !cold)
 
 let prop_oracle_replay =

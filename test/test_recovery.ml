@@ -331,27 +331,16 @@ let submits items =
 
 let render rs = String.concat "\n" (List.map (Fmt.str "%a" Broker.pp_response) rs)
 
-(* Run [reqs] through a journaled broker; return the journal path and
-   the full response stream. *)
+(* Run [reqs] one at a time through the journaled feed; return the
+   journal path, the broker and the full response stream. *)
 let journaled_run reqs =
   let path = tmpfile () in
   let w = Broker.Journal.create ~hexpr_to_string path in
   let b = Broker.create Scenarios.Churn.repo in
-  let n = ref 0 in
-  Broker.set_journal b
-    (Some
-       (fun ~seq ~level request ->
-         Broker.Journal.append w
-           {
-             Broker.Journal.seq;
-             submit = !n;
-             shed = false;
-             rescued = false;
-             level;
-             request;
-           };
-         incr n));
-  let responses = List.map (Broker.process b) reqs in
+  let feed = Broker.Journal.feed ~writer:w b in
+  let responses =
+    List.mapi (fun submit r -> Broker.Journal.process feed ~submit r) reqs
+  in
   Broker.Journal.close w;
   (path, b, responses)
 
@@ -586,65 +575,24 @@ let shed_script () =
 
 exception Crash
 
-(* Mirror the susf serve loop: processed events journal through the
-   write-ahead hook (popping the submission index the request was
-   queued under), sheds journal a marker at submit time, and an
-   injected crash fires before processed event [crash_at] reaches the
-   journal. *)
-let drive ?crash_at broker w indexed =
-  let responses = ref [] in
-  let push r = responses := r :: !responses in
-  let pending = Queue.create () in
-  let accepted = ref 0 in
-  Broker.set_journal broker
-    (Some
-       (fun ~seq ~level request ->
-         (match crash_at with
-         | Some k when !accepted = k -> raise Crash
-         | _ -> ());
-         Broker.Journal.append w
-           {
-             Broker.Journal.seq;
-             submit = Queue.pop pending;
-             shed = false;
-             rescued = false;
-             level;
-             request;
-           };
-         incr accepted));
+(* Run numbered script items through the journaled feed onto [broker],
+   journaling to [path] (continuing it with [~append]); an injected
+   crash fires before processed event [crash_at] reaches the journal.
+   Returns the responses produced before the crash. *)
+let feed_script ?crash_at ?(append = false) broker path indexed =
+  let w = Broker.Journal.create ~hexpr_to_string ~append path in
+  let responses = ref [] and accepted = ref 0 in
+  let accept () =
+    if crash_at = Some !accepted then raise Crash;
+    incr accepted
+  in
   (try
-     List.iter
-       (fun (i, item) ->
-         match item with
-         | Broker.Script.Submit r -> (
-             match Broker.submit broker r with
-             | None -> Queue.add i pending
-             | Some resp ->
-                 (* mirror the susf serve loop: a full-queue answer is
-                    either a shed or — under a loosened floor — an
-                    immediate rescue, journaled at submit time *)
-                 let shed =
-                   match resp.Broker.outcome with
-                   | Broker.Rejected Broker.Shed -> true
-                   | _ -> false
-                 in
-                 Broker.Journal.append w
-                   {
-                     Broker.Journal.seq = resp.Broker.seq;
-                     submit = i;
-                     shed;
-                     rescued = not shed;
-                     level =
-                       (if shed then Compliance.Strict
-                        else (Broker.admission broker).Broker.floor);
-                     request = r;
-                   };
-                 push resp)
-         | Broker.Script.Tick -> Option.iter push (Broker.step broker)
-         | Broker.Script.Drain -> List.iter push (Broker.drain broker))
-       indexed;
-     List.iter push (Broker.drain broker)
+     Broker.Journal.run
+       (Broker.Journal.feed ~writer:w ~accept broker)
+       ~emit:(fun r -> responses := r :: !responses)
+       indexed
    with Crash -> ());
+  Broker.Journal.close w;
   List.rev !responses
 
 let test_shed_crash_resume () =
@@ -655,10 +603,11 @@ let test_shed_crash_resume () =
     | Error msg -> Alcotest.fail msg
   in
   let upath = tmpfile () in
-  let uw = Broker.Journal.create ~hexpr_to_string upath in
-  let ub = Broker.create ~admission:shed_admission Scenarios.Churn.repo in
-  let all = drive ub uw indexed in
-  Broker.Journal.close uw;
+  let all =
+    feed_script
+      (Broker.create ~admission:shed_admission Scenarios.Churn.repo)
+      upath indexed
+  in
   let uentries = (read_ok upath).Broker.Journal.entries in
   Sys.remove upath;
   let processed =
@@ -671,10 +620,11 @@ let test_shed_crash_resume () =
        uentries);
   for k = 0 to processed do
     let jpath = tmpfile () in
-    let w = Broker.Journal.create ~hexpr_to_string jpath in
-    let b = Broker.create ~admission:shed_admission Scenarios.Churn.repo in
-    let pre = drive ~crash_at:k b w indexed in
-    Broker.Journal.close w;
+    let pre =
+      feed_script ~crash_at:k
+        (Broker.create ~admission:shed_admission Scenarios.Churn.repo)
+        jpath indexed
+    in
     (match
        Broker.Recovery.recover ~hexpr_of_string ~admission:shed_admission
          ~journal:jpath Scenarios.Churn.repo
@@ -687,11 +637,7 @@ let test_shed_crash_resume () =
         with
         | Error msg -> Alcotest.failf "resume at k=%d: %s" k msg
         | Ok rest ->
-            let w2 =
-              Broker.Journal.create ~hexpr_to_string ~append:true jpath
-            in
-            let post = drive rb w2 rest in
-            Broker.Journal.close w2;
+            let post = feed_script ~append:true rb jpath rest in
             Alcotest.(check string)
               (Fmt.str "k=%d crashed+resumed equals uninterrupted" k)
               (render all)
@@ -744,10 +690,11 @@ let test_degraded_crash_resume () =
     | Error msg -> Alcotest.fail msg
   in
   let upath = tmpfile () in
-  let uw = Broker.Journal.create ~hexpr_to_string upath in
-  let ub = Broker.create ~admission:degraded_admission Scenarios.Churn.repo in
-  let all = drive ub uw indexed in
-  Broker.Journal.close uw;
+  let all =
+    feed_script
+      (Broker.create ~admission:degraded_admission Scenarios.Churn.repo)
+      upath indexed
+  in
   let uentries = (read_ok upath).Broker.Journal.entries in
   Sys.remove upath;
   let processed =
@@ -773,10 +720,11 @@ let test_degraded_crash_resume () =
        uentries);
   for k = 0 to processed do
     let jpath = tmpfile () in
-    let w = Broker.Journal.create ~hexpr_to_string jpath in
-    let b = Broker.create ~admission:degraded_admission Scenarios.Churn.repo in
-    let pre = drive ~crash_at:k b w indexed in
-    Broker.Journal.close w;
+    let pre =
+      feed_script ~crash_at:k
+        (Broker.create ~admission:degraded_admission Scenarios.Churn.repo)
+        jpath indexed
+    in
     (match
        Broker.Recovery.recover ~hexpr_of_string ~admission:degraded_admission
          ~journal:jpath Scenarios.Churn.repo
@@ -789,11 +737,7 @@ let test_degraded_crash_resume () =
         with
         | Error msg -> Alcotest.failf "resume at k=%d: %s" k msg
         | Ok rest ->
-            let w2 =
-              Broker.Journal.create ~hexpr_to_string ~append:true jpath
-            in
-            let post = drive rb w2 rest in
-            Broker.Journal.close w2;
+            let post = feed_script ~append:true rb jpath rest in
             Alcotest.(check string)
               (Fmt.str "k=%d crashed mid-transition equals uninterrupted" k)
               (render all)
@@ -824,9 +768,7 @@ let ladder_script () =
   let open Broker.Script in
   ( repo,
     [
-      (* one Tick per event, as in the shed/degraded scripts: a crash
-         inside a multi-event drain would drop already-journaled
-         responses from the crashed run's transcript *)
+      (* one Tick per event, as in the shed/degraded scripts *)
       Submit (Broker.Open { client = retailer; body = norm retailer_body });
       Tick;
       Submit
@@ -862,10 +804,11 @@ let test_ladder_crash_resume () =
     | Error msg -> Alcotest.fail msg
   in
   let upath = tmpfile () in
-  let uw = Broker.Journal.create ~hexpr_to_string upath in
-  let ub = Broker.create ~admission:ladder_admission repo in
-  let all = drive ub uw indexed in
-  Broker.Journal.close uw;
+  let all =
+    feed_script
+      (Broker.create ~admission:ladder_admission repo)
+      upath indexed
+  in
   let uentries = (read_ok upath).Broker.Journal.entries in
   Sys.remove upath;
   let processed =
@@ -881,10 +824,11 @@ let test_ladder_crash_resume () =
     (Astring.String.is_infix ~affix:"MEDIATED" rendered);
   for k = 0 to processed do
     let jpath = tmpfile () in
-    let w = Broker.Journal.create ~hexpr_to_string jpath in
-    let b = Broker.create ~admission:ladder_admission repo in
-    let pre = drive ~crash_at:k b w indexed in
-    Broker.Journal.close w;
+    let pre =
+      feed_script ~crash_at:k
+        (Broker.create ~admission:ladder_admission repo)
+        jpath indexed
+    in
     (match
        Broker.Recovery.recover ~hexpr_of_string ~admission:ladder_admission
          ~journal:jpath repo
@@ -897,11 +841,7 @@ let test_ladder_crash_resume () =
         with
         | Error msg -> Alcotest.failf "resume at k=%d: %s" k msg
         | Ok rest ->
-            let w2 =
-              Broker.Journal.create ~hexpr_to_string ~append:true jpath
-            in
-            let post = drive rb w2 rest in
-            Broker.Journal.close w2;
+            let post = feed_script ~append:true rb jpath rest in
             Alcotest.(check string)
               (Fmt.str "k=%d crashed mid-ladder equals uninterrupted" k)
               rendered

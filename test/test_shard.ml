@@ -187,9 +187,8 @@ let test_batch_validated () =
 (* Run a pool under pressure (tiny queue, affectible floor — sheds and
    rescues fire), journaling with a group-commit batch; then prove the
    per-shard journals reconstruct every acknowledged response
-   byte-identically via replay/replay_shed/replay_rescue, and that
-   every recovered verdict matches the cold oracle at its recorded
-   level. *)
+   byte-identically via Journal.replay, and that every recovered
+   verdict matches the cold oracle at its recorded level. *)
 
 let churn_requests () =
   List.filter_map
@@ -246,12 +245,7 @@ let check_journal_replay ~admission paths acked =
       let by_seq = Hashtbl.create 256 in
       List.iter
         (fun (e : Broker.Journal.entry) ->
-          let r =
-            if e.shed then Broker.replay_shed fresh ~seq:e.seq e.request
-            else if e.rescued then
-              Broker.replay_rescue fresh ~seq:e.seq ~level:e.level e.request
-            else Broker.replay fresh ~seq:e.seq ~level:e.level e.request
-          in
+          let r = Broker.Journal.replay fresh e in
           Hashtbl.replace by_seq r.Broker.seq (render r))
         (read_entries path).Broker.Journal.entries;
       Alcotest.(check (list int))
@@ -268,17 +262,7 @@ let check_journal_replay ~admission paths acked =
       Alcotest.(check (list string))
         (Fmt.str "shard %d: clients not oracle-clean at their level" i)
         []
-        (List.filter_map
-           (fun (client, level) ->
-             let body = List.assoc client (Broker.clients fresh) in
-             let oracle =
-               Broker.Oracle.serve ~level (Broker.repo fresh)
-                 ~client:(client, body)
-             in
-             match Broker.cached_verdict fresh client with
-             | Some (v, _) when Broker.verdict_equal v oracle -> None
-             | _ -> Some client)
-           (Broker.served_clients fresh));
+        (Broker.Recovery.check_oracle fresh);
       fresh)
     paths
 
@@ -359,19 +343,8 @@ let test_shard_crash_prefixes () =
             (Fmt.str "shard %d prefix %d replayed fully" i k)
             k report.Broker.Recovery.entries;
           List.iter
-            (fun (client, level) ->
-              let body = List.assoc client (Broker.clients b) in
-              let oracle =
-                Broker.Oracle.serve ~level (Broker.repo b)
-                  ~client:(client, body)
-              in
-              match Broker.cached_verdict b client with
-              | Some (v, _) ->
-                  if not (Broker.verdict_equal v oracle) then
-                    Alcotest.failf "shard %d prefix %d: %s mismatch" i k
-                      client
-              | None -> ())
-            (Broker.served_clients b));
+            (Alcotest.failf "shard %d prefix %d: %s mismatch" i k)
+            (Broker.Recovery.check_oracle b));
       Sys.remove prefix_path
     done;
     Sys.remove paths.(i)
@@ -877,6 +850,32 @@ let test_closed_loop () =
     true
     (f16 * 2 <= f1)
 
+(* Regression: an unjournaled pool kept one submission index per
+   request for a journal hook that did not exist, so a long-running
+   [susf serve --listen] without [--journal] grew by about three words
+   per request. Index hits allocate only garbage, so live words must
+   stay flat across 20,000 inline serves. *)
+let test_unjournaled_no_leak () =
+  let pool = Broker.Shard.create ~shards:1 Scenarios.Churn.repo in
+  let serve r = Broker.Shard.submit ~inline:true pool r in
+  let body = List.assoc "c1" Scenarios.Churn.clients in
+  serve (Broker.Open { client = "c1"; body });
+  serve (Broker.Serve { client = "c1" });
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let n = 20_000 in
+  let before = live () in
+  for _ = 1 to n do
+    serve (Broker.Serve { client = "c1" })
+  done;
+  let grown = live () - before in
+  Broker.Shard.stop pool;
+  Alcotest.(check bool)
+    (Fmt.str "live words grew by %d over %d serves (< 1 per request)" grown n)
+    true (grown < n)
+
 let suite =
   [
     Alcotest.test_case "route: pinned values, stability" `Quick
@@ -917,4 +916,6 @@ let suite =
       `Quick test_net_slow_neighbour;
     Alcotest.test_case "closed-loop shards: replay and group commit (B10)"
       `Quick test_closed_loop;
+    Alcotest.test_case "unjournaled pool: no per-request growth" `Quick
+      test_unjournaled_no_leak;
   ]
