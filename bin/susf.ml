@@ -875,8 +875,8 @@ let serve_cmd =
       & info [ "shards" ] ~docv:"N"
           ~doc:
             "With $(b,--listen): shard the broker across $(docv) worker \
-             domains. Session requests route by client (FNV-1a mod N), \
-             repository mutations broadcast to every shard.")
+             domains, at most 127. Session requests route by client \
+             (FNV-1a mod N), repository mutations broadcast to every shard.")
   in
   let batch_arg =
     Arg.(
@@ -1047,6 +1047,10 @@ let serve_cmd =
         ("--queue", queue);
         ("--budget", budget);
       ];
+    if shards > Broker.Shard.max_shards then begin
+      Fmt.epr "--shards must be <= %d@." Broker.Shard.max_shards;
+      exit 2
+    end;
     (match net_timeout with
     | Some secs when not (secs > 0.0) ->
         Fmt.epr "--net-timeout must be > 0@.";

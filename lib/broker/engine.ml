@@ -83,12 +83,17 @@ type stats = {
   mutable served_affectible : int;
 }
 
-type session = { body : Hexpr.t; own_policies : string list }
+type session = {
+  body : Hexpr.t;
+  own_policies : string list;
+  order : int;  (* registration order: kept by a re-open of a live client *)
+}
 
 type t = {
   mutable repo : Network.repo;
   mutable repo_policies : string list;  (* sorted policy ids *)
-  mutable sessions : (string * session) list;  (* registration order *)
+  sessions : (string, session) Hashtbl.t;
+  mutable registered : int;  (* [order] of the latest new session *)
   index : Index.t;
   compliance : Product.survey Repr.Key.Pair_tbl.t;
       (* the long-lived compliance cache shared across every analysis
@@ -154,7 +159,8 @@ let create ?(admission = default_admission) repo =
     {
       repo;
       repo_policies = repo_policy_ids repo;
-      sessions = [];
+      sessions = Hashtbl.create 64;
+      registered = 0;
       index = Index.create ();
       compliance = Repr.Key.Pair_tbl.create 64;
       adm = admission;
@@ -187,7 +193,10 @@ let repo t = t.repo
 let admission t = t.adm
 let stats t = t.st
 let index_size t = Index.size t.index
-let clients t = List.map (fun (name, s) -> (name, s.body)) t.sessions
+let clients t =
+  Hashtbl.fold (fun name s acc -> (s.order, (name, s.body)) :: acc) t.sessions []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd
 let seq t = t.seq
 let set_journal t hook = t.journal <- hook
 
@@ -250,41 +259,63 @@ let publish_relevant t repo h ~level (name, (s : session)) =
 
 (* Apply the invalidation contract for a mutation: entries bound to a
    touched location, entries whose policy universe changed, and — when a
-   service appears ([Publish]/[Update]) — entries it is relevant to.
-   [old_repo] is the repository the relevance sites are computed
-   against; callers must not have swapped [t.repo] yet. *)
+   service appears — entries it could displace. The index's watch set
+   holds every entry a publish might drop: an entry outside it is a
+   Valid plan no appended location can precede ([Planner.exposed]). A
+   publish or a retract adds no location before any of such a plan's
+   choices, so an [Append] re-checks only the watch set, exactly,
+   against the current repository. A [Replace] (an update) can give an
+   earlier location sites of its own: it checks every entry, as before,
+   and leaves the survivors watched. [old_repo] is the repository the
+   relevance sites and exposure are computed against; callers must not
+   have swapped [t.repo] yet. *)
 let invalidate_for_mutation t ~old_repo ~new_repo_policies ~touched_locs
     ~published =
   List.iter
     (fun loc ->
       List.iter (invalidate_client t) (Index.clients_of_loc t.index loc))
     touched_locs;
-  let survivors = Index.fold t.index (fun acc e -> e.Index.client :: acc) [] in
-  List.iter
-    (fun name ->
-      match List.assoc_opt name t.sessions with
-      | None -> invalidate_client t name
-      | Some s ->
-          let universe =
-            List.sort_uniq String.compare (new_repo_policies @ s.own_policies)
-          in
-          let entry = Index.find t.index name in
-          let stale =
-            match entry with
-            | None -> false
-            | Some e ->
-                universe <> e.Index.policies
-                ||
-                match published with
-                | None -> false
-                | Some h ->
-                    (* relevance is judged at the entry's own level: a
-                       service only admissible below it cannot change
-                       the entry's first-valid plan *)
-                    publish_relevant t old_repo h ~level:e.Index.level (name, s)
-          in
-          if stale then invalidate_client t name)
-    survivors
+  (* a surviving entry's universe is the repository's policy ids plus
+     its client's own, so it can only change when the former do *)
+  if new_repo_policies <> t.repo_policies then
+    Index.fold t.index
+      (fun acc (e : Index.entry) ->
+        let s = Hashtbl.find t.sessions e.Index.client in
+        let universe =
+          List.sort_uniq String.compare (new_repo_policies @ s.own_policies)
+        in
+        if universe <> e.Index.policies then e.Index.client :: acc else acc)
+      []
+    |> List.iter (invalidate_client t);
+  (* relevance is judged at the entry's own level: a service only
+     admissible below it cannot change the entry's first-valid plan *)
+  let relevant h (e : Index.entry) s =
+    publish_relevant t old_repo h ~level:e.Index.level (e.Index.client, s)
+  in
+  match published with
+  | `None -> ()
+  | `Append h ->
+      List.iter
+        (fun (e : Index.entry) ->
+          let name = e.Index.client in
+          let s = Hashtbl.find t.sessions name in
+          match e.Index.verdict with
+          | Index.No_plan -> if relevant h e s then invalidate_client t name
+          | Index.Valid r ->
+              if
+                not
+                  (Planner.exposed old_repo ~client:(name, s.body)
+                     r.Planner.plan)
+              then Index.watch t.index name false
+              else if relevant h e s then invalidate_client t name)
+        (Index.watched t.index)
+  | `Replace h ->
+      Index.fold t.index (fun acc e -> e :: acc) []
+      |> List.iter (fun (e : Index.entry) ->
+             let name = e.Index.client in
+             if relevant h e (Hashtbl.find t.sessions name) then
+               invalidate_client t name
+             else Index.watch t.index name true)
 
 (* Retire the interned footprint of a withdrawn service: its projection
    (if any) leaves the repository, so drop the memo entries keyed on it
@@ -308,16 +339,21 @@ let retire_contract t h =
 
 (* ---- serving --------------------------------------------------------- *)
 
-let entry_of_verdict t name (s : session) ~level verdict =
-  let locs =
+(* Cache a settled verdict. It is watched unless it is a Valid plan no
+   appended location can precede in the current repository — the
+   decision a restore takes again for a rebuilt entry. *)
+let store_verdict t name (s : session) ~level verdict =
+  let locs, watch =
     match verdict with
-    | Index.No_plan -> []
+    | Index.No_plan -> ([], true)
     | Index.Valid (r : Planner.report) ->
-        Plan.bindings r.Planner.plan
-        |> List.map snd
-        |> List.sort_uniq String.compare
+        ( Plan.bindings r.Planner.plan
+          |> List.map snd
+          |> List.sort_uniq String.compare,
+          Planner.exposed t.repo ~client:(name, s.body) r.Planner.plan )
   in
-  { Index.client = name; verdict; level; locs; policies = universe_of t s }
+  Index.store t.index ~watch
+    { Index.client = name; verdict; level; locs; policies = universe_of t s }
 
 (* The budgeted first-valid search at one admission level. [store]
    decides whether a settled verdict is cached: the queued serve path
@@ -348,13 +384,13 @@ let budgeted_serve t name (s : session) ~level ~store =
       Obs.Metrics.incr "broker.degraded";
       Degraded { analyzed; enumerated; level }
   | `Done (verdict, _) -> (
-      if store then Index.store t.index (entry_of_verdict t name s ~level verdict);
+      if store then store_verdict t name s ~level verdict;
       match verdict with
       | Index.Valid r -> Served { report = r; cached = false; level }
       | Index.No_plan -> Rejected No_plan)
 
 let serve_at t ~level ~store name =
-  match List.assoc_opt name t.sessions with
+  match Hashtbl.find_opt t.sessions name with
   | None -> Rejected (Unknown_client name)
   | Some s -> (
       match Index.find t.index name with
@@ -380,25 +416,27 @@ let serve t ~level name = serve_at t ~level ~store:true name
 let apply t ~level = function
   | Open { client; body } ->
       invalidate_client t client;
-      let s = { body; own_policies = policy_ids body } in
-      t.sessions <-
-        (if List.mem_assoc client t.sessions then
-           List.map
-             (fun (n, old) -> if n = client then (n, s) else (n, old))
-             t.sessions
-         else t.sessions @ [ (client, s) ]);
+      let order =
+        match Hashtbl.find_opt t.sessions client with
+        | Some old -> old.order
+        | None ->
+            t.registered <- t.registered + 1;
+            t.registered
+      in
+      Hashtbl.replace t.sessions client
+        { body; own_policies = policy_ids body; order };
       Ack
   | Close { client } ->
-      if not (List.mem_assoc client t.sessions) then
+      if not (Hashtbl.mem t.sessions client) then
         Rejected (Unknown_client client)
       else begin
         invalidate_client t client;
-        t.sessions <- List.remove_assoc client t.sessions;
+        Hashtbl.remove t.sessions client;
         Ack
       end
   | Serve { client } -> serve t ~level client
   | Run { client; seed } -> (
-      match List.assoc_opt client t.sessions with
+      match Hashtbl.find_opt t.sessions client with
       | None -> Rejected (Unknown_client client)
       | Some s -> (
           match Index.find t.index client with
@@ -423,7 +461,7 @@ let apply t ~level = function
           List.sort_uniq String.compare (t.repo_policies @ policy_ids service)
         in
         invalidate_for_mutation t ~old_repo:t.repo ~new_repo_policies
-          ~touched_locs:[] ~published:(Some service);
+          ~touched_locs:[] ~published:(`Append service);
         t.repo <- t.repo @ [ (loc, service) ];
         t.repo_policies <- new_repo_policies;
         Ack
@@ -435,7 +473,7 @@ let apply t ~level = function
           let remaining = List.filter (fun (l, _) -> l <> loc) t.repo in
           let new_repo_policies = repo_policy_ids remaining in
           invalidate_for_mutation t ~old_repo:t.repo ~new_repo_policies
-            ~touched_locs:[ loc ] ~published:None;
+            ~touched_locs:[ loc ] ~published:`None;
           t.repo <- remaining;
           t.repo_policies <- new_repo_policies;
           retire_contract t old;
@@ -451,7 +489,7 @@ let apply t ~level = function
           in
           let new_repo_policies = repo_policy_ids replaced in
           invalidate_for_mutation t ~old_repo:t.repo ~new_repo_policies
-            ~touched_locs:[ loc ] ~published:(Some service);
+            ~touched_locs:[ loc ] ~published:(`Replace service);
           t.repo <- replaced;
           t.repo_policies <- new_repo_policies;
           if not (Hexpr.equal old service) then retire_contract t old;
@@ -468,7 +506,7 @@ let apply t ~level = function
       Obs.Metrics.incr
         (if mediate then "broker.mediate.requests"
          else "broker.orchestrate.requests");
-      match List.assoc_opt client t.sessions with
+      match Hashtbl.find_opt t.sessions client with
       | None -> Rejected (Unknown_client client)
       | Some s -> (
           match serve t ~level client with
@@ -701,8 +739,7 @@ let rebuild_entry t name (s : session) ~level =
         let r = Planner.analyze ~cache:t.compliance ~level t.repo ~client p in
         if Result.is_ok r.Planner.verdict then Index.Valid r else go rest
   in
-  let verdict = go (Planner.enumerate t.repo ~client) in
-  Index.store t.index (entry_of_verdict t name s ~level verdict)
+  store_verdict t name s ~level (go (Planner.enumerate t.repo ~client))
 
 let restore ?admission ~sessions ~served ~seq repo =
   let t = create ?admission repo in
@@ -712,7 +749,7 @@ let restore ?admission ~sessions ~served ~seq repo =
     sessions;
   List.iter
     (fun (name, level) ->
-      match List.assoc_opt name t.sessions with
+      match Hashtbl.find_opt t.sessions name with
       | None ->
           invalid_arg
             (Fmt.str "Broker.restore: served client %s has no session" name)

@@ -198,7 +198,9 @@ val stats : t -> stats
 val index_size : t -> int
 
 val clients : t -> (string * Hexpr.t) list
-(** Registered client sessions, in registration order. *)
+(** Registered client sessions, in registration order: re-opening a
+    live client keeps its place, a close followed by an open moves it
+    to the end. *)
 
 (** {1 The event loop} *)
 

@@ -289,10 +289,11 @@ let recover ~hexpr_of_string ?snapshot ?admission ~journal repo =
    serves from its index equals a cold planner run at the level it was
    settled at, on the recovered repository. *)
 let check_oracle t =
-  let repo = Engine.repo t and sessions = Engine.clients t in
+  let repo = Engine.repo t in
+  let sessions = Hashtbl.of_seq (List.to_seq (Engine.clients t)) in
   List.filter_map
     (fun (client, level) ->
-      let body = List.assoc client sessions in
+      let body = Hashtbl.find sessions client in
       let oracle = Engine.Oracle.serve ~level repo ~client:(client, body) in
       match Engine.cached_verdict t client with
       | Some (v, _) when Engine.verdict_equal v oracle -> None

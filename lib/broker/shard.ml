@@ -1,5 +1,6 @@
-(* The sharded broker: N full engines, each served by one worker domain,
-   with requests routed by [Engine.target] — session requests to their
+(* The sharded broker: N full engines, each served by one worker domain
+   (spawned when the first job has to queue for it), with requests
+   routed by [Engine.target] — session requests to their
    client's shard, repository mutations broadcast to every shard (each
    shard replicates the repository; hash-consing makes the replicas
    share structure). A shard is a deterministic single-threaded broker:
@@ -46,7 +47,7 @@ type shard = {
   mutable stopping : bool;
   mutable busy : bool;  (* a cycle is running: its runner owns the engine *)
   mutable failed : exn option;
-  mutable worker : unit Domain.t option;
+  mutable worker : unit Domain.t option;  (* spawned on the first queued job *)
 }
 
 type t = { shards : shard array }
@@ -136,9 +137,17 @@ let rec worker sh =
 
 (* ---- the pool --------------------------------------------------------- *)
 
+(* The runtime's domain cap ([Max_domains] in caml/domain.h) less the
+   main domain: a larger pool could not give every shard a worker. *)
+let max_shards = 127
+
 let of_engines ?journal engines =
   if Array.length engines = 0 then
     invalid_arg "Shard.of_engines: need at least one engine";
+  if Array.length engines > max_shards then
+    invalid_arg
+      (Fmt.str "Shard.of_engines: at most %d shards, got %d" max_shards
+         (Array.length engines));
   let make sid engine =
     let writer = Option.map (fun f -> f sid) journal in
     {
@@ -158,9 +167,6 @@ let of_engines ?journal engines =
     }
   in
   let t = { shards = Array.mapi make engines } in
-  Array.iter
-    (fun sh -> sh.worker <- Some (Domain.spawn (fun () -> worker sh)))
-    t.shards;
   Obs.Metrics.set "broker.shard.count" (Array.length t.shards);
   t
 
@@ -173,7 +179,8 @@ let check_failed sh =
 
 (* Hand [job] to its shard. With [inline], a shard that is idle with an
    empty queue runs the job's cycle on the calling thread instead, so
-   no worker wakes up; otherwise the job queues for the worker. *)
+   no worker wakes up; otherwise the job queues for the worker, which is
+   spawned here, under the lock, if this is the first job to queue. *)
 let enqueue ?(inline = false) sh job =
   Mutex.lock sh.lock;
   if sh.stopping then begin
@@ -188,6 +195,14 @@ let enqueue ?(inline = false) sh job =
     run_owned sh [ job ]
   end
   else begin
+    (if Option.is_none sh.worker then
+       match Domain.spawn (fun () -> worker sh) with
+       | d ->
+           sh.worker <- Some d;
+           Obs.Metrics.incr "broker.shard.workers"
+       | exception e ->
+           Mutex.unlock sh.lock;
+           raise e);
     Queue.add job sh.jobs;
     Obs.Metrics.set_max "broker.shard.queue.depth" (Queue.length sh.jobs);
     Condition.signal sh.wake;
@@ -232,7 +247,17 @@ let stop t =
     t.shards;
   Array.iter
     (fun sh ->
-      Option.iter Domain.join sh.worker;
-      sh.worker <- None)
+      Mutex.lock sh.lock;
+      (* a shard that never queued a job has no worker to flush and close
+         its journal: wait out any inline cycle and do it here *)
+      if Option.is_none sh.worker then
+        while sh.busy do
+          Condition.wait sh.idle sh.lock
+        done;
+      let worker = sh.worker in
+      Mutex.unlock sh.lock;
+      match worker with
+      | Some d -> Domain.join d
+      | None -> Option.iter Journal.close sh.journal)
     t.shards;
   Array.iter check_failed t.shards

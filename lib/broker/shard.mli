@@ -19,20 +19,27 @@
     {b Threading.} [submit] may be called from any thread or domain.
     A cycle runs on the shard's worker domain, except that
     [submit ~inline:true] runs it on the calling thread when the target
-    shard is idle and its queue empty. Either way one cycle at a time
+    shard is idle and its queue empty. A shard's worker is spawned when
+    the first job has to queue for it, so a pool whose requests all run
+    inline, or that gets none, starts no domain. Either way one cycle at a time
     owns a shard's engine (its [busy] flag, not a particular domain,
     confers ownership), and no lock is held across a cycle. Callbacks
     run on whichever thread ran the cycle and must not block;
     submitting from inside a callback is allowed (the shard is busy, so
     it only enqueues).
 
-    Instruments: [broker.shard.count], [broker.shard.submitted],
-    [broker.shard.processed], [broker.shard.broadcast],
-    [broker.shard.inline], [broker.shard.queue.depth]. *)
+    Instruments: [broker.shard.count], [broker.shard.workers],
+    [broker.shard.submitted], [broker.shard.processed],
+    [broker.shard.broadcast], [broker.shard.inline],
+    [broker.shard.queue.depth]. *)
 
 type t
 
 type callback = shard:int -> Engine.response -> unit
+
+val max_shards : int
+(** 127: the OCaml runtime's domain limit (128) less the main domain.
+    Each shard may need a worker domain of its own. *)
 
 val create :
   ?admission:Engine.admission ->
@@ -41,14 +48,16 @@ val create :
   Core.Network.repo ->
   t
 (** A pool of [shards] fresh engines over (replicas of) this
-    repository, workers spawned. With [?journal], shard [i] runs its
-    engine through the journaled {!Journal.feed} on [journal i] — shed
-    and rescue markers included, as the script serve loop does.
-    Raises [Invalid_argument] when [shards < 1]. *)
+    repository; no worker is spawned yet. With [?journal], shard [i]
+    runs its engine through the journaled {!Journal.feed} on
+    [journal i] — shed and rescue markers included, as the script serve
+    loop does. Raises [Invalid_argument] unless
+    [1 <= shards <= max_shards]. *)
 
 val of_engines : ?journal:(int -> Journal.writer) -> Engine.t array -> t
 (** A pool over pre-built engines — how recovery hands per-shard
-    recovered brokers back to the serving layer. *)
+    recovered brokers back to the serving layer. Raises
+    [Invalid_argument] unless it gets 1 to {!max_shards} engines. *)
 
 val shards : t -> int
 
@@ -79,8 +88,9 @@ val submit : ?inline:bool -> t -> ?callback:callback -> Engine.request -> unit
     replica. A shard draining its queue before applying a broadcast
     keeps FIFO order intact, so a session request submitted after a
     mutation observes it on every shard. Never blocks, bar an inline
-    cycle. Raises [Invalid_argument] after {!stop}, and re-raises a
-    failed cycle's exception if its shard died. *)
+    cycle, or the spawn of the shard's worker when the job is the
+    first to queue. Raises [Invalid_argument] after {!stop}, and
+    re-raises a failed cycle's exception if its shard died. *)
 
 val drain : t -> unit
 (** Block until every shard's job queue is empty and no cycle runs on it.
@@ -90,5 +100,7 @@ val drain : t -> unit
 
 val stop : t -> unit
 (** Stop accepting work, let each worker drain what is already queued,
-    flush + close the journals, and join the worker domains. Re-raises
-    worker failures. *)
+    flush + close the journals, and join the worker domains. A shard
+    that never got a worker has nothing queued: [stop] waits for its
+    inline cycle, if one runs, then flushes and closes its journal
+    itself. Re-raises worker failures. *)

@@ -130,21 +130,24 @@ let analyze ?cache ?(level = Compliance.Strict) repo ~client plan =
       | Netcheck.Valid stats -> { plan; verdict = Ok stats }
       | Netcheck.Invalid stuck -> { plan; verdict = Error (Insecure stuck) })
 
-let enumerate repo ~client:(cloc, ch) =
+(* The plans in enumeration order, produced lazily: a depth-first search
+   that binds each pending request to every location in repository
+   order, queueing the sites the chosen service opens. *)
+let plans repo ~client:(cloc, ch) =
   ignore cloc;
-  let locs = List.map fst repo in
+  let locs = List.to_seq (List.map fst repo) in
   let reqs_of loc =
     match List.assoc_opt loc repo with
     | None -> []
     | Some h -> List.map (fun s -> s.req.Hexpr.rid) (open_sites loc h)
   in
-  let rec go plan pending =
+  let rec go plan pending () =
     match pending with
-    | [] -> [ plan ]
+    | [] -> Seq.Cons (plan, Seq.empty)
     | r :: rest ->
-        if Plan.find plan r <> None then go plan rest
+        if Plan.find plan r <> None then go plan rest ()
         else
-          List.concat_map
+          Seq.concat_map
             (fun loc ->
               let fresh =
                 reqs_of loc
@@ -153,9 +156,29 @@ let enumerate repo ~client:(cloc, ch) =
                        && r' <> r)
               in
               go (Plan.add r loc plan) (rest @ fresh))
-            locs
+            locs ()
   in
   go Plan.empty (List.map (fun s -> s.req.Hexpr.rid) (open_sites cloc ch))
+
+let enumerate repo ~client = List.of_seq (plans repo ~client)
+
+(* A location appended to the repository comes last at every decision,
+   so the probe's first plan marks where the plans through an appended
+   location start. The name has a space in it, which neither the .susf
+   nor the script grammar lets a location have. *)
+let exposed repo ~client plan =
+  let probe = " appended" in
+  let rec scan s =
+    match s () with
+    | Seq.Nil -> true (* not a plan of [repo]: nothing vouches for it *)
+    | Seq.Cons (p, rest) ->
+        if Plan.equal p plan then false
+        else if
+          List.exists (fun (_, l) -> String.equal l probe) (Plan.bindings p)
+        then true
+        else scan rest
+  in
+  scan (plans (repo @ [ (probe, Hexpr.nil) ]) ~client)
 
 let valid_plans ?(all = true) repo ~client =
   Obs.Trace.with_span "planner.valid_plans" @@ fun () ->

@@ -62,7 +62,21 @@ val enumerate : Network.repo -> client:string * Hexpr.t -> Plan.t list
 (** All complete plans for the client: every reachable request bound to
     some repository location (closed under the requests of the services
     chosen). Exponential in the number of requests — intended for
-    repository-scale inputs like the paper's. *)
+    repository-scale inputs like the paper's.
+
+    The order is a depth-first search: each pending request is bound to
+    every location in repository order, and the sites the chosen
+    service opens join the pending requests. *)
+
+val exposed : Network.repo -> client:string * Hexpr.t -> Plan.t -> bool
+(** [exposed repo ~client p]: could a location appended to [repo] come
+    before [p] in {!enumerate} order? An appended location is tried
+    last at every decision, so it can precede [p] exactly when some
+    decision on [p]'s path has a location earlier than [p]'s choice
+    that leaves at least one more site to bind. Decided by scanning the
+    enumeration of [repo] plus one site-free probe location up to [p],
+    so the cost is proportional to [p]'s rank. A [p] that [repo] does
+    not enumerate counts as exposed. *)
 
 val valid_plans :
   ?all:bool -> Network.repo -> client:string * Hexpr.t -> report list

@@ -35,11 +35,15 @@ let test_canned_script () =
       Alcotest.failf "last response not Ran: %a" Broker.pp_response r
   | [] -> Alcotest.fail "no responses");
   let st = Broker.stats b in
-  Alcotest.(check int) "hits (both re-serves after noise)" 2 st.Broker.hits;
-  Alcotest.(check int) "misses" 4 st.Broker.misses;
+  (* c2's plan {2[br], 3[s4]} is unexposed: its one earlier choice at
+     site 3 leaves no site open, so the appended s3b cannot precede it
+     and c2's last serve hits too *)
+  Alcotest.(check int) "hits (both re-serves after noise, c2 after s3b)" 3
+    st.Broker.hits;
+  Alcotest.(check int) "misses" 3 st.Broker.misses;
   Alcotest.(check int) "shed" 0 st.Broker.shed;
   Alcotest.(check int) "degraded" 0 st.Broker.degraded;
-  Alcotest.(check int) "invalidations (relevant publish only)" 2
+  Alcotest.(check int) "invalidations (c1's retracted s3 only)" 1
     st.Broker.invalidations
 
 (* ------------------------------------------------------------------ *)
@@ -133,16 +137,76 @@ let test_noise_publish_invalidates_nothing () =
   check_served ~cached:true "re-serve hits"
     (outcome b (Broker.Serve { client = "c1" }))
 
-let test_relevant_publish_invalidates () =
+let oracle_equal b client report =
+  let body = List.assoc client (Broker.clients b) in
+  Broker.verdict_equal (Broker.Index.Valid report)
+    (Broker.Oracle.serve (Broker.repo b) ~client:(client, body))
+
+(* The netcheck universe of an entry is every policy of the repository
+   plus its client's own, so a service that brings a new policy, or
+   takes the last copy of one away, drops every entry — even when no
+   site can talk to it. A second copy of a policy changes nothing. *)
+let test_universe_change_drops () =
+  let b = Broker.create Scenarios.Churn.repo in
+  let clients = [ "c1"; "c2" ] in
+  List.iter
+    (fun client ->
+      let body = List.assoc client Scenarios.Churn.clients in
+      ignore (outcome b (Broker.Open { client; body }));
+      ignore (outcome b (Broker.Serve { client })))
+    clients;
+  let framed name =
+    Hexpr.frame
+      (Usage.Policy_lib.instantiate0
+         (Usage.Policy_lib.never_after ~first:"log" ~then_:"wipe"))
+      (Hexpr.branch
+         [
+           ( "audit",
+             Hexpr.seq (Hexpr.ev ~arg:(Usage.Value.str name) "log")
+               (Hexpr.send "ok") );
+         ])
+  in
+  let step msg request ~dropped ~cached =
+    let before = (Broker.stats b).Broker.invalidations in
+    ignore (outcome b request);
+    Alcotest.(check int) (msg ^ ": invalidations") dropped
+      ((Broker.stats b).Broker.invalidations - before);
+    List.iter
+      (fun client ->
+        match outcome b (Broker.Serve { client }) with
+        | Broker.Served { report; cached = got; _ } ->
+            Alcotest.(check bool) (msg ^ ": " ^ client ^ " cached?") cached got;
+            Alcotest.(check bool) (msg ^ ": " ^ client ^ " = oracle") true
+              (oracle_equal b client report)
+        | o -> Alcotest.failf "%s: %s: %a" msg client Broker.pp_outcome o)
+      clients
+  in
+  step "a new policy" ~dropped:2 ~cached:false
+    (Broker.Publish { loc = "audit3"; service = framed "audit3" });
+  step "a second copy" ~dropped:0 ~cached:true
+    (Broker.Publish { loc = "audit4"; service = framed "audit4" });
+  step "one copy left" ~dropped:0 ~cached:true
+    (Broker.Retract { loc = "audit3" });
+  step "the last copy gone" ~dropped:2 ~cached:false
+    (Broker.Retract { loc = "audit4" })
+
+(* c1's plan {1[br], 3[s3]} is unexposed: br is the first location, and
+   every earlier choice at site 3 leaves no site to bind, so the spare
+   hotel, although it talks to site 3, is appended after the plan in
+   enumeration order and cannot displace it. *)
+let test_relevant_publish_keeps_unexposed () =
   let b = Broker.create Scenarios.Churn.repo in
   ignore (open_c1 b);
   check_served ~cached:false "first serve" (outcome b (Broker.Serve { client = "c1" }));
   let loc, service = spare_service in
   ignore (outcome b (Broker.Publish { loc; service }));
-  Alcotest.(check bool) "relevant publish invalidates" true
-    ((Broker.stats b).Broker.invalidations > 0);
-  check_served ~cached:false "re-serve recomputes"
-    (outcome b (Broker.Serve { client = "c1" }));
+  Alcotest.(check int) "relevant publish keeps the unexposed plan" 0
+    (Broker.stats b).Broker.invalidations;
+  (match outcome b (Broker.Serve { client = "c1" }) with
+  | Broker.Served { report; cached; _ } ->
+      Alcotest.(check bool) "re-serve hits" true cached;
+      Alcotest.(check bool) "hit = oracle" true (oracle_equal b "c1" report)
+  | o -> Alcotest.failf "re-serve: %a" Broker.pp_outcome o);
   (* retract the plan's hotel: the client fails over to the spare, and
      the answer still matches the cold oracle *)
   (match outcome b (Broker.Retract { loc = "s3" }) with
@@ -150,11 +214,36 @@ let test_relevant_publish_invalidates () =
   | o -> Alcotest.failf "retract: %a" Broker.pp_outcome o);
   match outcome b (Broker.Serve { client = "c1" }) with
   | Broker.Served { report; _ } ->
-      let body = List.assoc "c1" (Broker.clients b) in
       Alcotest.(check bool) "failover verdict = oracle" true
-        (Broker.verdict_equal (Broker.Index.Valid report)
-           (Broker.Oracle.serve (Broker.repo b) ~client:("c1", body)))
+        (oracle_equal b "c1" report)
   | o -> Alcotest.failf "serve after retract: %a" Broker.pp_outcome o
+
+(* A cached No_plan keeps the old rule: a publish some site can talk to
+   drops it. No hotel of the repository passes this policy, the spare
+   does. *)
+let test_relevant_publish_drops_no_plan () =
+  let b = Broker.create Scenarios.Churn.repo in
+  let policy =
+    Usage.Policy_lib.hotel_policy ~blacklist:[ "s1"; "s3" ] ~price:40
+      ~rating:100
+  in
+  let body =
+    Hexpr.open_ ~rid:7 ~policy (Scenarios.Hotel.client_request_body policy)
+  in
+  ignore (outcome b (Broker.Open { client = "picky"; body }));
+  (match outcome b (Broker.Serve { client = "picky" }) with
+  | Broker.Rejected Broker.No_plan -> ()
+  | o -> Alcotest.failf "first serve: %a" Broker.pp_outcome o);
+  let loc, service = spare_service in
+  ignore (outcome b (Broker.Publish { loc; service }));
+  Alcotest.(check int) "relevant publish drops the No_plan entry" 1
+    (Broker.stats b).Broker.invalidations;
+  match outcome b (Broker.Serve { client = "picky" }) with
+  | Broker.Served { report; cached; _ } ->
+      Alcotest.(check bool) "re-serve recomputes" false cached;
+      Alcotest.(check bool) "verdict = oracle" true
+        (oracle_equal b "picky" report)
+  | o -> Alcotest.failf "serve after publish: %a" Broker.pp_outcome o
 
 (* ------------------------------------------------------------------ *)
 (* Admission control *)
@@ -460,9 +549,25 @@ let test_sessions () =
   (* close evicts; serving again is refused *)
   ignore (outcome b (Broker.Close { client = "c1" }));
   Alcotest.(check int) "entry evicted on close" 0 (Broker.index_size b);
-  match outcome b (Broker.Serve { client = "c1" }) with
+  (match outcome b (Broker.Serve { client = "c1" }) with
   | Broker.Rejected (Broker.Unknown_client _) -> ()
-  | o -> Alcotest.failf "serve after close: %a" Broker.pp_outcome o
+  | o -> Alcotest.failf "serve after close: %a" Broker.pp_outcome o);
+  (* registration order, which snapshots record: a re-open keeps its
+     place, a close and open moves the client to the end *)
+  let open_ client =
+    ignore
+      (outcome b
+         (Broker.Open { client; body = List.assoc client Scenarios.Churn.clients }))
+  in
+  let order () = List.map fst (Broker.clients b) in
+  List.iter open_ [ "c1"; "c2"; "c3" ];
+  open_ "c1";
+  Alcotest.(check (list string)) "re-open keeps its place" [ "c1"; "c2"; "c3" ]
+    (order ());
+  ignore (outcome b (Broker.Close { client = "c1" }));
+  open_ "c1";
+  Alcotest.(check (list string)) "close and open moves to the end"
+    [ "c2"; "c3"; "c1" ] (order ())
 
 let test_repository_guards () =
   let b = Broker.create Scenarios.Churn.repo in
@@ -807,14 +912,259 @@ let test_burst_admission () =
     true
     (shed loose < shed strict)
 
+(* ------------------------------------------------------------------ *)
+(* Population-scale bookkeeping *)
+
+(* 2,000 hotel clients over 200 policy classes, each with a plan. Every
+   plan binds br, the first location, at its own site, and every earlier
+   choice at site 3 leaves no site open, so none is exposed: a hotel
+   publish every site can talk to drops nothing, and every re-serve
+   hits. A retract drops exactly the clients bound to the location. *)
+let test_population_counts () =
+  let b = Broker.create Scenarios.Churn.repo in
+  let n = 2_000 in
+  let name i = Fmt.str "p%d" i in
+  for i = 0 to n - 1 do
+    let k = i mod 200 in
+    let policy =
+      Usage.Policy_lib.hotel_policy
+        ~blacklist:(if k mod 2 = 0 then [ "s1" ] else [])
+        ~price:(30 + (k / 2 mod 10 * 5))
+        ~rating:(55 + (k / 20 * 5))
+    in
+    let body =
+      Hexpr.open_ ~rid:(100 + i) ~policy
+        (Scenarios.Hotel.client_request_body policy)
+    in
+    ignore (outcome b (Broker.Open { client = name i; body }));
+    check_served ~cached:false (name i) (outcome b (Broker.Serve { client = name i }))
+  done;
+  let invalidations () = (Broker.stats b).Broker.invalidations in
+  let loc, service = spare_service in
+  ignore (outcome b (Broker.Publish { loc; service }));
+  Alcotest.(check int) "relevant hotel publish invalidates nothing" 0
+    (invalidations ());
+  let hits_before = (Broker.stats b).Broker.hits in
+  for i = 0 to n - 1 do
+    ignore (outcome b (Broker.Serve { client = name i }))
+  done;
+  Alcotest.(check int) "every re-serve hits" n
+    ((Broker.stats b).Broker.hits - hits_before);
+  let bound loc =
+    List.filter
+      (fun i ->
+        match Broker.cached_verdict b (name i) with
+        | Some (Broker.Index.Valid r, _) ->
+            List.exists (fun (_, l) -> l = loc) (Plan.bindings r.Planner.plan)
+        | _ -> false)
+      (List.init n Fun.id)
+    |> List.length
+  in
+  let s3_bound = bound "s3" in
+  Alcotest.(check bool) "some plans bind s3" true (s3_bound > 0);
+  ignore (outcome b (Broker.Retract { loc = "s3" }));
+  Alcotest.(check int) "retract drops exactly the clients bound to s3"
+    s3_bound (invalidations ());
+  Alcotest.(check int) "the rest stay cached" (n - s3_bound)
+    (Broker.index_size b)
+
+(* ------------------------------------------------------------------ *)
+(* The position-aware publish rule, generated *)
+
+(* Worlds where exposure varies: clients with two or three own sites
+   framed by a cross-site never_after policy, and services that fire
+   its events, some of which open a nested site. A nested site talks on
+   an n-channel, which only site-free services listen on, so no service
+   can be bound to serve its own nested site. Every nested site has rid
+   10, which keeps the enumeration small: once one service has opened
+   it, the others' copies are bound already. *)
+let naft =
+  Usage.Policy_lib.instantiate0
+    (Usage.Policy_lib.never_after ~first:"x" ~then_:"y")
+
+let chan_gen = QCheck.Gen.oneofl [ "m0"; "m1"; "m2" ]
+let nested_chan_gen = QCheck.Gen.oneofl [ "n0"; "n1" ]
+
+let service_gen ~nested =
+  let open QCheck.Gen in
+  let* ev = oneofl [ None; Some "x"; Some "y" ] in
+  let* body =
+    frequency
+      [
+        (2, map Hexpr.recv chan_gen);
+        (1, map Hexpr.recv nested_chan_gen);
+        ( (if nested then 1 else 0),
+          map2
+            (fun ch ch' ->
+              Hexpr.seq (Hexpr.recv ch) (Hexpr.open_ ~rid:10 (Hexpr.send ch')))
+            chan_gen nested_chan_gen );
+      ]
+  in
+  return (match ev with None -> body | Some e -> Hexpr.seq (Hexpr.ev e) body)
+
+let client_gen =
+  let open QCheck.Gen in
+  let* chans = list_size (frequency [ (3, return 2); (1, return 3) ]) chan_gen in
+  return
+    (Hexpr.frame naft
+       (Hexpr.seq_all
+          (List.mapi (fun i ch -> Hexpr.open_ ~rid:(i + 1) (Hexpr.send ch)) chans)))
+
+type mutation =
+  | Publish_next
+  | Retract_nth of int
+  | Update_nth of int * Hexpr.t
+
+let world_gen =
+  let open QCheck.Gen in
+  (* published services are site-free: they come last in enumeration
+     order, where a nested site would only widen it *)
+  let* repo = list_size (int_range 3 4) (service_gen ~nested:true) in
+  let* pool = list_repeat 3 (service_gen ~nested:false) in
+  let* clients = list_repeat 2 client_gen in
+  let* mutations =
+    list_size (int_range 3 6)
+      (frequency
+         [
+           (3, return Publish_next);
+           (1, map (fun i -> Retract_nth i) (int_bound 5));
+           ( 1,
+             map2
+               (fun i h -> Update_nth (i, h))
+               (int_bound 5) (service_gen ~nested:true) );
+         ])
+  in
+  return
+    (List.mapi (fun i h -> (Fmt.str "s%d" i, h)) repo, pool, clients, mutations)
+
+(* The definition the exposure test decides: with [s] published at a
+   fresh location, does some plan through it come before [p]? *)
+let brute_exposed repo ~client p s =
+  let l = "probe" in
+  let plans = Planner.enumerate (repo @ [ (l, s) ]) ~client in
+  let rec rank i = function
+    | [] -> Alcotest.failf "%a is not enumerated" Plan.pp p
+    | q :: rest -> if Plan.equal q p then i else rank (i + 1) rest
+  in
+  let before = rank 0 plans in
+  List.exists
+    (fun q -> List.exists (fun (_, l') -> l' = l) (Plan.bindings q))
+    (List.filteri (fun j _ -> j < before) plans)
+
+(* Over every world: served plans that were unexposed, exposed, and that
+   bind the location published just before (a displacement, when the
+   client had a plan already). *)
+let unexposed_served = ref 0
+and exposed_served = ref 0
+and displaced = ref 0
+
+let prop_publish_rule =
+  QCheck.Test.make ~count:60
+    ~name:"publish rule: serves = oracle, exposure = brute force"
+    (QCheck.make world_gen)
+    (fun (repo, pool, clients, mutations) ->
+      let b =
+        Broker.create
+          ~admission:
+            {
+              Broker.queue_capacity = 16;
+              plan_budget = 100_000;
+              floor = Compliance.Strict;
+            }
+          repo
+      in
+      let clients = List.mapi (fun i body -> (Fmt.str "c%d" i, body)) clients in
+      List.iter
+        (fun (client, body) -> ignore (process b (Broker.Open { client; body })))
+        clients;
+      let pool = ref (List.mapi (fun i h -> (Fmt.str "p%d" i, h)) pool) in
+      let nth_loc i =
+        let locs = List.map fst (Broker.repo b) in
+        if locs = [] then None else Some (List.nth locs (i mod List.length locs))
+      in
+      let site_free = Hexpr.recv "m0"
+      and with_site =
+        Hexpr.seq (Hexpr.recv "m0") (Hexpr.open_ ~rid:99 (Hexpr.send "n0"))
+      in
+      (* serve every client: each answer must equal the cold oracle, and
+         each plan's exposure must equal the brute-force definition *)
+      let serve_all ~published =
+        List.for_all
+          (fun (name, body) ->
+            let repo = Broker.repo b in
+            let oracle = Broker.Oracle.serve repo ~client:(name, body) in
+            match (process b (Broker.Serve { client = name })).Broker.outcome with
+            | Broker.Served { report; cached; _ } ->
+                let plan = report.Planner.plan in
+                let exposed = Planner.exposed repo ~client:(name, body) plan in
+                incr (if exposed then exposed_served else unexposed_served);
+                if
+                  (not cached)
+                  && List.exists
+                       (fun (_, l) -> Some l = published)
+                       (Plan.bindings plan)
+                then incr displaced;
+                Broker.verdict_equal (Broker.Index.Valid report) oracle
+                && List.for_all
+                     (fun s ->
+                       exposed = brute_exposed repo ~client:(name, body) plan s)
+                     [ site_free; with_site ]
+            | Broker.Rejected Broker.No_plan ->
+                Broker.verdict_equal Broker.Index.No_plan oracle
+            | o -> QCheck.Test.fail_reportf "serve: %a" Broker.pp_outcome o)
+          clients
+      in
+      serve_all ~published:None
+      && List.for_all
+           (fun m ->
+             let published =
+               match m with
+               | Publish_next -> (
+                   match !pool with
+                   | [] -> None
+                   | (loc, service) :: rest ->
+                       pool := rest;
+                       ignore (process b (Broker.Publish { loc; service }));
+                       Some loc)
+               | Retract_nth i ->
+                   Option.iter
+                     (fun loc -> ignore (process b (Broker.Retract { loc })))
+                     (nth_loc i);
+                   None
+               | Update_nth (i, service) ->
+                   Option.iter
+                     (fun loc ->
+                       ignore (process b (Broker.Update { loc; service })))
+                     (nth_loc i);
+                   None
+             in
+             serve_all ~published)
+           mutations)
+
+let test_publish_rule () =
+  QCheck.Test.check_exn prop_publish_rule;
+  Alcotest.(check bool)
+    (Fmt.str "%d unexposed and %d exposed plans served, %d displaced"
+       !unexposed_served !exposed_served !displaced)
+    true
+    (!unexposed_served > 0 && !exposed_served > 0 && !displaced > 0)
+
 let suite =
   [
     Alcotest.test_case "canned churn scenario" `Quick test_canned_script;
     QCheck_alcotest.to_alcotest prop_oracle_replay;
+    Alcotest.test_case "2,000 clients: publish keeps, retract drops bound"
+      `Quick test_population_counts;
+    Alcotest.test_case "publish rule: serves = oracle, exposure = brute force"
+      `Quick test_publish_rule;
+    Alcotest.test_case "a policy universe change drops every entry" `Quick
+      test_universe_change_drops;
     Alcotest.test_case "noise publish invalidates nothing" `Quick
       test_noise_publish_invalidates_nothing;
-    Alcotest.test_case "relevant publish invalidates, retract fails over"
-      `Quick test_relevant_publish_invalidates;
+    Alcotest.test_case "relevant publish keeps unexposed plan" `Quick
+      test_relevant_publish_keeps_unexposed;
+    Alcotest.test_case "relevant publish drops No_plan" `Quick
+      test_relevant_publish_drops_no_plan;
     Alcotest.test_case "queue sheds past capacity" `Quick test_shedding;
     Alcotest.test_case "plan budget degrades, policy raises it" `Quick
       test_degradation;

@@ -216,7 +216,21 @@ let test_serve_bad_numbers () =
       ("--net-timeout=0", "--net-timeout must be > 0");
       ("--queue=0", "--queue must be >= 1");
       ("--budget=-5", "--budget must be >= 1");
-    ]
+      ("--shards=0", "--shards must be >= 1");
+      ("--shards=128", "--shards must be <= 127");
+    ];
+  (* more shards than the runtime has domains for: refused before any
+     journal is created, not by the first request to queue *)
+  let code =
+    Sys.command
+      (Filename.quote_command susf
+         [ "serve"; hotel; "--listen"; "0"; "--shards"; "128"; "--journal";
+           "too-many.journal" ]
+      ^ " > /dev/null 2> /dev/null")
+  in
+  Alcotest.(check int) "--listen --shards 128 exit code" 2 code;
+  Alcotest.(check bool) "no journal created" false
+    (Sys.file_exists "too-many.journal.0")
 
 let test_serve_script_diagnostics () =
   let bad = write_log "bad.script" "serve c1\nfrobnicate c1\n" in

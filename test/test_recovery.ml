@@ -578,17 +578,31 @@ exception Crash
 (* Run numbered script items through the journaled feed onto [broker],
    journaling to [path] (continuing it with [~append]); an injected
    crash fires before processed event [crash_at] reaches the journal.
-   Returns the responses produced before the crash. *)
-let feed_script ?crash_at ?(append = false) broker path indexed =
+   With [~snapshot:(spath, every, base)], every [every] processed
+   events write a snapshot to [spath] covering [base] earlier journal
+   entries plus those appended since, as [susf serve --snapshot-every]
+   does. Returns the responses produced before the crash. *)
+let feed_script ?crash_at ?(append = false) ?snapshot broker path indexed =
   let w = Broker.Journal.create ~hexpr_to_string ~append path in
-  let responses = ref [] and accepted = ref 0 in
+  let responses = ref [] and accepted = ref 0 and last_snap = ref 0 in
   let accept () =
     if crash_at = Some !accepted then raise Crash;
     incr accepted
   in
+  let after () =
+    match snapshot with
+    | Some (spath, every, base) when !accepted - !last_snap >= every ->
+        Broker.Journal.flush w;
+        Broker.Recovery.write ~hexpr_to_string spath
+          (Broker.Recovery.snapshot_of broker
+             ~upto:(base + Broker.Journal.appended w));
+        last_snap := !accepted
+    | _ -> ()
+  in
   (try
      Broker.Journal.run
        (Broker.Journal.feed ~writer:w ~accept broker)
+       ~after
        ~emit:(fun r -> responses := r :: !responses)
        indexed
    with Crash -> ());
@@ -849,6 +863,127 @@ let test_ladder_crash_resume () =
     Sys.remove jpath
   done
 
+(* Run [items] uninterrupted, then crash before every processed event
+   with every snapshot cadence from 1 to 5, recover and resume: replies
+   and journal must equal the uninterrupted run's, byte for byte.
+   Returns the rendered outcomes of the uninterrupted run's serves. *)
+let crash_everywhere ~hexpr_of_string repo items =
+  let indexed =
+    match Broker.Recovery.resume_script ~hexpr_to_string ~covered:[] items with
+    | Ok l -> l
+    | Error msg -> Alcotest.fail msg
+  in
+  let read_bytes path = In_channel.with_open_bin path In_channel.input_all in
+  let upath = tmpfile () in
+  let all = feed_script (Broker.create repo) upath indexed in
+  let ujournal = read_bytes upath in
+  Sys.remove upath;
+  for every = 1 to 5 do
+    for k = 0 to List.length all do
+      let jpath = tmpfile () and spath = tmpfile () in
+      Sys.remove spath;
+      let pre =
+        feed_script ~crash_at:k ~snapshot:(spath, every, 0) (Broker.create repo)
+          jpath indexed
+      in
+      (match
+         Broker.Recovery.recover ~hexpr_of_string ~snapshot:spath
+           ~journal:jpath repo
+       with
+      | Error msg -> Alcotest.failf "every %d, k=%d: recover: %s" every k msg
+      | Ok (rb, report) -> (
+          match
+            Broker.Recovery.resume_script ~hexpr_to_string
+              ~covered:report.Broker.Recovery.events items
+          with
+          | Error msg -> Alcotest.failf "every %d, k=%d: resume: %s" every k msg
+          | Ok rest ->
+              let post =
+                feed_script ~append:true
+                  ~snapshot:(spath, every, report.Broker.Recovery.entries)
+                  rb jpath rest
+              in
+              Alcotest.(check string)
+                (Fmt.str "every %d, k=%d: replies" every k)
+                (render all)
+                (render (pre @ post));
+              Alcotest.(check string)
+                (Fmt.str "every %d, k=%d: journal" every k)
+                ujournal (read_bytes jpath)));
+      Sys.remove jpath;
+      if Sys.file_exists spath then Sys.remove spath
+    done
+  done;
+  List.filter_map
+    (fun (r : Broker.response) ->
+      match r.Broker.request with
+      | Broker.Serve _ -> Some (Fmt.str "%a" Broker.pp_outcome r.outcome)
+      | _ -> None)
+    all
+
+let parse_script ~hexpr_of_string ?file text =
+  match Broker.Script.parse ?file ~hexpr_of_string text with
+  | Ok items -> items
+  | Error msg -> Alcotest.fail msg
+
+(* The position-aware publish rule must be decided against the current
+   repository, never the one an entry was cached in. In
+   examples/data/appended.script, [retract x1] leaves c's cached plan
+   with no earlier choice that keeps a site open, so the next relevant
+   publish keeps it (HIT); a broker that recorded the plan as exposed
+   when it was cached would drop it, while one rebuilt from a snapshot
+   after the retract would not. *)
+let test_appended_crash_resume () =
+  let data = "../examples/data/appended" in
+  let spec = Syntax.Parser.spec_of_file (data ^ ".susf") in
+  let hexpr_of_string =
+    Syntax.Parser.hexpr_of_string ~automata:spec.Syntax.Spec.automata
+  in
+  let file = data ^ ".script" in
+  let items =
+    parse_script ~hexpr_of_string ~file
+      (In_channel.with_open_text file In_channel.input_all)
+  in
+  Alcotest.(check (list string))
+    "uninterrupted serves"
+    [
+      "MISS plan {1[x2], 2[yold]}: VALID (10 states)";
+      "MISS plan {1[x1], 2[y2]}: VALID (10 states)";
+      "MISS plan {1[x2], 2[yold]}: VALID (10 states)";
+      "HIT plan {1[x2], 2[yold]}: VALID (10 states)";
+      "HIT plan {1[x2], 2[yold]}: VALID (10 states)";
+    ]
+    (crash_everywhere ~hexpr_of_string (Syntax.Spec.repo spec) items)
+
+(* The converse: an [Update] can give a location before the plan's
+   choice a site of its own, exposing a plan it leaves cached (the
+   update is relevant to no site). The next relevant publish must drop
+   the entry, as a broker rebuilt after the update would. *)
+let test_update_exposes_crash_resume () =
+  let hexpr_of_string = Syntax.Parser.hexpr_of_string ~automata:[] in
+  let repo =
+    List.map
+      (fun (l, src) -> (l, hexpr_of_string src))
+      [ ("s0", "m0?"); ("s1", "m2?"); ("s2", "m1?") ]
+  in
+  let items =
+    parse_script ~hexpr_of_string
+      (String.concat "\n"
+         [
+           "open c = open(1){ m0! } . open(2){ m1! }"; "drain"; "serve c";
+           "drain"; "update s1 = m2? . open(10){ n0! }"; "drain"; "serve c";
+           "drain"; "publish p = m1?"; "drain"; "serve c"; "drain";
+         ])
+  in
+  Alcotest.(check (list string))
+    "uninterrupted serves"
+    [
+      "MISS plan {1[s0], 2[s2]}: VALID (7 states)";
+      "HIT plan {1[s0], 2[s2]}: VALID (7 states)";
+      "MISS plan {1[s0], 2[s2]}: VALID (7 states)";
+    ]
+    (crash_everywhere ~hexpr_of_string repo items)
+
 (* ------------------------------------------------------------------ *)
 (* B9: recovery vs journal length on the churn workload *)
 
@@ -935,4 +1070,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_chaos_recovery;
     Alcotest.test_case "recovery vs journal length (B9)" `Quick
       test_recovery_vs_journal_length;
+    Alcotest.test_case "appended.script: crash, snapshot, resume" `Quick
+      test_appended_crash_resume;
+    Alcotest.test_case "update exposes: crash, snapshot, resume" `Quick
+      test_update_exposes_crash_resume;
   ]

@@ -876,6 +876,80 @@ let test_unjournaled_no_leak () =
     (Fmt.str "live words grew by %d over %d serves (< 1 per request)" grown n)
     true (grown < n)
 
+(* ------------------------------------------------------------------ *)
+(* Workers start on first use *)
+
+let workers_spawned () =
+  Option.value ~default:0
+    (List.assoc_opt "broker.shard.workers"
+       (Obs.Metrics.snapshot ()).Obs.Metrics.counters)
+
+(* A pool spawns no domain until a job has to queue: an unused pool and
+   a one-shard pool whose requests all ran inline have no worker, and
+   [stop] still leaves every journal complete and closed. *)
+let test_unused_pool_no_worker () =
+  Obs.Metrics.install ();
+  Fun.protect ~finally:Obs.Metrics.uninstall @@ fun () ->
+  let run ~shards requests =
+    let paths = Array.init shards (fun _ -> tmpfile ()) in
+    let writers =
+      Array.map (Broker.Journal.create ~hexpr_to_string ~batch:64) paths
+    in
+    let pool =
+      Broker.Shard.create ~journal:(Array.get writers) ~shards
+        Scenarios.Churn.repo
+    in
+    List.iter (Broker.Shard.submit ~inline:true pool) requests;
+    Broker.Shard.stop pool;
+    Alcotest.(check int)
+      (Fmt.str "%d shard(s), %d requests: no worker spawned" shards
+         (List.length requests))
+      0 (workers_spawned ());
+    Array.iteri
+      (fun i path ->
+        Alcotest.(check int)
+          (Fmt.str "shard %d: stop left every entry on disk" i)
+          (if i = 0 then List.length requests else 0)
+          (List.length (read_entries path).Broker.Journal.entries);
+        let w = writers.(i) in
+        Alcotest.(check bool)
+          (Fmt.str "shard %d: stop closed the journal" i)
+          true
+          (match
+             List.iter (Broker.Journal.append w) (sample_entries 1);
+             Broker.Journal.flush w
+           with
+          | () -> false
+          | exception Sys_error _ -> true);
+        Sys.remove path)
+      paths
+  in
+  run ~shards:3 [];
+  (* every churn request runs inline on the lone, idle shard *)
+  run ~shards:1 (churn_requests ())
+
+(* The first job that has to queue for a shard starts its worker; later
+   jobs reuse it, and a broadcast starts the workers it queues for. *)
+let test_first_queued_job_starts_worker () =
+  Obs.Metrics.install ();
+  Fun.protect ~finally:Obs.Metrics.uninstall @@ fun () ->
+  let pool = Broker.Shard.create ~shards:2 Scenarios.Churn.repo in
+  let body = List.assoc "c1" Scenarios.Churn.clients in
+  Alcotest.(check int) "a new pool has no worker" 0 (workers_spawned ());
+  Broker.Shard.submit pool (Broker.Open { client = "c1"; body });
+  Alcotest.(check int) "c1's shard started its worker" 1 (workers_spawned ());
+  Broker.Shard.submit pool (Broker.Serve { client = "c1" });
+  Broker.Shard.drain pool;
+  Alcotest.(check int) "the next job reuses it" 1 (workers_spawned ());
+  let loc, service = List.hd Scenarios.Churn.noise in
+  Broker.Shard.submit pool (Broker.Publish { loc; service });
+  Broker.Shard.drain pool;
+  Alcotest.(check int) "a broadcast starts the other shard's" 2
+    (workers_spawned ());
+  Broker.Shard.stop pool;
+  let st = Broker.stats (Broker.Shard.engine pool (Broker.route ~shards:2 "c1")) in
+  Alcotest.(check int) "the queued serve was answered" 1 st.Broker.served
+
 let suite =
   [
     Alcotest.test_case "route: pinned values, stability" `Quick
@@ -918,4 +992,8 @@ let suite =
       `Quick test_closed_loop;
     Alcotest.test_case "unjournaled pool: no per-request growth" `Quick
       test_unjournaled_no_leak;
+    Alcotest.test_case "unused pool: no worker, journals closed" `Quick
+      test_unused_pool_no_worker;
+    Alcotest.test_case "first queued job starts the worker" `Quick
+      test_first_queued_job_starts_worker;
   ]
