@@ -1187,7 +1187,13 @@ let serve_cmd =
       let total = Array.fold_left (fun n s -> n + List.length s) 0 streams in
       let t0 = Unix.gettimeofday () in
       let open_conns, driven =
-        Broker.Net.drive ~host ~port ~hexpr_to_string streams
+        let fail why =
+          Fmt.epr "--connect %s: %s@." hostport why;
+          exit 2
+        in
+        try Broker.Net.drive ~host ~port ~hexpr_to_string streams with
+        | Failure why -> fail why
+        | Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
       in
       let dt = Unix.gettimeofday () -. t0 in
       let errs =

@@ -279,7 +279,7 @@ let drive ?(host = "127.0.0.1") ~port ~hexpr_to_string
     try Unix.inet_addr_of_string host
     with Failure _ -> (
       try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      with Not_found -> failwith ("Net.drive: unknown host " ^ host))
+      with Not_found -> failwith "unknown host")
   in
   let addr = Unix.ADDR_INET (inet, port) in
   (* retry refused connections for a few seconds: drivers are routinely

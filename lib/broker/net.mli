@@ -90,7 +90,9 @@ val drive :
     few seconds — drivers routinely start right after the server
     process, before it binds. [host] may be an IP literal or a name.
     Returns the still-open connections and every (stream, request,
-    reply) in completion order. *)
+    reply) in completion order. Raises [Failure "unknown host"] when
+    [host] does not resolve, and [Unix.Unix_error] when a connection
+    cannot be made. *)
 
 val shutdown_conns :
   (Unix.file_descr * in_channel * out_channel) array -> unit

@@ -1,145 +1,46 @@
 let escaped pp_v v = String.escaped (Fmt.str "%a" pp_v v)
 
 let hexpr_dot ppf h0 =
-  let states = Semantics.reachable h0 in
-  let index =
-    List.fold_left
-      (fun (i, m) s -> (i + 1, Semantics.Map.add s i m))
-      (0, Semantics.Map.empty)
-      states
-    |> snd
-  in
-  let id s = Semantics.Map.find s index in
+  let init, states = Semantics.lts h0 in
   Fmt.pf ppf "digraph hexpr {@.  rankdir=LR;@.";
-  List.iter
-    (fun s ->
+  Array.iteri
+    (fun i (s, _) ->
       let shape = if Semantics.is_terminated s then "doublecircle" else "circle" in
-      Fmt.pf ppf "  %d [shape=%s,label=\"%s\"];@." (id s) shape
+      Fmt.pf ppf "  %d [shape=%s,label=\"%s\"];@." i shape
         (escaped Hexpr.pp s))
     states;
-  Fmt.pf ppf "  init [shape=point]; init -> %d;@." (id h0);
-  List.iter
-    (fun s ->
+  Fmt.pf ppf "  init [shape=point]; init -> %d;@." init;
+  Array.iteri
+    (fun i (_, moves) ->
       List.iter
-        (fun (l, s') ->
-          Fmt.pf ppf "  %d -> %d [label=\"%s\"];@." (id s) (id s')
-            (escaped Action.pp l))
-        (Semantics.transitions s))
+        (fun (l, j) ->
+          Fmt.pf ppf "  %d -> %d [label=\"%s\"];@." i j (escaped Action.pp l))
+        moves)
     states;
   Fmt.pf ppf "}@."
 
-module CMap = Map.Make (struct
-  type t = Contract.t
-
-  let compare = Contract.compare
-end)
-
-let contract_dot ppf c0 =
-  let states = Contract.reachable c0 in
-  let index =
-    List.fold_left
-      (fun (i, m) s -> (i + 1, CMap.add s i m))
-      (0, CMap.empty) states
-    |> snd
-  in
-  let id s = CMap.find s index in
-  let pp_label ppf (d, a) =
-    match d with
-    | Contract.I -> Fmt.pf ppf "%s?" a
-    | Contract.O -> Fmt.pf ppf "%s!" a
-  in
-  Fmt.pf ppf "digraph contract {@.  rankdir=LR;@.";
-  List.iter
-    (fun s ->
-      let shape = if Contract.is_terminated s then "doublecircle" else "circle" in
-      Fmt.pf ppf "  %d [shape=%s,label=\"%s\"];@." (id s) shape
-        (escaped Contract.pp s))
-    states;
-  Fmt.pf ppf "  init [shape=point]; init -> %d;@." (id c0);
-  List.iter
-    (fun s ->
-      List.iter
-        (fun (d, a, s') ->
-          Fmt.pf ppf "  %d -> %d [label=\"%s\"];@." (id s) (id s')
-            (escaped pp_label (d, a)))
-        (Contract.transitions s))
-    states;
-  Fmt.pf ppf "}@."
-
-module AState = struct
-  type t = Network.component * Validity.Abstract.t
-
-  let compare (c1, a1) (c2, a2) =
-    match Network.compare_component c1 c2 with
-    | 0 -> Validity.Abstract.compare a1 a2
-    | c -> c
-end
-
-module AMap = Map.Make (AState)
-
-let client_graph_dot repo plan (loc, h0) ppf =
-  let universe =
-    List.concat_map Hexpr.policies (h0 :: List.map snd repo)
-    |> List.sort_uniq Usage.Policy.compare
-  in
-  let push abs items =
-    List.fold_left
-      (fun acc item ->
-        match acc with
-        | Error _ as e -> e
-        | Ok a -> Validity.Abstract.push a item)
-      (Ok abs) items
-  in
-  let start = (Network.Leaf (loc, h0), Validity.Abstract.init universe) in
-  let index = ref (AMap.singleton start 0) in
-  let next = ref 1 in
-  let enabled_edges = ref [] and blocked_edges = ref [] in
-  let id st =
-    match AMap.find_opt st !index with
-    | Some i -> i
-    | None ->
-        let i = !next in
-        incr next;
-        index := AMap.add st i !index;
-        i
-  in
-  let rec explore ((comp, abs) as st) =
-    let i = id st in
-    Network.component_moves repo plan comp
-    |> List.iter (fun (g, items, comp') ->
-           match push abs items with
-           | Ok abs' ->
-               let st' = (comp', abs') in
-               let fresh = not (AMap.mem st' !index) in
-               enabled_edges := (i, g, id st') :: !enabled_edges;
-               if fresh then explore st'
-           | Error p -> blocked_edges := (i, g, p) :: !blocked_edges)
-  in
-  explore start;
+let client_graph_dot repo plan client ppf =
+  let g = Netcheck.graph repo plan client in
   Fmt.pf ppf "digraph client {@.  rankdir=LR;@.";
-  AMap.iter
-    (fun ((comp, _) as st) i ->
-      let has_move =
-        List.exists (fun (src, _, _) -> src = i) !enabled_edges
+  Array.iteri
+    (fun i (comp, stuck) ->
+      let shape =
+        if Option.is_none stuck then "circle" else "doublecircle,color=red"
       in
-      let stuck = (not (Network.terminated comp)) && not has_move in
-      let shape = if stuck then "doublecircle" else "circle" in
-      let color = if stuck then ",color=red" else "" in
-      ignore st;
-      Fmt.pf ppf "  %d [shape=%s%s,label=\"%s\"];@." i shape color
+      Fmt.pf ppf "  %d [shape=%s,label=\"%s\"];@." i shape
         (escaped Network.pp_component comp))
-    !index;
+    g.Netcheck.nodes;
   Fmt.pf ppf "  init [shape=point]; init -> 0;@.";
   List.iter
-    (fun (i, g, j) ->
+    (fun (i, l, j) ->
       Fmt.pf ppf "  %d -> %d [label=\"%s\"];@." i j
-        (escaped Network.pp_glabel g))
-    (List.rev !enabled_edges);
+        (escaped Network.pp_glabel l))
+    g.Netcheck.edges;
   List.iter
-    (fun (i, g, p) ->
+    (fun (i, l, p) ->
       Fmt.pf ppf
         "  %d -> %d [style=dashed,color=red,label=\"%s blocked by %s\"];@." i i
-        (escaped Network.pp_glabel g)
+        (escaped Network.pp_glabel l)
         (String.escaped (Usage.Policy.id p)))
-    (List.rev !blocked_edges);
+    g.Netcheck.blocked;
   Fmt.pf ppf "}@."

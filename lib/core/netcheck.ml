@@ -99,15 +99,6 @@ let rec session_mismatch (comp : Network.component) =
       | Some c -> Some c
       | None -> session_mismatch b)
 
-module State = struct
-  type t = Network.component * Validity.Abstract.t
-
-  let compare (c1, a1) (c2, a2) =
-    match Network.compare_component c1 c2 with
-    | 0 -> Validity.Abstract.compare a1 a2
-    | c -> c
-end
-
 (* Hash for exploration frontiers. Only the component is hashed:
    [Validity.Abstract.t] values that compare equal can sit in
    differently-shaped balanced trees, so hashing their representation
@@ -115,7 +106,7 @@ end
    Policies are hashed by their identifier for the same reason
    ([Usage.Policy.compare] is on ids, not automata); everything else in
    the component is a plain structurally-compared ADT. Equality of
-   table keys stays the full [State.compare]. *)
+   table keys stays the full comparison of both halves ([Key.equal]). *)
 let hash_comb a b = ((a * 19) + b) land max_int
 
 let hash_policy p = Hashtbl.hash (Usage.Policy.id p)
@@ -151,29 +142,139 @@ let rec hash_component (c : Network.component) =
   | Network.Session (a, b) ->
       hash_comb (hash_comb 13 (hash_component a)) (hash_component b)
 
-module STbl = Hashtbl.Make (struct
-  type t = State.t
+(* The one state key: a (component, policy cursors) pair. *)
+module Key = struct
+  type t = Network.component * Validity.Abstract.t
 
-  let equal a b = State.compare a b = 0
+  let equal (c1, a1) (c2, a2) =
+    Network.compare_component c1 c2 = 0 && Validity.Abstract.equal a1 a2
+
   let hash (comp, _) = hash_component comp
-end)
+end
 
-let check_client ?universe ?(level = Compliance.Strict) repo plan (loc, h0) =
-  Obs.Trace.with_span ~attrs:[ ("client", Obs.Trace.Str loc) ]
-    "netcheck.check_client"
-  @@ fun () ->
-  Obs.Metrics.incr "netcheck.checks";
+module STbl = Hashtbl.Make (Key)
+
+(* The one step function: the component's candidate moves passed
+   through the policy cursors. Both lists come newest-first, so the head
+   of [blocked] is the last blocking candidate. *)
+let step repo plan (comp, abs) =
+  List.fold_left
+    (fun (enabled, blocked) (g, items, comp') ->
+      match push_items abs items with
+      | Ok abs' -> ((g, (comp', abs')) :: enabled, blocked)
+      | Error p -> (enabled, (g, p) :: blocked))
+    ([], [])
+    (Network.component_moves repo plan comp)
+
+(* The one stuck classifier: a non-terminated state's condemnations in
+   order. The Definition 5(ii) mismatch comes first; a state with no
+   enabled move then blames the plan for an unplanned request, security
+   for a blocked move, or else communication — unless the mismatch has
+   already condemned it for communication. *)
+let condemnations repo plan comp ~enabled ~blocked =
+  let mismatch =
+    match session_mismatch comp with
+    | Some c -> [ (c, Communication) ]
+    | None -> []
+  in
+  if enabled <> [] then mismatch
+  else
+    let no_move =
+      match (unplanned_requests repo plan comp, blocked) with
+      | r :: _, _ -> [ (comp, Unplanned_request r) ]
+      | [], (_, p) :: _ -> [ (comp, Security p) ]
+      | [], [] -> if mismatch = [] then [ (comp, Communication) ] else []
+    in
+    mismatch @ no_move
+
+(* What a reader does with a dequeued state. *)
+type 'a visit = Expand | Prune | Stop of 'a
+
+(* A dequeued state as its reader sees it: [stucks] are its
+   condemnations, each with a shortest witness. *)
+type view = {
+  id : int;
+  component : Network.component;
+  terminated : bool;
+  stucks : stuck list;
+  blocked : (Network.glabel * Usage.Policy.t) list;
+}
+
+(* The one breadth-first exploration of a planned client's abstract
+   configuration graph. States are numbered in discovery order, which is
+   the order [visit] sees them in, and keep the parent they were first
+   reached from, so every witness is a shortest path. [Expand] enqueues
+   the enabled successors, reporting each move as [edge src label dst];
+   [Prune] leaves them; [Stop v] ends the walk. Returns the [v] a reader
+   stopped with, and the states discovered and transitions expanded. *)
+let explore ?universe ?(edge = fun _ _ _ -> ()) repo plan (loc, h0) visit =
   let universe =
     match universe with
     | Some u -> u
     | None -> default_universe repo [ (loc, h0) ]
   in
   let start = (Network.Leaf (loc, h0), Validity.Abstract.init universe) in
-  let parent = STbl.create 64 in
-  STbl.replace parent start None;
+  let seen = STbl.create 64 in
+  STbl.replace seen start (0, None);
   let q = Queue.create () in
   Queue.add start q;
-  let transitions = ref 0 in
+  let popped = ref 0 and transitions = ref 0 in
+  let rec trace_of st acc =
+    match STbl.find seen st with
+    | _, None -> acc
+    | _, Some (g, pred) -> trace_of pred (g :: acc)
+  in
+  let stats () = { states = STbl.length seen; transitions = !transitions } in
+  let rec bfs () =
+    if Queue.is_empty q then (None, stats ())
+    else
+      let ((comp, _) as st) = Queue.pop q in
+      let id = !popped in
+      incr popped;
+      let terminated = Network.terminated comp in
+      let enabled, blocked =
+        if terminated then ([], []) else step repo plan st
+      in
+      let stucks =
+        if terminated then []
+        else
+          match condemnations repo plan comp ~enabled ~blocked with
+          | [] -> []
+          | cs ->
+              let trace = trace_of st [] in
+              List.map
+                (fun (component, kind) ->
+                  { client = loc; component; kind; trace })
+                cs
+      in
+      match visit { id; component = comp; terminated; stucks; blocked } with
+      | Stop v -> (Some v, stats ())
+      | Prune -> bfs ()
+      | Expand ->
+          List.iter
+            (fun (g, succ) ->
+              incr transitions;
+              let dst =
+                match STbl.find_opt seen succ with
+                | Some (dst, _) -> dst
+                | None ->
+                    let dst = STbl.length seen in
+                    STbl.replace seen succ (dst, Some (g, st));
+                    Queue.add succ q;
+                    dst
+              in
+              edge id g dst)
+            enabled;
+          bfs ()
+  in
+  bfs ()
+
+let check_client ?universe ?(level = Compliance.Strict) repo plan
+    ((loc, _) as client) =
+  Obs.Trace.with_span ~attrs:[ ("client", Obs.Trace.Str loc) ]
+    "netcheck.check_client"
+  @@ fun () ->
+  Obs.Metrics.incr "netcheck.checks";
   (* The loosened-level accounting, mirroring [Product.admits] at
      network granularity: communication deadlocks are tolerated up to
      the level's budget — [Skip_k k] forgives at most [max 0 k] stuck
@@ -191,178 +292,84 @@ let check_client ?universe ?(level = Compliance.Strict) repo plan (loc, h0) =
   let tolerated = ref 0 in
   let first_tolerated = ref None in
   let completion_seen = ref false in
-  let rec trace_of st acc =
-    match STbl.find parent st with
-    | None -> acc
-    | Some (g, pred) -> trace_of pred (g :: acc)
-  in
-  let record verdict =
-    if Obs.Metrics.active () then begin
-      let states = STbl.length parent in
-      Obs.Metrics.add "netcheck.states.explored" states;
-      Obs.Metrics.add "netcheck.transitions.explored" !transitions;
-      Obs.Metrics.observe "netcheck.states.per_check" states;
-      if !tolerated > 0 then
-        Obs.Metrics.add "netcheck.stuck.tolerated" !tolerated
-    end;
-    if Obs.Trace.active () then begin
-      Obs.Trace.add_attr "states" (Obs.Trace.Int (STbl.length parent));
-      Obs.Trace.add_attr "level"
-        (Obs.Trace.Str (Compliance.level_to_string level));
-      if !tolerated > 0 then
-        Obs.Trace.add_attr "tolerated" (Obs.Trace.Int !tolerated);
-      Obs.Trace.add_attr "valid"
-        (Obs.Trace.Bool (match verdict with Valid _ -> true | Invalid _ -> false))
-    end;
-    verdict
-  in
-  (* [`Fatal] ends the check; [`Tolerated] charges the budget and lets
-     the exploration continue past the wedge *)
-  let condemn st kind stuck_comp =
-    let stuck =
-      { client = loc; component = stuck_comp; kind; trace = trace_of st [] }
-    in
-    match kind with
-    | Communication when !tolerated < stuck_budget ->
+  (* a tolerated condemnation charges the budget and the state is still
+     expanded; any other ends the check *)
+  let rec judge = function
+    | [] -> Expand
+    | ({ kind = Communication; _ } as s) :: rest when !tolerated < stuck_budget
+      ->
         incr tolerated;
-        if !first_tolerated = None then first_tolerated := Some stuck;
-        `Tolerated
-    | Communication | Security _ | Unplanned_request _ -> `Fatal stuck
+        if !first_tolerated = None then first_tolerated := Some s;
+        judge rest
+    | s :: _ -> Stop s
   in
-  let rec bfs () =
-    if Queue.is_empty q then
-      if !tolerated > 0 && not !completion_seen then
+  let stopped, stats =
+    explore ?universe repo plan client (fun v ->
+        if v.terminated then completion_seen := true;
+        judge v.stucks)
+  in
+  let verdict =
+    match stopped with
+    | Some s -> Invalid s
+    | None when !tolerated > 0 && not !completion_seen ->
         (* every maximal execution wedges: even the weakest level still
            demands that the degraded network can complete *)
-        record (Invalid (Option.get !first_tolerated))
-      else
-        record
-          (Valid { states = STbl.length parent; transitions = !transitions })
-    else
-      let ((comp, abs) as st) = Queue.pop q in
-      if Network.terminated comp then begin
-        completion_seen := true;
-        bfs ()
-      end
-      else
-        (* [charged]: this state already consumed a budget slot (a
-           tolerated mismatch), so a communication-bare frontier must
-           not be condemned — and charged — a second time. The kind is
-           still classified: a security block or unplanned request at a
-           charged state is fatal at every level, never absorbed into
-           the communication budget *)
-        let expand ~charged =
-          let candidates = Network.component_moves repo plan comp in
-          let enabled, security_block =
-            List.fold_left
-              (fun (en, blocked_by) (g, items, comp') ->
-                match push_items abs items with
-                | Ok abs' -> ((g, (comp', abs')) :: en, blocked_by)
-                | Error p -> (en, Some p))
-              ([], None) candidates
-          in
-          if enabled = [] then
-            let kind =
-              match unplanned_requests repo plan comp with
-              | r :: _ -> Unplanned_request r
-              | [] -> (
-                  match security_block with
-                  | Some p -> Security p
-                  | None -> Communication)
-            in
-            match kind with
-            | Communication when charged -> bfs ()
-            | _ -> (
-                match condemn st kind comp with
-                | `Fatal stuck -> record (Invalid stuck)
-                | `Tolerated -> bfs ())
-          else begin
-            List.iter
-              (fun (g, succ) ->
-                incr transitions;
-                if not (STbl.mem parent succ) then begin
-                  STbl.replace parent succ (Some (g, st));
-                  Queue.add succ q
-                end)
-              enabled;
-            bfs ()
-          end
-        in
-        match session_mismatch comp with
-        | Some stuck_comp -> (
-            match condemn st Communication stuck_comp with
-            | `Fatal stuck -> record (Invalid stuck)
-            | `Tolerated ->
-                (* the unmatched internal choice is charged to the
-                   budget; branches that do synchronise stay live *)
-                expand ~charged:true)
-        | None -> expand ~charged:false
+        Invalid (Option.get !first_tolerated)
+    | None -> Valid stats
   in
-  bfs ()
+  if Obs.Metrics.active () then begin
+    Obs.Metrics.add "netcheck.states.explored" stats.states;
+    Obs.Metrics.add "netcheck.transitions.explored" stats.transitions;
+    Obs.Metrics.observe "netcheck.states.per_check" stats.states;
+    if !tolerated > 0 then Obs.Metrics.add "netcheck.stuck.tolerated" !tolerated
+  end;
+  if Obs.Trace.active () then begin
+    Obs.Trace.add_attr "states" (Obs.Trace.Int stats.states);
+    Obs.Trace.add_attr "level"
+      (Obs.Trace.Str (Compliance.level_to_string level));
+    if !tolerated > 0 then
+      Obs.Trace.add_attr "tolerated" (Obs.Trace.Int !tolerated);
+    Obs.Trace.add_attr "valid"
+      (Obs.Trace.Bool (match verdict with Valid _ -> true | Invalid _ -> false))
+  end;
+  verdict
 
-let failures ?universe ?(limit = 10) repo plan (loc, h0) =
-  let universe =
-    match universe with
-    | Some u -> u
-    | None -> default_universe repo [ (loc, h0) ]
-  in
-  let start = (Network.Leaf (loc, h0), Validity.Abstract.init universe) in
-  let parent = STbl.create 64 in
-  STbl.replace parent start None;
-  let q = Queue.create () in
-  Queue.add start q;
-  let found = ref [] in
-  let rec trace_of st acc =
-    match STbl.find parent st with
-    | None -> acc
-    | Some (g, pred) -> trace_of pred (g :: acc)
-  in
-  while (not (Queue.is_empty q)) && List.length !found < limit do
-    let ((comp, abs) as st) = Queue.pop q in
-    if not (Network.terminated comp) then begin
-      match session_mismatch comp with
-      | Some stuck_comp ->
-          found :=
-            {
-              client = loc;
-              component = stuck_comp;
-              kind = Communication;
-              trace = trace_of st [];
-            }
-            :: !found
-      | None ->
-          let candidates = Network.component_moves repo plan comp in
-          let enabled, security_block =
-            List.fold_left
-              (fun (en, blocked_by) (g, items, comp') ->
-                match push_items abs items with
-                | Ok abs' -> ((g, (comp', abs')) :: en, blocked_by)
-                | Error p -> (en, Some p))
-              ([], None) candidates
-          in
-          if enabled = [] then
-            let kind =
-              match unplanned_requests repo plan comp with
-              | r :: _ -> Unplanned_request r
-              | [] -> (
-                  match security_block with
-                  | Some p -> Security p
-                  | None -> Communication)
-            in
-            found :=
-              { client = loc; component = comp; kind; trace = trace_of st [] }
-              :: !found
-          else
-            List.iter
-              (fun (g, succ) ->
-                if not (STbl.mem parent succ) then begin
-                  STbl.replace parent succ (Some (g, st));
-                  Queue.add succ q
-                end)
-              enabled
-    end
-  done;
+let failures ?universe ?(limit = 10) repo plan client =
+  let found = ref [] and n = ref 0 in
+  ignore
+    (explore ?universe repo plan client (fun v ->
+         if !n >= limit then Stop ()
+         else
+           match v.stucks with
+           | [] -> Expand
+           | s :: _ ->
+               found := s :: !found;
+               incr n;
+               Prune));
   List.rev !found
+
+type graph = {
+  nodes : (Network.component * stuck option) array;
+  edges : (int * Network.glabel * int) list;
+  blocked : (int * Network.glabel * Usage.Policy.t) list;
+}
+
+let graph repo plan client =
+  let nodes = ref [] and edges = ref [] and blocked = ref [] in
+  ignore
+    (explore repo plan client
+       ~edge:(fun i g j -> edges := (i, g, j) :: !edges)
+       (fun v ->
+         nodes := (v.component, List.nth_opt v.stucks 0) :: !nodes;
+         List.iter
+           (fun (g, p) -> blocked := (v.id, g, p) :: !blocked)
+           v.blocked;
+         Expand));
+  {
+    nodes = Array.of_list (List.rev !nodes);
+    edges = List.rev !edges;
+    blocked = List.rev !blocked;
+  }
 
 let check ?universe ?level repo clients =
   let rec go acc = function
@@ -377,33 +384,22 @@ let check ?universe ?level repo clients =
   in
   go { states = 0; transitions = 0 } clients
 
-module Config = struct
-  type t = (Plan.t * State.t) list
-
-  let compare =
-    List.compare (fun (p1, s1) (p2, s2) ->
-        match Plan.compare p1 p2 with 0 -> State.compare s1 s2 | c -> c)
-end
-
-(* Plans never change during an interleaved exploration, so hashing the
-   components alone spreads configurations just as well. *)
+(* A configuration is its clients' states in order; plans never change
+   during an interleaved exploration, so they stay out of the key. *)
 module CTbl = Hashtbl.Make (struct
-  type t = Config.t
+  type t = Key.t list
 
-  let equal a b = Config.compare a b = 0
-
-  let hash cfg =
-    List.fold_left
-      (fun acc (_, (comp, _)) -> hash_comb acc (hash_component comp))
-      0 cfg
+  let equal = List.equal Key.equal
+  let hash = List.fold_left (fun acc st -> hash_comb acc (Key.hash st)) 0
 end)
 
 let explore_interleaved ?(limit = 1_000_000) repo clients =
   let universe = default_universe repo (List.map snd clients) in
+  let plans = List.map fst clients in
   let start =
     List.map
-      (fun (plan, (loc, h)) ->
-        (plan, (Network.Leaf (loc, h), Validity.Abstract.init universe)))
+      (fun (_, (loc, h)) ->
+        (Network.Leaf (loc, h), Validity.Abstract.init universe))
       clients
   in
   let seen = CTbl.create 256 in
@@ -416,24 +412,17 @@ let explore_interleaved ?(limit = 1_000_000) repo clients =
       failwith "Netcheck.explore_interleaved: state limit exceeded";
     let cfg = Queue.pop q in
     List.iteri
-      (fun i (plan, (comp, abs)) ->
-        Network.component_moves repo plan comp
-        |> List.iter (fun (_, items, comp') ->
-               match push_items abs items with
-               | Error _ -> ()
-               | Ok abs' ->
-                   incr transitions;
-                   let cfg' =
-                     List.mapi
-                       (fun j ((pj, _) as st) ->
-                         if i = j then (pj, (comp', abs')) else st)
-                       cfg
-                   in
-                   if not (CTbl.mem seen cfg') then begin
-                     CTbl.replace seen cfg' ();
-                     Queue.add cfg' q
-                   end))
-      cfg
+      (fun i (plan, st) ->
+        List.iter
+          (fun (_, st') ->
+            incr transitions;
+            let cfg' = List.mapi (fun j s -> if i = j then st' else s) cfg in
+            if not (CTbl.mem seen cfg') then begin
+              CTbl.replace seen cfg' ();
+              Queue.add cfg' q
+            end)
+          (fst (step repo plan st)))
+      (List.combine plans cfg)
   done;
   { states = CTbl.length seen; transitions = !transitions }
 

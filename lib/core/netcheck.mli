@@ -15,7 +15,19 @@
 
     Clients of a network never interact with each other (sessions are
     created only from requests), so each top-level client is checked in
-    isolation; {!check} conjoins the per-client verdicts. *)
+    isolation; {!check} conjoins the per-client verdicts.
+
+    One breadth-first explorer walks a planned client's graph for every
+    reader here — {!check_client}, {!failures} and {!graph} — and so for
+    [Export.client_graph_dot] and [Quant.Plan_cost] too. It has one step
+    function (the component's moves passed through the policy cursors,
+    blocked moves kept with the policy that refuses them), one state key
+    (the component and the cursors), and one stuck classifier, which
+    condemns a non-terminated state for the Definition 5(ii) mismatch
+    first, and otherwise, when no move is enabled, for an unplanned
+    request, a security block or a communication deadlock. States are
+    numbered in discovery order and keep the parent they were first
+    reached from, so every witness is a shortest path. *)
 
 type stuck_kind =
   | Security of Usage.Policy.t
@@ -70,9 +82,10 @@ val failures :
   Plan.t ->
   string * Hexpr.t ->
   stuck list
-(** {e All} distinct stuck abstract states of the planned client, each
-    with a shortest witness — {!check_client} stops at the first.
-    [limit] (default 10) caps the number reported. *)
+(** The distinct stuck abstract states of the planned client in
+    discovery order, each with a shortest witness — {!check_client}
+    stops at the first. States reachable only through a stuck one are
+    not explored. [limit] (default 10) caps the number reported. *)
 
 val check :
   ?universe:Usage.Policy.t list ->
@@ -84,13 +97,30 @@ val check :
     paper's plan vector [~π]), or combined statistics. [level] is
     threaded to each per-client {!check_client}. *)
 
+type graph = {
+  nodes : (Network.component * stuck option) array;
+      (** the states by discovery number, [0] the initial one, each with
+          its first condemnation (the one {!failures} reports) *)
+  edges : (int * Network.glabel * int) list;  (** the enabled moves *)
+  blocked : (int * Network.glabel * Usage.Policy.t) list;
+      (** the moves a policy cursor refuses, with that policy *)
+}
+
+val graph : Network.repo -> Plan.t -> string * Hexpr.t -> graph
+(** The whole abstract configuration graph of the planned client, every
+    state expanded, condemned or not. {!check_client} at [Strict] is
+    [Valid] exactly when no node is condemned, and otherwise reports the
+    first condemned node in discovery order. *)
+
 val explore_interleaved :
   ?limit:int ->
   Network.repo ->
   (Plan.t * (string * Hexpr.t)) list ->
   stats
-(** Size of the full interleaved state space (for benchmarks); raises
-    [Failure] past [limit] (default 1_000_000) states. *)
+(** Size of the full interleaved state space (for benchmarks): the
+    product of the clients' abstract graphs, each client stepped and
+    keyed as in {!graph}. Raises [Failure] past [limit] (default
+    1_000_000) states. *)
 
 val pp_stuck : stuck Fmt.t
 val pp_verdict : verdict Fmt.t

@@ -41,6 +41,18 @@ let reachable ?(limit = 100_000) h0 =
   in
   Set.elements (loop (Set.singleton h0) [ h0 ])
 
+let lts h0 =
+  let states = Array.of_list (reachable h0) in
+  let index =
+    Array.to_seqi states
+    |> Seq.fold_left (fun m (i, s) -> Map.add s i m) Map.empty
+  in
+  let id s = Map.find s index in
+  ( id h0,
+    Array.map
+      (fun s -> (s, List.map (fun (l, s') -> (l, id s')) (transitions s)))
+      states )
+
 let traces ~depth h0 =
   let rec go d h =
     if d = 0 then [ [] ]

@@ -17,9 +17,12 @@ val reachable : ?limit:int -> Hexpr.t -> Hexpr.t list
     optional [limit] (default 100_000) guards against ill-formed input.
     Raises [Failure] when the limit is hit. *)
 
+val lts : Hexpr.t -> int * (Hexpr.t * (Action.t * int) list) array
+(** The numbered LTS of the expression: its {!reachable} states in that
+    order, each with its {!transitions}, targets given as indices into
+    the array; and the index of the argument itself. The one numbering
+    that the DOT export and the cost analyses read. *)
+
 val traces : depth:int -> Hexpr.t -> Action.t list list
 (** All maximal traces of length at most [depth] (exhaustive unfolding;
     meant for tests and small examples). *)
-
-module Map : Map.S with type key = Hexpr.t
-module Set : Set.S with type elt = Hexpr.t

@@ -7,64 +7,39 @@ let weight model (act : Core.Action.t) =
       0.
 
 let graph_of model h0 =
-  let states = Core.Semantics.reachable h0 in
-  let index =
-    List.fold_left
-      (fun (i, m) s -> (i + 1, Core.Semantics.Map.add s i m))
-      (0, Core.Semantics.Map.empty)
-      states
-    |> snd
-  in
-  let id s = Core.Semantics.Map.find s index in
+  let init, states = Core.Semantics.lts h0 in
   let edges =
-    List.concat_map
-      (fun s ->
-        List.map
-          (fun (act, s') -> (id s, weight model act, id s'))
-          (Core.Semantics.transitions s))
-      states
+    Array.to_list states
+    |> List.mapi (fun i (_, moves) ->
+           List.map (fun (act, j) -> (i, weight model act, j)) moves)
+    |> List.concat
   in
-  (List.length states, edges, id h0, states, id)
+  (Array.length states, edges, init, states)
 
 let worst_case model h0 =
-  let n, edges, init, _, _ = graph_of model h0 in
+  let n, edges, init, _ = graph_of model h0 in
   Graph.supremum ~n ~edges ~init
 
 let best_case model h0 =
-  let n, edges, init, states, id = graph_of model h0 in
-  let terminal = Array.make n false in
-  List.iter
-    (fun s -> if Core.Semantics.is_terminated s then terminal.(id s) <- true)
-    states;
-  Graph.shortest_to ~n ~edges ~init ~target:(fun v -> terminal.(v))
+  let n, edges, init, states = graph_of model h0 in
+  Graph.shortest_to ~n ~edges ~init ~target:(fun v ->
+      Core.Semantics.is_terminated (fst states.(v)))
 
 let expected ?(fuel = 64) model h0 =
   (* value iteration over the finite LTS: V_0 = 0;
      V_{k+1}(s) = mean over enabled moves of (weight + V_k(s')) *)
-  let states = Core.Semantics.reachable h0 in
-  let index =
-    List.fold_left
-      (fun (i, m) s -> (i + 1, Core.Semantics.Map.add s i m))
-      (0, Core.Semantics.Map.empty)
-      states
-    |> snd
-  in
-  let id s = Core.Semantics.Map.find s index in
+  let init, states = Core.Semantics.lts h0 in
   let moves =
-    List.map
-      (fun s ->
-        ( id s,
-          List.map
-            (fun (act, s') -> (weight model act, id s'))
-            (Core.Semantics.transitions s) ))
+    Array.map
+      (fun (_, ms) -> List.map (fun (act, j) -> (weight model act, j)) ms)
       states
   in
-  let n = List.length states in
+  let n = Array.length states in
   let v = ref (Array.make n 0.) in
   for _ = 1 to fuel do
     let v' = Array.make n 0. in
-    List.iter
-      (fun (i, outs) ->
+    Array.iteri
+      (fun i outs ->
         match outs with
         | [] -> v'.(i) <- 0.
         | _ ->
@@ -75,4 +50,4 @@ let expected ?(fuel = 64) model h0 =
       moves;
     v := v'
   done;
-  !v.(id h0)
+  !v.(init)

@@ -1,14 +1,3 @@
-module State = struct
-  type t = Core.Network.component * Core.Validity.Abstract.t
-
-  let compare (c1, a1) (c2, a2) =
-    match Core.Network.compare_component c1 c2 with
-    | 0 -> Core.Validity.Abstract.compare a1 a2
-    | c -> c
-end
-
-module SMap = Map.Make (State)
-
 let glabel_weight model = function
   | Core.Network.L_event (_, e) -> Model.cost model e
   | Core.Network.L_open _ | Core.Network.L_close _ | Core.Network.L_sync _
@@ -16,50 +5,15 @@ let glabel_weight model = function
   | Core.Network.L_commit _ | Core.Network.L_crash _ | Core.Network.L_abort _ ->
       0.
 
-let push_items abs items =
-  List.fold_left
-    (fun acc item ->
-      match acc with
-      | Error _ as e -> e
-      | Ok a -> Core.Validity.Abstract.push a item)
-    (Ok abs) items
-
-let worst_case repo plan (loc, h0) model =
-  let universe =
-    List.concat_map Core.Hexpr.policies (h0 :: List.map snd repo)
-    |> List.sort_uniq Usage.Policy.compare
-  in
-  let start =
-    (Core.Network.Leaf (loc, h0), Core.Validity.Abstract.init universe)
-  in
-  (* enumerate the abstract states, then hand the weighted graph over *)
-  let index = ref (SMap.singleton start 0) in
-  let next = ref 1 in
-  let id st =
-    match SMap.find_opt st !index with
-    | Some i -> i
-    | None ->
-        let i = !next in
-        incr next;
-        index := SMap.add st i !index;
-        i
-  in
-  let edges = ref [] in
-  let rec explore st =
-    let i = id st in
-    let comp, abs = st in
-    Core.Network.component_moves repo plan comp
-    |> List.iter (fun (g, items, comp') ->
-           match push_items abs items with
-           | Error _ -> ()
-           | Ok abs' ->
-               let st' = (comp', abs') in
-               let fresh = not (SMap.mem st' !index) in
-               edges := (i, glabel_weight model g, id st') :: !edges;
-               if fresh then explore st')
-  in
-  explore start;
-  Graph.supremum ~n:!next ~edges:!edges ~init:0
+let worst_case repo plan client model =
+  let g = Core.Netcheck.graph repo plan client in
+  Graph.supremum
+    ~n:(Array.length g.Core.Netcheck.nodes)
+    ~edges:
+      (List.map
+         (fun (i, l, j) -> (i, glabel_weight model l, j))
+         g.Core.Netcheck.edges)
+    ~init:0
 
 type priced = { plan : Core.Plan.t; cost : float option }
 

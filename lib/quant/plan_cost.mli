@@ -1,9 +1,10 @@
 (** Cost-aware orchestration: the worst-case billing of a client under a
     plan, and plan selection by price.
 
-    The analysis runs over the same finite abstract configuration graph
-    as {!Core.Netcheck} (component × policy cursors), so only executions
-    permitted by the security monitor are billed. *)
+    The analysis weighs the edges of {!Core.Netcheck.graph}, the finite
+    abstract configuration graph (component × policy cursors) that
+    [check] explores, so only executions permitted by the security
+    monitor are billed. *)
 
 val worst_case :
   Core.Network.repo ->

@@ -197,7 +197,9 @@ let test_serve_rescue_floor_change () =
 
 (* Numbers the serve loop cannot honour are usage errors, caught before
    any work starts: exit 2 with a one-line message, never an uncaught
-   exception or a run that sheds or degrades everything. *)
+   exception or a run that sheds or degrades everything. So is a
+   --connect host that does not resolve (a refused port is too, but
+   only after the driver's retries, so it is left out here). *)
 let test_serve_bad_numbers () =
   List.iter
     (fun (flag, message) ->
@@ -218,6 +220,8 @@ let test_serve_bad_numbers () =
       ("--budget=-5", "--budget must be >= 1");
       ("--shards=0", "--shards must be >= 1");
       ("--shards=128", "--shards must be <= 127");
+      ( "--connect=nosuchhost.invalid:1",
+        "--connect nosuchhost.invalid:1: unknown host" );
     ];
   (* more shards than the runtime has domains for: refused before any
      journal is created, not by the first request to queue *)

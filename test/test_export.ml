@@ -2,10 +2,15 @@
 
 open Core
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
+let count s sub =
+  let m = String.length sub in
+  let rec go i n =
+    if i + m > String.length s then n
+    else go (i + 1) (if String.sub s i m = sub then n + 1 else n)
+  in
+  go 0 0
+
+let contains s sub = count s sub > 0
 
 let test_hexpr_dot () =
   let out = Fmt.str "%a" Export.hexpr_dot Scenarios.Hotel.s3 in
@@ -13,14 +18,6 @@ let test_hexpr_dot () =
   Alcotest.(check bool) "has event label" true (contains out "sgn(s3)");
   Alcotest.(check bool) "has terminal" true (contains out "doublecircle");
   Alcotest.(check bool) "has init" true (contains out "init ->")
-
-let test_contract_dot () =
-  let out =
-    Fmt.str "%a" Export.contract_dot (Contract.project Scenarios.Hotel.broker)
-  in
-  Alcotest.(check bool) "digraph" true (contains out "digraph contract");
-  Alcotest.(check bool) "input label" true (contains out "req?");
-  Alcotest.(check bool) "output label" true (contains out "cobo!")
 
 let test_client_graph_dot () =
   let out =
@@ -30,7 +27,10 @@ let test_client_graph_dot () =
   in
   Alcotest.(check bool) "digraph" true (contains out "digraph client");
   Alcotest.(check bool) "shows sync moves" true (contains out "tau(req)");
-  Alcotest.(check bool) "no blocked moves under pi1" false (contains out "blocked by")
+  Alcotest.(check bool) "no blocked moves under pi1" false
+    (contains out "blocked by");
+  Alcotest.(check bool) "no condemned state under pi1" false
+    (contains out "color=red")
 
 let test_client_graph_blocked () =
   (* under the black-listed plan, the graph shows the blocked event *)
@@ -43,6 +43,28 @@ let test_client_graph_blocked () =
   Alcotest.(check bool) "names the policy" true
     (contains out "phi({s1,s3},40,70)");
   Alcotest.(check bool) "stuck state highlighted" true (contains out "color=red")
+
+let test_client_graph_mismatch () =
+  (* the moody translator may answer retry!, which the writer cannot
+     take: check and diagnose condemn that settled session
+     (Definition 5(ii)) although it still has enabled moves, and the
+     graph draws it red *)
+  let spec = Syntax.Parser.spec_of_file "../examples/data/tutorial.susf" in
+  let repo = Syntax.Spec.repo spec in
+  let plan = Option.get (Syntax.Spec.find_plan spec "q") in
+  let writer = ("writer", Option.get (Syntax.Spec.find_client spec "writer")) in
+  let out = Fmt.str "%t" (Export.client_graph_dot repo plan writer) in
+  let residual =
+    match Netcheck.failures repo plan writer with
+    | [ s ] ->
+        String.escaped
+          (Fmt.str "%a" Network.pp_component s.Netcheck.component)
+    | fs -> Alcotest.failf "expected one stuck state, got %d" (List.length fs)
+  in
+  Alcotest.(check int) "one condemned state" 1
+    (count out "doublecircle,color=red");
+  Alcotest.(check bool) "labelled with the diagnosed residual" true
+    (contains out ("doublecircle,color=red,label=\"" ^ residual ^ "\""))
 
 let test_batch_valid_plan () =
   let stats =
@@ -72,9 +94,10 @@ let test_batch_insecure_plan () =
 let suite =
   [
     Alcotest.test_case "hexpr dot" `Quick test_hexpr_dot;
-    Alcotest.test_case "contract dot" `Quick test_contract_dot;
     Alcotest.test_case "client graph dot" `Quick test_client_graph_dot;
     Alcotest.test_case "blocked moves rendered" `Quick test_client_graph_blocked;
+    Alcotest.test_case "mismatched session drawn condemned" `Quick
+      test_client_graph_mismatch;
     Alcotest.test_case "batch: valid plan" `Quick test_batch_valid_plan;
     Alcotest.test_case "batch: insecure plan" `Quick test_batch_insecure_plan;
   ]

@@ -248,12 +248,56 @@ let test_failures_limit () =
   in
   Alcotest.(check int) "limit respected" 1 (List.length fs)
 
+(* --- one configuration graph for every reader ---
+   check_client, failures and graph walk the same explorer, so at Strict
+   they agree: the graph condemns no state exactly when the check is
+   valid, with the same counts; otherwise its first condemned state in
+   discovery order carries the check's stuck, which is also the first
+   failure. *)
+
+let readers_agree repo plan client =
+  let g = Netcheck.graph repo plan client in
+  let stucks = List.map (Fmt.str "%a" Netcheck.pp_stuck) in
+  let first = Array.find_map snd g.Netcheck.nodes |> Option.to_list in
+  let failures = Netcheck.failures ~limit:1 repo plan client in
+  match Netcheck.check_client repo plan client with
+  | Netcheck.Valid s ->
+      first = [] && failures = []
+      && s.Netcheck.states = Array.length g.Netcheck.nodes
+      && s.Netcheck.transitions = List.length g.Netcheck.edges
+  | Netcheck.Invalid s ->
+      stucks first = stucks [ s ] && stucks failures = stucks [ s ]
+
+let test_readers_agree_on_specs () =
+  let specs dir =
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.filter (fun f -> Filename.check_suffix f ".susf")
+    |> List.map (Filename.concat dir)
+  in
+  List.iter
+    (fun path ->
+      let spec = Syntax.Parser.spec_of_file path in
+      let repo = Syntax.Spec.repo spec in
+      List.iter
+        (fun ((name, _) as client) ->
+          List.iter
+            (fun plan ->
+              Alcotest.(check bool)
+                (Fmt.str "%s: %s under %a" path name Plan.pp plan)
+                true
+                (readers_agree repo plan client))
+            (Planner.enumerate repo ~client))
+        spec.Syntax.Spec.clients)
+    (specs "../examples/data" @ specs "corpus")
+
 let suite =
   suite
   @ [
       Alcotest.test_case "failures: none for valid" `Quick test_failures_none;
       Alcotest.test_case "failures: enumerated" `Quick test_failures_multiple;
       Alcotest.test_case "failures: limited" `Quick test_failures_limit;
+      Alcotest.test_case "one graph: readers agree on every spec" `Quick
+        test_readers_agree_on_specs;
     ]
 
 (* --- the abstraction's witnesses replay concretely --- *)
@@ -300,7 +344,7 @@ let suite =
    h ∉ bl ∧ (price(h) ≤ p ∨ rating(h) ≥ t). Randomising every parameter
    exercises planner + netcheck + monitor against this oracle. *)
 
-let prop_hotel_parametric_oracle =
+let hotel_case =
   let gen =
     QCheck.Gen.(
       let hotel_name = oneofl [ "h0"; "h1"; "h2"; "h3" ] in
@@ -312,37 +356,47 @@ let prop_hotel_parametric_oracle =
       let* rating = int_range 0 100 in
       return (blacklist, p, t, target, price, rating))
   in
-  QCheck.Test.make ~name:"parametric hotel oracle" ~count:300
-    (QCheck.make
-       ~print:(fun (bl, p, t, h, price, rating) ->
-         Fmt.str "bl=%a p=%d t=%d hotel=%s price=%d rating=%d"
-           Fmt.(Dump.list string)
-           bl p t h price rating)
-       gen)
-    (fun (blacklist, p, t, target, price, rating) ->
-      let policy = Usage.Policy_lib.hotel_policy ~blacklist ~price:p ~rating:t in
-      let client =
-        Hexpr.open_ ~rid:1 ~policy
-          (Scenarios.Hotel.client_request_body policy)
-      in
-      let repo =
-        [
-          ("br", Scenarios.Hotel.broker);
-          (target, Scenarios.Hotel.hotel target ~price ~rating ~extra:[]);
-        ]
-      in
-      let plan = Plan.of_list [ (1, "br"); (3, target) ] in
-      let got =
-        Result.is_ok
-          Planner.(analyze repo ~client:("c", client) plan).verdict
-      in
+  QCheck.make
+    ~print:(fun (bl, p, t, h, price, rating) ->
+      Fmt.str "bl=%a p=%d t=%d hotel=%s price=%d rating=%d"
+        Fmt.(Dump.list string)
+        bl p t h price rating)
+    gen
+
+(* the client, repository and plan of a generated case *)
+let hotel_network (blacklist, p, t, target, price, rating) =
+  let policy = Usage.Policy_lib.hotel_policy ~blacklist ~price:p ~rating:t in
+  let client =
+    Hexpr.open_ ~rid:1 ~policy (Scenarios.Hotel.client_request_body policy)
+  in
+  let repo =
+    [
+      ("br", Scenarios.Hotel.broker);
+      (target, Scenarios.Hotel.hotel target ~price ~rating ~extra:[]);
+    ]
+  in
+  (repo, Plan.of_list [ (1, "br"); (3, target) ], ("c", client))
+
+let prop_hotel_parametric_oracle =
+  QCheck.Test.make ~name:"parametric hotel oracle" ~count:300 hotel_case
+    (fun ((blacklist, p, t, target, price, rating) as case) ->
+      let repo, plan, client = hotel_network case in
+      let got = Result.is_ok Planner.(analyze repo ~client plan).verdict in
       let expected =
         (not (List.mem target blacklist)) && (price <= p || rating >= t)
       in
       got = expected)
 
+let prop_hotel_readers_agree =
+  QCheck.Test.make ~name:"one graph: readers agree on generated hotels"
+    ~count:100 hotel_case (fun case ->
+      let repo, plan, client = hotel_network case in
+      readers_agree repo plan client)
+
 let suite =
-  suite @ [ QCheck_alcotest.to_alcotest prop_hotel_parametric_oracle ]
+  suite
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_hotel_parametric_oracle; prop_hotel_readers_agree ]
 
 (* --- expressions outside the §4 fragment are reported, not thrown --- *)
 
