@@ -1194,6 +1194,13 @@ let serve_cmd =
         try Broker.Net.drive ~host ~port ~hexpr_to_string streams with
         | Failure why -> fail why
         | Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
+        | Broker.Net.Closed { replies; requests } ->
+            (* the workload did not complete: not a usage error *)
+            Fmt.epr
+              "--connect %s: server closed the connection after %d of %d \
+               replies@."
+              hostport replies requests;
+            exit 1
       in
       let dt = Unix.gettimeofday () -. t0 in
       let errs =

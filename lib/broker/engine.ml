@@ -44,6 +44,7 @@ type reject =
 type outcome =
   | Served of {
       report : Planner.report;
+      text : string;  (* [Planner.pp_report] of [report], rendered once *)
       cached : bool;
       level : Compliance.level;
     }
@@ -339,10 +340,17 @@ let retire_contract t h =
 
 (* ---- serving --------------------------------------------------------- *)
 
+(* A settled verdict's report is rendered here, once: the index entry
+   keeps the text, every [Served] answer carries it, and [pp_outcome]
+   and the socket reply print it as is. *)
+let render = function
+  | Index.Valid r -> Fmt.str "%a" Planner.pp_report r
+  | Index.No_plan -> ""
+
 (* Cache a settled verdict. It is watched unless it is a Valid plan no
    appended location can precede in the current repository — the
    decision a restore takes again for a rebuilt entry. *)
-let store_verdict t name (s : session) ~level verdict =
+let store_verdict t name (s : session) ~level verdict ~text =
   let locs, watch =
     match verdict with
     | Index.No_plan -> ([], true)
@@ -353,7 +361,14 @@ let store_verdict t name (s : session) ~level verdict =
           Planner.exposed t.repo ~client:(name, s.body) r.Planner.plan )
   in
   Index.store t.index ~watch
-    { Index.client = name; verdict; level; locs; policies = universe_of t s }
+    {
+      Index.client = name;
+      verdict;
+      text;
+      level;
+      locs;
+      policies = universe_of t s;
+    }
 
 (* The budgeted first-valid search at one admission level. [store]
    decides whether a settled verdict is cached: the queued serve path
@@ -384,9 +399,10 @@ let budgeted_serve t name (s : session) ~level ~store =
       Obs.Metrics.incr "broker.degraded";
       Degraded { analyzed; enumerated; level }
   | `Done (verdict, _) -> (
-      if store then store_verdict t name s ~level verdict;
+      let text = render verdict in
+      if store then store_verdict t name s ~level verdict ~text;
       match verdict with
-      | Index.Valid r -> Served { report = r; cached = false; level }
+      | Index.Valid r -> Served { report = r; text; cached = false; level }
       | Index.No_plan -> Rejected No_plan)
 
 let serve_at t ~level ~store name =
@@ -398,7 +414,8 @@ let serve_at t ~level ~store name =
           t.st.hits <- t.st.hits + 1;
           Obs.Metrics.incr "broker.cache.hit";
           match e.Index.verdict with
-          | Index.Valid r -> Served { report = r; cached = true; level }
+          | Index.Valid r ->
+              Served { report = r; text = e.Index.text; cached = true; level }
           | Index.No_plan -> Rejected No_plan)
       | Some _ | None ->
           (* an entry at another level is a miss: per-level oracle
@@ -739,7 +756,8 @@ let rebuild_entry t name (s : session) ~level =
         let r = Planner.analyze ~cache:t.compliance ~level t.repo ~client p in
         if Result.is_ok r.Planner.verdict then Index.Valid r else go rest
   in
-  store_verdict t name s ~level (go (Planner.enumerate t.repo ~client))
+  let verdict = go (Planner.enumerate t.repo ~client) in
+  store_verdict t name s ~level verdict ~text:(render verdict)
 
 let restore ?admission ~sessions ~served ~seq repo =
   let t = create ?admission repo in
@@ -843,15 +861,18 @@ let pp_reject ppf = function
 
 (* render the level only when it is not strict, so the output of a
    strict-floor broker stays byte-identical to earlier releases *)
-let pp_level_tag ppf = function
-  | Compliance.Strict -> ()
-  | l -> Fmt.pf ppf "[%s]" (Compliance.level_to_string l)
+let level_tag = function
+  | Compliance.Strict -> ""
+  | l -> "[" ^ Compliance.level_to_string l ^ "]"
+
+let pp_level_tag ppf l = Fmt.string ppf (level_tag l)
+
+let served_line ~cached ~level text =
+  String.concat "" [ (if cached then "HIT" else "MISS"); level_tag level; " "; text ]
 
 let pp_outcome ppf = function
-  | Served { report; cached; level } ->
-      Fmt.pf ppf "%s%a %a"
-        (if cached then "HIT" else "MISS")
-        pp_level_tag level Planner.pp_report report
+  | Served { text; cached; level; _ } ->
+      Fmt.string ppf (served_line ~cached ~level text)
   | Degraded { analyzed; enumerated; level } ->
       Fmt.pf ppf "DEGRADED%a after %d/%d plans" pp_level_tag level analyzed
         enumerated

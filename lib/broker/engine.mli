@@ -124,6 +124,9 @@ type reject =
 type outcome =
   | Served of {
       report : Planner.report;
+      text : string;
+          (** [report] rendered by [Planner.pp_report] — once, when the
+              verdict was settled; a hit carries the index entry's copy *)
       cached : bool;
       level : Compliance.level;
           (** the admission level the verdict holds at — equal to what
@@ -357,5 +360,12 @@ val verdict_equal : Index.verdict -> Index.verdict -> bool
 val pp_request : request Fmt.t
 val pp_reject : reject Fmt.t
 val pp_outcome : outcome Fmt.t
+
+val served_line : cached:bool -> level:Compliance.level -> string -> string
+(** [served_line ~cached ~level text] is how a [Served] outcome
+    renders: [HIT] or [MISS], the level in brackets when it is not
+    [Strict], a space, then the report [text]. {!pp_outcome} prints it,
+    and the socket front end writes it without a formatter. *)
+
 val pp_response : response Fmt.t
 val pp_stats : stats Fmt.t

@@ -5,6 +5,7 @@ type verdict = Valid of Planner.report | No_plan
 type entry = {
   client : string;
   verdict : verdict;
+  text : string;
   level : Compliance.level;
   locs : string list;
   policies : string list;

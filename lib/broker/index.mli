@@ -21,6 +21,9 @@ type verdict =
 type entry = {
   client : string;
   verdict : verdict;
+  text : string;
+      (** the [Planner.pp_report] rendering of a [Valid] verdict, made
+          once when the verdict was settled; empty for [No_plan] *)
   level : Compliance.level;
       (** the admission level the verdict was computed at — a cache hit
           requires the serving level to match, so a verdict served at

@@ -11,6 +11,15 @@ let header_line = Printf.sprintf "susf-journal %d" version
    this is a consistency check, not a MAC. *)
 let checksum = Repr.Fnv.hash32
 
+(* An entry's checksum covers "SEQ SUBMIT PAYLOAD". The pieces are
+   folded in turn, so that string is never built. *)
+let entry_checksum ~seq ~submit payload =
+  List.fold_left Repr.Fnv.fold Repr.Fnv.basis [ seq; " "; submit; " "; payload ]
+
+(* [Printf.sprintf "%08x"] of a 32-bit checksum *)
+let hex8 n =
+  String.init 8 (fun i -> "0123456789abcdef".[(n lsr (28 - (4 * i))) land 0xf])
+
 type entry = {
   seq : int;
   submit : int;
@@ -72,8 +81,9 @@ let encode ~hexpr_to_string { seq; submit; shed; rescued; level; request } =
     else if rescued then "rescued " ^ payload
     else payload
   in
-  let body = Printf.sprintf "%d %d %s" seq submit payload in
-  Printf.sprintf "%d %08x %d %s" seq (checksum body) submit payload
+  let seq = string_of_int seq and submit = string_of_int submit in
+  String.concat " "
+    [ seq; hex8 (entry_checksum ~seq ~submit payload); submit; payload ]
 
 let decode ~hexpr_of_string line =
   match String.split_on_char ' ' line with
@@ -90,7 +100,10 @@ let decode ~hexpr_of_string line =
       | _, _, Some submit when submit < 0 ->
           Error (Fmt.str "negative submission index %d" submit)
       | Some seq, Some crc, Some submit ->
-          let want = checksum (Printf.sprintf "%d %d %s" seq submit payload) in
+          let want =
+            entry_checksum ~seq:(string_of_int seq)
+              ~submit:(string_of_int submit) payload
+          in
           if crc <> want then
             Error
               (Fmt.str "checksum mismatch (recorded %08x, computed %08x)" crc
@@ -194,7 +207,7 @@ let create ~hexpr_to_string ?(append = false) ?(batch = 1) path =
 
 let flush w =
   if w.buffered > 0 then begin
-    output_string w.oc (Buffer.contents w.buf);
+    Buffer.output_buffer w.oc w.buf;
     Stdlib.flush w.oc;
     Obs.Metrics.incr "broker.journal.group_commit.flushes";
     Obs.Metrics.observe "broker.journal.batch_size" w.buffered;
@@ -203,12 +216,13 @@ let flush w =
   end
 
 let append w e =
-  let line = encode ~hexpr_to_string:w.hexpr_to_string e ^ "\n" in
+  let line = encode ~hexpr_to_string:w.hexpr_to_string e in
   Buffer.add_string w.buf line;
+  Buffer.add_char w.buf '\n';
   w.buffered <- w.buffered + 1;
   w.appended <- w.appended + 1;
   Obs.Metrics.incr "broker.journal.appends";
-  Obs.Metrics.add "broker.journal.bytes" (String.length line);
+  Obs.Metrics.add "broker.journal.bytes" (String.length line + 1);
   if w.buffered >= w.batch then flush w
 
 let appended w = w.appended

@@ -16,24 +16,33 @@
                               client that has read it can recover the
                               journals immediately
 
+   A served verdict's OUTCOME is [Engine.served_line] over the report
+   text the engine rendered when it settled the verdict, so a hit is
+   answered without a formatter.
+
    The accept/read loop is a single [Unix.select] thread, and requests
    are processed on the shard worker domains, with one exception: when
-   a pass reads exactly one complete request line, the server has no
-   other open connection and the pool has one shard, the select thread
-   runs that request itself if the shard is idle with an empty queue,
-   so one request in flight costs no cross-domain wake-up. While two or
-   more connections are open every request goes to the workers, so a
-   slow request never holds the select thread while another connection
-   waits; multi-shard pools keep the worker path too (with one
-   connection over two shards the inline path measured slower, for
-   reasons not yet known). Whichever thread ran the cycle writes the
-   response to the client socket from its callback (serialized by a
-   per-connection mutex — responses to one connection can complete on
-   different shards concurrently). Responses to pipelined requests on
-   one connection arrive in per-shard order but may interleave across
-   shards — SHARD/SEQ identify them; drivers that need strict
-   request/response pairing (the workload driver below, the CI smoke)
-   simply keep one request in flight per connection. *)
+   a pass reads exactly one complete request line and the server has no
+   other open connection, the select thread runs that request's shard
+   cycle itself if the shard is idle with an empty queue, so one request
+   in flight costs no cross-domain wake-up, at any shard count. (A
+   broadcast's copies for shards 1..N-1 still queue for their workers;
+   only shard 0's copy, which answers, runs inline.) While two or more
+   connections are open every request goes to the workers, so a slow
+   request never holds the select thread while another connection
+   waits; several lines read in one pass go to the workers too.
+   Whichever thread ran the cycle writes the response to the client
+   socket from its callback (serialized by a per-connection mutex —
+   responses to one connection can complete on different shards
+   concurrently). Responses to pipelined requests on one connection
+   arrive in per-shard order but may interleave across shards —
+   SHARD/SEQ identify them; drivers that need strict request/response
+   pairing (the workload driver below, the CI smoke) simply keep one
+   request in flight per connection.
+
+   One client cannot take the server down (see net.mli): SIGPIPE is
+   ignored, a failed [accept] parks the listener instead of spinning on
+   it, and a descriptor [select] cannot watch is refused. *)
 
 let one_line s =
   String.split_on_char '\n' s
@@ -51,6 +60,9 @@ type conn = {
       (* an overlong line was answered: drop input through its newline *)
   wlock : Mutex.t;  (* serializes response writes across shards *)
   mutable closed : bool;
+      (* set under [wlock]: no more writes. The select loop closes [fd]
+         on its next pass — never another thread, so a descriptor is
+         never closed under a running [select] *)
   mutable last_read : float;  (* of the last accepted/readable moment *)
 }
 
@@ -69,6 +81,10 @@ type t = {
          major heap, and allocating one per request drove a major GC
          cycle every few hundred requests *)
   mutable conns : conn list;
+  mutable accepting : bool;
+      (* the listener is in the select set; cleared by a failed
+         [accept], set again when a connection closes or a pass finds
+         nothing to read *)
   mutable shutdown : conn option;
       (* the connection that sent 'shutdown': it gets the 'ok bye',
          after the pool has stopped *)
@@ -91,29 +107,41 @@ let create ~hexpr_of_string ?idle_timeout ?(port = 0) pool =
     | _ -> port
   in
   { pool; lsock; port; hexpr_of_string; idle_timeout;
-    read_buf = Bytes.create 4096; conns = []; shutdown = None }
+    read_buf = Bytes.create 4096; conns = []; accepting = true;
+    shutdown = None }
 
-let write_line conn line =
+(* [s] ends in a newline. A failed write (the client hung up: with
+   SIGPIPE ignored that is EPIPE) marks the connection closed. *)
+let write conn s =
   Mutex.lock conn.wlock;
   (try
      if not conn.closed then begin
-       let b = Bytes.of_string (line ^ "\n") in
-       let n = Bytes.length b in
+       let n = String.length s in
        let rec go off =
-         if off < n then go (off + Unix.write conn.fd b off (n - off))
+         if off < n then go (off + Unix.write_substring conn.fd s off (n - off))
        in
        go 0
      end
    with Unix.Unix_error _ -> conn.closed <- true);
   Mutex.unlock conn.wlock
 
+let write_line conn line = write conn (line ^ "\n")
+
 let close_conn conn =
   Mutex.lock conn.wlock;
-  if not conn.closed then begin
-    conn.closed <- true;
-    (try Unix.close conn.fd with Unix.Unix_error _ -> ())
-  end;
+  conn.closed <- true;
   Mutex.unlock conn.wlock
+
+(* Close a closed connection's descriptor; select loop only. *)
+let release conn =
+  Mutex.lock conn.wlock;
+  (try Unix.close conn.fd with Unix.Unix_error _ -> ());
+  Mutex.unlock conn.wlock
+
+let outcome_line = function
+  | Engine.Served { text; cached; level; _ } ->
+      Engine.served_line ~cached ~level text
+  | o -> one_line (Fmt.str "%a" Engine.pp_outcome o)
 
 let handle_line t ~inline (conn, line) =
   let line = String.trim line in
@@ -139,9 +167,10 @@ let handle_line t ~inline (conn, line) =
         in
         Shard.submit ~inline t.pool request ~callback:(fun ~shard:_ resp ->
             Obs.Metrics.incr "net.responses";
-            write_line conn
-              (Fmt.str "ok %s %d %s" tag resp.Engine.seq
-                 (one_line (Fmt.str "%a" Engine.pp_outcome resp.Engine.outcome))))
+            write conn
+              (String.concat ""
+                 [ "ok "; tag; " "; string_of_int resp.Engine.seq; " ";
+                   outcome_line resp.Engine.outcome; "\n" ]))
 
 let line_too_long conn =
   Obs.Metrics.incr "net.errors";
@@ -181,35 +210,60 @@ let feed lines conn bytes len =
   in
   go 0
 
+(* [select] takes only descriptors below FD_SETSIZE; ask it about a new
+   one rather than assume the constant. *)
+let rec watchable fd =
+  match Unix.select [ fd ] [] [] 0.0 with
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EINVAL, _, _) -> false
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> watchable fd
+
+let accept t =
+  match Unix.accept t.lsock with
+  | exception Unix.Unix_error _ ->
+      Obs.Metrics.incr "net.accept_errors";
+      t.accepting <- false
+  | fd, _ when not (watchable fd) ->
+      Obs.Metrics.incr "net.accept_errors";
+      let msg = "err too many connections\n" in
+      (try ignore (Unix.write_substring fd msg 0 (String.length msg))
+       with Unix.Unix_error _ -> ());
+      (try Unix.close fd with Unix.Unix_error _ -> ())
+  | fd, _ ->
+      Obs.Metrics.incr "net.connections";
+      t.conns <-
+        {
+          fd;
+          rbuf = Buffer.create 256;
+          skipping = false;
+          wlock = Mutex.create ();
+          closed = false;
+          last_read = Unix.gettimeofday ();
+        }
+        :: t.conns
+
 (* One pass of the accept/read loop; returns [false] once the server
    should stop (shutdown requested and observed). The lines a pass
    reads are handled after its reads, in read order; a lone line may
    run inline (see the header). Idleness is judged at the end of the
    reads, before any line is handled. *)
 let step t =
-  let alive = List.filter (fun c -> not c.closed) t.conns in
-  t.conns <- alive;
-  let fds = t.lsock :: List.map (fun c -> c.fd) alive in
+  let alive, gone = List.partition (fun c -> not c.closed) t.conns in
+  if gone <> [] then begin
+    List.iter release gone;
+    t.conns <- alive;
+    t.accepting <- true
+  end;
+  let fds = List.map (fun c -> c.fd) alive in
+  let fds = if t.accepting then t.lsock :: fds else fds in
   match Unix.select fds [] [] 0.2 with
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
   | readable, _, _ ->
+      if readable = [] then t.accepting <- true;
       let lines = ref [] in
       List.iter
         (fun fd ->
-          if fd = t.lsock then begin
-            let cfd, _ = Unix.accept t.lsock in
-            Obs.Metrics.incr "net.connections";
-            t.conns <-
-              {
-                fd = cfd;
-                rbuf = Buffer.create 256;
-                skipping = false;
-                wlock = Mutex.create ();
-                closed = false;
-                last_read = Unix.gettimeofday ();
-              }
-              :: t.conns
-          end
+          if fd = t.lsock then accept t
           else
             match List.find_opt (fun c -> c.fd = fd) t.conns with
             | None -> ()
@@ -224,7 +278,7 @@ let step t =
       let now = Unix.gettimeofday () in
       let alone c = List.for_all (fun o -> o == c || o.closed) t.conns in
       (match !lines with
-      | [ ((from, _) as one) ] when Shard.shards t.pool = 1 && alone from ->
+      | [ ((from, _) as one) ] when alone from ->
           handle_line t ~inline:true one
       | several -> List.iter (handle_line t ~inline:false) (List.rev several));
       (* reap idle connections: a client that connected and went silent
@@ -247,6 +301,7 @@ let step t =
       Option.is_none t.shutdown
 
 let serve t =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Obs.Metrics.set "net.port" t.port;
   while step t do
     ()
@@ -256,7 +311,8 @@ let serve t =
      flush and close — only then acknowledge and hang up *)
   Shard.stop t.pool;
   Option.iter (fun conn -> write_line conn "ok bye") t.shutdown;
-  List.iter close_conn t.conns;
+  List.iter release t.conns;
+  t.conns <- [];
   (try Unix.close t.lsock with Unix.Unix_error _ -> ())
 
 (* ---- the synchronous workload driver ---------------------------------- *)
@@ -273,8 +329,12 @@ type driven = {
   reply : string;
 }
 
+exception Closed of { replies : int; requests : int }
+
 let drive ?(host = "127.0.0.1") ~port ~hexpr_to_string
     (streams : Engine.request list array) =
+  (* a server that hangs up must fail a write, not kill the driver *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let inet =
     try Unix.inet_addr_of_string host
     with Failure _ -> (
@@ -301,9 +361,20 @@ let drive ?(host = "127.0.0.1") ~port ~hexpr_to_string
       streams
   in
   let cursors = Array.map (fun s -> ref s) streams in
-  let results = ref [] in
+  let results = ref [] and replies = ref 0 in
   let remaining () =
     Array.exists (fun c -> !c <> []) cursors
+  in
+  let lost () =
+    Array.iter
+      (fun (fd, _, _) -> try Unix.close fd with Unix.Unix_error _ -> ())
+      conns;
+    raise
+      (Closed
+         {
+           replies = !replies;
+           requests = Array.fold_left (fun n s -> n + List.length s) 0 streams;
+         })
   in
   while remaining () do
     (* send one request per connection with work left... *)
@@ -311,10 +382,12 @@ let drive ?(host = "127.0.0.1") ~port ~hexpr_to_string
       (fun i c ->
         match !c with
         | [] -> ()
-        | r :: _ ->
+        | r :: _ -> (
             let _, _, oc = conns.(i) in
-            output_string oc (Script.request_line ~hexpr_to_string r ^ "\n");
-            flush oc)
+            try
+              output_string oc (Script.request_line ~hexpr_to_string r ^ "\n");
+              flush oc
+            with Sys_error _ -> lost ()))
       cursors;
     (* ...then collect the one response each owes *)
     Array.iteri
@@ -323,7 +396,10 @@ let drive ?(host = "127.0.0.1") ~port ~hexpr_to_string
         | [] -> ()
         | r :: rest ->
             let _, ic, _ = conns.(i) in
-            let reply = input_line ic in
+            let reply =
+              try input_line ic with End_of_file | Sys_error _ -> lost ()
+            in
+            incr replies;
             results := { stream = i; request = r; reply } :: !results;
             c := rest)
       cursors
@@ -335,9 +411,11 @@ let shutdown_conns conns =
   | 0 -> ()
   | _ ->
       let _, ic, oc = conns.(0) in
-      output_string oc "shutdown\n";
-      flush oc;
-      (try ignore (input_line ic) with End_of_file -> ()));
+      try
+        output_string oc "shutdown\n";
+        flush oc;
+        ignore (input_line ic)
+      with End_of_file | Sys_error _ -> ());
   Array.iter
     (fun (fd, _, _) -> try Unix.close fd with Unix.Unix_error _ -> ())
     conns

@@ -15,6 +15,9 @@
     err line too long        the line exceeds 1 MiB; it is answered
                              once and skipped through its newline, and
                              the connection stays usable
+    err too many connections sent to a new connection whose descriptor
+                             [select] cannot watch (FD_SETSIZE), which is
+                             then closed
     ok pong                  reply to the 'ping' verb
     ok bye                   reply to the 'shutdown' verb, sent {e
                              after} every shard has drained and the
@@ -28,20 +31,31 @@
     {!drive} does. Blank lines and [#] comment lines are ignored.
 
     {b Who runs a request.} One [Unix.select] thread accepts and reads.
-    When one pass of it reads exactly one complete line, from the
-    server's only open connection, and the pool has one shard, the
-    request runs on that thread ([Shard.submit ~inline:true]) if the
-    shard is idle with an empty queue, so a lone request in flight costs
-    no cross-domain wake-up. All other requests — several lines in one
-    pass, two or more open connections, a multi-shard pool or a busy
-    shard — run on the shard worker domains, so a slow request never
-    holds the select thread while another connection waits. The thread
-    that ran a request writes its response, under a per-connection
-    mutex. Writes block: a client that never reads can stall that
-    thread.
+    When one pass of it reads exactly one complete line from the
+    server's only open connection, the request runs on that thread
+    ([Shard.submit ~inline:true]) if its shard is idle with an empty
+    queue, so a lone request in flight costs no cross-domain wake-up,
+    whatever the shard count. A broadcast's copies for shards 1..N-1
+    still queue for their workers; shard 0's copy answers inline. All
+    other requests — several lines in one pass, two or more open
+    connections, or a busy shard — run on the shard worker domains, so
+    a slow request never holds the select thread while another
+    connection waits. The thread that ran a request writes its
+    response, under a per-connection mutex. Writes block: a client that
+    never reads can stall that thread.
+
+    {b One client cannot take the server down.} {!serve} ignores
+    SIGPIPE, so a write to a client that hung up only closes that
+    connection. A failed [accept] (out of descriptors, say) is counted
+    in [net.accept_errors] and the listener leaves the select set until
+    a connection closes or a pass finds nothing to read. A new
+    connection whose descriptor [select] cannot watch is answered
+    [err too many connections], counted in [net.accept_errors] too, and
+    closed.
 
     Instruments: [net.connections], [net.requests], [net.responses],
-    [net.errors], [net.timeouts], [net.shutdowns], [net.port]. *)
+    [net.errors], [net.timeouts], [net.shutdowns], [net.accept_errors],
+    [net.port]. *)
 
 type t
 
@@ -68,7 +82,8 @@ val pool : t -> Shard.t
 val serve : t -> unit
 (** The accept/read loop. Blocks until a client sends [shutdown], then
     stops the pool (draining queued work, flushing and closing the
-    per-shard journals) and closes every socket. *)
+    per-shard journals) and closes every socket. Sets SIGPIPE to be
+    ignored, process-wide. *)
 
 (** {1 The synchronous workload driver} *)
 
@@ -77,6 +92,10 @@ type driven = {
   request : Engine.request;
   reply : string;  (** the raw response line *)
 }
+
+exception Closed of { replies : int; requests : int }
+(** The server closed a connection before {!drive} had its replies:
+    [replies] of the [requests] had arrived. *)
 
 val drive :
   ?host:string ->
@@ -91,10 +110,12 @@ val drive :
     process, before it binds. [host] may be an IP literal or a name.
     Returns the still-open connections and every (stream, request,
     reply) in completion order. Raises [Failure "unknown host"] when
-    [host] does not resolve, and [Unix.Unix_error] when a connection
-    cannot be made. *)
+    [host] does not resolve, [Unix.Unix_error] when a connection cannot
+    be made, and {!Closed}, after closing every connection, when the
+    server hangs up mid-drive. Sets SIGPIPE to be ignored,
+    process-wide. *)
 
 val shutdown_conns :
   (Unix.file_descr * in_channel * out_channel) array -> unit
-(** Send [shutdown] on the first connection, await the [ok bye], and
-    close them all. *)
+(** Send [shutdown] on the first connection, await the [ok bye] (or
+    the server hanging up), and close them all. *)

@@ -140,26 +140,22 @@ let one_line s =
 
 let request_line ~hexpr_to_string (r : Engine.request) =
   let h x = one_line (hexpr_to_string x) in
+  let opt word show = function None -> "" | Some v -> " " ^ word ^ " " ^ show v in
   match r with
-  | Engine.Open { client; body } -> Fmt.str "open %s = %s" client (h body)
-  | Engine.Close { client } -> Fmt.str "close %s" client
-  | Engine.Serve { client } -> Fmt.str "serve %s" client
-  | Engine.Orchestrate { client } -> Fmt.str "orchestrate %s" client
-  | Engine.Mediate { client } -> Fmt.str "mediate %s" client
-  | Engine.Run { client; seed } -> Fmt.str "run %s seed %d" client seed
-  | Engine.Publish { loc; service } ->
-      Fmt.str "publish %s = %s" loc (h service)
-  | Engine.Retract { loc } -> Fmt.str "retract %s" loc
-  | Engine.Update { loc; service } -> Fmt.str "update %s = %s" loc (h service)
+  | Engine.Open { client; body } -> "open " ^ client ^ " = " ^ h body
+  | Engine.Close { client } -> "close " ^ client
+  | Engine.Serve { client } -> "serve " ^ client
+  | Engine.Orchestrate { client } -> "orchestrate " ^ client
+  | Engine.Mediate { client } -> "mediate " ^ client
+  | Engine.Run { client; seed } -> "run " ^ client ^ " seed " ^ string_of_int seed
+  | Engine.Publish { loc; service } -> "publish " ^ loc ^ " = " ^ h service
+  | Engine.Retract { loc } -> "retract " ^ loc
+  | Engine.Update { loc; service } -> "update " ^ loc ^ " = " ^ h service
   | Engine.Set_policy { queue; budget; floor } ->
-      Fmt.str "policy%a%a%a"
-        (Fmt.option (fun ppf -> Fmt.pf ppf " queue %d"))
-        queue
-        (Fmt.option (fun ppf -> Fmt.pf ppf " budget %d"))
-        budget
-        (Fmt.option (fun ppf f ->
-             Fmt.pf ppf " floor %s" (Core.Compliance.level_to_string f)))
-        floor
+      "policy"
+      ^ opt "queue" string_of_int queue
+      ^ opt "budget" string_of_int budget
+      ^ opt "floor" Core.Compliance.level_to_string floor
 
 let request_of_line ~hexpr_of_string line =
   match parse_line ~hexpr_of_string line with

@@ -328,7 +328,7 @@ let mediation_declined (d : Mediator.Repair.declined) =
 let broker_outcome : Broker.outcome -> Json.t =
   let obj kind fields = Json.Obj (("kind", Json.String kind) :: fields) in
   function
-  | Broker.Served { report; cached; level } ->
+  | Broker.Served { report; cached; level; _ } ->
       obj "served"
         [
           ("cached", Json.Bool cached);

@@ -95,15 +95,45 @@ let policy_ref_one st name =
       try Usage.Usage_automaton.instantiate aut actuals
       with Invalid_argument msg -> fail st msg)
 
-(* pol(args) & pol(args) & … — conjunction of instantiated policies *)
-let rec policy_ref st name =
-  let p = policy_ref_one st name in
+(* pol(args) & pol(args) & … — conjunction of instantiated policies,
+   right-nested. A conjunction may be parenthesised: [(p & q)] is how a
+   conjoined policy's id prints, so [susf fmt] output parses back to the
+   same policy. *)
+let rec policy_ref st name = conj_rest st (policy_ref_one st name)
+
+and conj_rest st p =
   match peek st with
   | L.AMP ->
       advance st;
-      let name' = ident st in
-      Usage.Policy_ops.conj p (policy_ref st name')
+      Usage.Policy_ops.conj p (policy st)
   | _ -> p
+
+and policy st =
+  match peek st with
+  | L.LPAREN ->
+      advance st;
+      let p = policy st in
+      eat st L.RPAREN;
+      conj_rest st p
+  | _ -> policy_ref st (ident st)
+
+(* A parenthesised conjunction framing a body, [(p & q)[ H ]], when the
+   tokens at [st] read as one; [None], with [st] untouched, otherwise. *)
+let paren_framing_policy st =
+  let start = st.pos in
+  let may_be_policy =
+    match peek2 st with
+    | Some L.LPAREN -> true
+    | Some (L.IDENT name) -> List.mem_assoc name st.automata
+    | _ -> false
+  in
+  if not may_be_policy then None
+  else
+    match policy st with
+    | p when peek st = L.LBRACKET -> Some p
+    | _ | (exception Error _) ->
+        st.pos <- start;
+        None
 
 (* ---------- history expressions ---------- *)
 
@@ -173,11 +203,14 @@ and seq_level st =
 
 and atom st =
   match peek st with
-  | L.LPAREN ->
-      advance st;
-      let h = hexpr st in
-      eat st L.RPAREN;
-      h
+  | L.LPAREN -> (
+      match paren_framing_policy st with
+      | Some p -> framing st p
+      | None ->
+          advance st;
+          let h = hexpr st in
+          eat st L.RPAREN;
+          h)
   | L.HASH -> (
       advance st;
       let name = ident st in
@@ -190,9 +223,7 @@ and atom st =
       | _ -> Core.Hexpr.ev name)
   | L.TILDE ->
       advance st;
-      let name = ident st in
-      let p = policy_ref st name in
-      Core.Hexpr.frame_close p
+      Core.Hexpr.frame_close (policy st)
   | L.IDENT "eps" ->
       advance st;
       Core.Hexpr.nil
@@ -204,8 +235,7 @@ and atom st =
         match peek st with
         | L.COLON ->
             advance st;
-            let name = ident st in
-            Some (policy_ref st name)
+            Some (policy st)
         | _ -> None
       in
       eat st L.RPAREN;
@@ -221,8 +251,7 @@ and atom st =
         match peek st with
         | L.COLON ->
             advance st;
-            let name = ident st in
-            Some (policy_ref st name)
+            Some (policy st)
         | _ -> None
       in
       eat st L.RPAREN;
@@ -238,13 +267,15 @@ and atom st =
           Core.Hexpr.send name
       | L.LPAREN ->
           (* a framing: pol(args)[ H ] *)
-          let p = policy_ref st name in
-          eat st L.LBRACKET;
-          let body = hexpr st in
-          eat st L.RBRACKET;
-          Core.Hexpr.frame p body
+          framing st (policy_ref st name)
       | _ -> Core.Hexpr.var name)
   | _ -> fail st "expected a history expression"
+
+and framing st p =
+  eat st L.LBRACKET;
+  let body = hexpr st in
+  eat st L.RBRACKET;
+  Core.Hexpr.frame p body
 
 (* ---------- guards ---------- *)
 
@@ -506,8 +537,7 @@ and latom st =
         match peek st with
         | L.COLON ->
             advance st;
-            let name = ident st in
-            Some (policy_ref st name)
+            Some (policy st)
         | _ -> None
       in
       eat st L.RPAREN;
@@ -517,8 +547,7 @@ and latom st =
       Lambda_sec.Ast.Request { rid; policy; body }
   | L.IDENT "frame" ->
       advance st;
-      let name = ident st in
-      let p = policy_ref st name in
+      let p = policy st in
       eat st L.LBRACE;
       let body = block st in
       eat st L.RBRACE;

@@ -60,18 +60,33 @@ let pp_guard_opt ppf g =
   | Usage.Guard.True -> ()
   | g -> Fmt.pf ppf " when %a" Usage.Guard.pp g
 
+(* States are named in order of first appearance (start, offending,
+   then each edge's source and target), which is how the parser numbers
+   them: the reprint of a parsed reprint names every state the same. A
+   [forbid] policy's compiled states need the renaming; a declared
+   automaton's already read in that order. *)
 let pp_automaton_susf ppf (name, (u : Usage.Usage_automaton.t)) =
+  let order = Hashtbl.create 17 in
+  let number s =
+    if not (Hashtbl.mem order s) then Hashtbl.add order s (Hashtbl.length order)
+  in
+  number u.init;
+  List.iter number u.offending;
+  List.iter
+    (fun (e : Usage.Usage_automaton.edge) ->
+      number e.src;
+      number e.dst)
+    u.edges;
+  let q ppf s = Fmt.pf ppf "q%d" (Hashtbl.find order s) in
   Fmt.pf ppf "policy %s(%a) {@." name
     Fmt.(list ~sep:(any ", ") string)
     u.params;
-  Fmt.pf ppf "  start q%d;@." u.init;
-  Fmt.pf ppf "  offending %a;@."
-    Fmt.(list ~sep:(any ", ") (fmt "q%d"))
-    u.offending;
+  Fmt.pf ppf "  start %a;@." q u.init;
+  Fmt.pf ppf "  offending %a;@." Fmt.(list ~sep:(any ", ") q) u.offending;
   List.iter
     (fun (e : Usage.Usage_automaton.edge) ->
-      Fmt.pf ppf "  q%d -- %s(x)%a --> q%d;@." e.src e.ev_name pp_guard_opt
-        e.guard e.dst)
+      Fmt.pf ppf "  %a -- %s(x)%a --> %a;@." q e.src e.ev_name pp_guard_opt
+        e.guard q e.dst)
     u.edges;
   Fmt.pf ppf "}@."
 

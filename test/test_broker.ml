@@ -409,7 +409,7 @@ let test_ladder_rescue () =
   List.iter
     (fun (r : Broker.response) ->
       match r.Broker.outcome with
-      | Broker.Served { report; level; cached } ->
+      | Broker.Served { report; level; cached; _ } ->
           Alcotest.(check string) "rescued at the floor" "affectible"
             (Compliance.level_to_string level);
           Alcotest.(check bool) "rescues are uncached" false cached;
@@ -490,7 +490,7 @@ let test_level_aware_cache () =
   let bindings = ref [] in
   let record (r : Broker.response) =
     match r.Broker.outcome with
-    | Broker.Served { report; level; cached } ->
+    | Broker.Served { report; level; cached; _ } ->
         bindings :=
           ( Compliance.level_to_string level,
             loose_binding "serve" report,

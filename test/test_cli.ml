@@ -46,14 +46,49 @@ let test_obs_outputs () =
   Alcotest.(check bool) "check trace non-trivial" true
     (String.length (read "ct.json") > 2)
 
-let test_fmt_reparses () =
-  (* susf fmt output must be accepted by susf check *)
+let read_file f = In_channel.with_open_bin f In_channel.input_all
+
+(* stdout and stderr of one susf run, then its exit code *)
+let capture args =
   let code =
-    Sys.command
-      (Filename.quote_command susf [ "fmt"; hotel ]
-      ^ " > roundtrip.susf 2> /dev/null")
+    Sys.command (Filename.quote_command susf args ^ " > capture.out 2>&1")
   in
-  Alcotest.(check int) "fmt succeeds" 0 code;
+  read_file "capture.out" ^ Fmt.str "exit %d" code
+
+(* susf fmt output must parse back, reprint to itself, and check the
+   same as its source, for every shipped specification *)
+let test_fmt_reparses () =
+  let specs dir =
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.filter (fun f -> Filename.check_suffix f ".susf")
+    |> List.map (Filename.concat dir)
+  in
+  List.iter
+    (fun path ->
+      let fmt src dst =
+        Sys.command
+          (Filename.quote_command susf [ "fmt"; src ] ^ " > " ^ dst
+         ^ " 2> fmt.err")
+      in
+      Alcotest.(check int) (path ^ ": fmt succeeds") 0
+        (fmt path "roundtrip.susf");
+      Alcotest.(check int)
+        (path ^ ": the reprint parses")
+        0
+        (fmt "roundtrip.susf" "roundtrip2.susf");
+      Alcotest.(check string)
+        (path ^ ": the reprint is a fixed point")
+        (read_file "roundtrip.susf")
+        (read_file "roundtrip2.susf");
+      Alcotest.(check string)
+        (path ^ ": check agrees on the reprint")
+        (capture [ "check"; path ])
+        (capture [ "check"; "roundtrip.susf" ]))
+    (specs "../examples/data" @ specs "corpus");
+  (* the hotel reprint verifies the canonical client/plan pair *)
+  Alcotest.(check int) "hotel reprint" 0
+    (Sys.command
+       (Filename.quote_command susf [ "fmt"; hotel ] ^ " > roundtrip.susf"));
   Alcotest.(check int) "reparses and verifies" 0
     (run [ "check"; "roundtrip.susf"; "-c"; "c1"; "-p"; "pi1" ])
 
@@ -260,6 +295,190 @@ let test_metrics_hold_no_durations () =
   Alcotest.(check bool) "no *.time_us key" false
     (Astring.String.is_infix ~affix:".time_us\"" m)
 
+(* ---- a socket server in a subprocess ---------------------------------- *)
+
+(* `susf serve --listen 0` runs as a child process, so a server that
+   dies cannot take the test runner with it; with [limit] it runs under
+   `ulimit -n`. [f] gets the port the server announced on stderr. The
+   server must have exited by itself within a few seconds of [f]
+   returning (it is killed otherwise); its exit code (-1 for a signal)
+   and its metrics file are returned. *)
+let with_server ?limit name f =
+  let err = name ^ ".err" and metrics = name ^ ".metrics.json" in
+  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ err; metrics ];
+  let serve =
+    Filename.quote_command susf
+      [ "serve"; hotel; "--listen"; "0"; "--metrics"; metrics ]
+      ~stdout:"/dev/null" ~stderr:err
+  in
+  let script =
+    match limit with
+    | None -> "exec " ^ serve
+    | Some n -> Fmt.str "ulimit -n %d && exec %s" n serve
+  in
+  let pid =
+    (* an ignored signal stays ignored across exec: the server must
+       start with SIGPIPE's default action, whatever this process set *)
+    let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_default in
+    Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe sigpipe)
+    @@ fun () ->
+    Unix.create_process "/bin/sh" [| "/bin/sh"; "-c"; script |] Unix.stdin
+      Unix.stdout Unix.stderr
+  in
+  let rec wait_exit tries =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when tries > 0 ->
+        Unix.sleepf 0.05;
+        wait_exit (tries - 1)
+    | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        snd (Unix.waitpid [] pid)
+    | _, status -> status
+  in
+  let rec port tries =
+    let text = if Sys.file_exists err then read_file err else "" in
+    match Astring.String.cut ~sep:"listening on 127.0.0.1:" text with
+    | Some (_, rest) -> Scanf.sscanf rest "%d" Fun.id
+    | None when tries > 0 ->
+        Unix.sleepf 0.02;
+        port (tries - 1)
+    | None -> Alcotest.failf "%s: the server did not start: %s" name text
+  in
+  let status =
+    match f (port 250) with
+    | () -> wait_exit 100
+    | exception e ->
+        ignore (wait_exit 0);
+        raise e
+  in
+  let code =
+    match status with
+    | Unix.WEXITED c -> c
+    | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1
+  in
+  (code, if Sys.file_exists metrics then read_file metrics else "")
+
+(* A connection with a receive timeout, so a wedged server fails the
+   test instead of hanging it; with SIGPIPE ignored, a dead one fails it
+   instead of killing the runner. *)
+let connect port =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+  fd
+
+let ask fd line =
+  let msg = line ^ "\n" in
+  ignore (Unix.write_substring fd msg 0 (String.length msg));
+  let b = Buffer.create 16 and c = Bytes.create 1 in
+  let rec go () =
+    match Unix.read fd c 0 1 with
+    | 0 -> Buffer.contents b
+    | _ when Bytes.get c 0 = '\n' -> Buffer.contents b
+    | _ ->
+        Buffer.add_bytes b c;
+        go ()
+  in
+  go ()
+
+let still_serves what port =
+  let fd = connect port in
+  Alcotest.(check string) (what ^ ": a new connection's ping") "ok pong"
+    (ask fd "ping");
+  Alcotest.(check string) (what ^ ": shutdown") "ok bye" (ask fd "shutdown");
+  Unix.close fd
+
+let counter metrics name =
+  match Astring.String.cut ~sep:(Fmt.str "%S:" name) metrics with
+  | Some (_, rest) -> Scanf.sscanf rest " %d" Fun.id
+  | None -> 0
+
+(* A client that sends a burst of pings and hangs up without reading
+   them: the server's replies hit a closed socket, which must close that
+   connection only, not kill the server with SIGPIPE. *)
+let test_serve_survives_hangup () =
+  let code, _ =
+    with_server "hangup" (fun port ->
+        let fd = connect port in
+        let burst = String.concat "" (List.init 100 (fun _ -> "ping\n")) in
+        ignore (Unix.write_substring fd burst 0 (String.length burst));
+        Unix.close fd;
+        Unix.sleepf 0.2;
+        still_serves "after a hang-up" port)
+  in
+  Alcotest.(check int) "server exit code" 0 code
+
+(* Out of descriptors: 30 connections under `ulimit -n 24`. A failed
+   accept must not end the server; once the clients hang up it takes
+   new connections again. *)
+let test_serve_survives_fd_limit () =
+  let code, metrics =
+    with_server ~limit:24 "fdlimit" (fun port ->
+        let fds = List.init 30 (fun _ -> connect port) in
+        Alcotest.(check string) "the first connection is served" "ok pong"
+          (ask (List.hd fds) "ping");
+        Unix.sleepf 0.3;
+        List.iter Unix.close fds;
+        still_serves "after running out of descriptors" port)
+  in
+  Alcotest.(check int) "server exit code" 0 code;
+  Alcotest.(check bool) "net.accept_errors counted" true
+    (counter metrics "net.accept_errors" > 0)
+
+(* `serve --connect` against a listener that reads the first request
+   and hangs up: a diagnostic and exit 1, not an uncaught exception. *)
+let test_connect_server_vanishes () =
+  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lsock 8;
+  (* bounds the accept below, should the driver never connect *)
+  Unix.setsockopt_float lsock Unix.SO_RCVTIMEO 5.0;
+  let port =
+    match Unix.getsockname lsock with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> assert false
+  in
+  let fake =
+    Domain.spawn (fun () ->
+        match Unix.accept lsock with
+        | fd, _ ->
+            ignore (Unix.read fd (Bytes.create 4096) 0 4096);
+            Unix.close fd
+        | exception Unix.Unix_error _ -> ())
+  in
+  let code =
+    Sys.command
+      (Filename.quote_command susf
+         [ "serve"; hotel; "--script"; churn_script; "--connect";
+           Fmt.str "127.0.0.1:%d" port; "--conns"; "1" ]
+         ~stdout:"/dev/null" ~stderr:"vanish.err")
+  in
+  Domain.join fake;
+  Unix.close lsock;
+  let requests =
+    let spec = Syntax.Parser.spec_of_file hotel in
+    match
+      Broker.Script.parse
+        ~hexpr_of_string:
+          (Syntax.Parser.hexpr_of_string ~automata:spec.Syntax.Spec.automata)
+        (read_file churn_script)
+    with
+    | Ok items ->
+        List.length
+          (List.filter
+             (function Broker.Script.Submit _ -> true | _ -> false)
+             items)
+    | Error msg -> Alcotest.fail msg
+  in
+  Alcotest.(check int) "exit code" 1 code;
+  Alcotest.(check string) "diagnostic"
+    (Fmt.str
+       "--connect 127.0.0.1:%d: server closed the connection after 0 of %d \
+        replies"
+       port requests)
+    (String.trim (read_file "vanish.err"))
+
 let suite =
   [
     Alcotest.test_case "check valid plan" `Quick
@@ -339,6 +558,12 @@ let suite =
     Alcotest.test_case "audit exit codes" `Quick test_audit_codes;
     Alcotest.test_case "trace and metrics outputs" `Quick test_obs_outputs;
     Alcotest.test_case "fmt round trip" `Quick test_fmt_reparses;
+    Alcotest.test_case "serve --listen survives a client hanging up" `Quick
+      test_serve_survives_hangup;
+    Alcotest.test_case "serve --listen survives running out of descriptors"
+      `Quick test_serve_survives_fd_limit;
+    Alcotest.test_case "serve --connect reports a server that hangs up"
+      `Quick test_connect_server_vanishes;
     Alcotest.test_case "integer overflow is a diagnostic" `Quick
       test_int_overflow;
     Alcotest.test_case "serve rejects out-of-range numbers" `Quick

@@ -135,6 +135,130 @@ let test_journal_roundtrip () =
     entries got;
   Sys.remove path
 
+(* The journal line as [Journal.encode] and [Script.request_line]
+   printed it with [Printf] and [Fmt]: the reference the
+   concatenating encoder must equal byte for byte. *)
+let reference_request_line (r : Broker.request) =
+  let one_line s =
+    String.split_on_char '\n' s
+    |> List.map String.trim
+    |> List.filter (fun l -> l <> "")
+    |> String.concat " "
+  in
+  let h x = one_line (hexpr_to_string x) in
+  match r with
+  | Broker.Open { client; body } -> Fmt.str "open %s = %s" client (h body)
+  | Broker.Close { client } -> Fmt.str "close %s" client
+  | Broker.Serve { client } -> Fmt.str "serve %s" client
+  | Broker.Orchestrate { client } -> Fmt.str "orchestrate %s" client
+  | Broker.Mediate { client } -> Fmt.str "mediate %s" client
+  | Broker.Run { client; seed } -> Fmt.str "run %s seed %d" client seed
+  | Broker.Publish { loc; service } ->
+      Fmt.str "publish %s = %s" loc (h service)
+  | Broker.Retract { loc } -> Fmt.str "retract %s" loc
+  | Broker.Update { loc; service } -> Fmt.str "update %s = %s" loc (h service)
+  | Broker.Set_policy { queue; budget; floor } ->
+      Fmt.str "policy%a%a%a"
+        (Fmt.option (fun ppf -> Fmt.pf ppf " queue %d"))
+        queue
+        (Fmt.option (fun ppf -> Fmt.pf ppf " budget %d"))
+        budget
+        (Fmt.option (fun ppf f ->
+             Fmt.pf ppf " floor %s" (Compliance.level_to_string f)))
+        floor
+
+let reference_encode (e : Broker.Journal.entry) =
+  let payload = reference_request_line e.request in
+  let payload =
+    match e.level with
+    | Compliance.Strict -> payload
+    | l -> Printf.sprintf "level %s %s" (Compliance.level_to_string l) payload
+  in
+  let payload =
+    if e.shed then "shed " ^ payload
+    else if e.rescued then "rescued " ^ payload
+    else payload
+  in
+  let body = Printf.sprintf "%d %d %s" e.seq e.submit payload in
+  Printf.sprintf "%d %08x %d %s" e.seq (Repr.Fnv.hash32 body) e.submit payload
+
+let entry_gen =
+  let open QCheck.Gen in
+  let name =
+    map2
+      (fun c rest -> String.make 1 c ^ rest)
+      (char_range 'a' 'z')
+      (string_size ~gen:(oneofl [ 'a'; 'k'; 'z'; '0'; '9'; '_' ]) (0 -- 8))
+  in
+  let body = oneofl (List.map snd Scenarios.Churn.clients) in
+  let service =
+    oneofl (List.map snd (Scenarios.Churn.repo @ Scenarios.Churn.spares))
+  in
+  let level =
+    oneof
+      [
+        return Compliance.Strict;
+        map (fun k -> Compliance.Skip_k k) (0 -- 9);
+        return Compliance.Affectible;
+      ]
+  in
+  let positive = opt (1 -- 1_000_000) in
+  let request =
+    oneof
+      [
+        map2 (fun client body -> Broker.Open { client; body }) name body;
+        map (fun client -> Broker.Close { client }) name;
+        map (fun client -> Broker.Serve { client }) name;
+        map (fun client -> Broker.Orchestrate { client }) name;
+        map (fun client -> Broker.Mediate { client }) name;
+        map2
+          (fun client seed -> Broker.Run { client; seed })
+          name
+          (oneof [ int; small_signed_int ]);
+        map2 (fun loc service -> Broker.Publish { loc; service }) name service;
+        map (fun loc -> Broker.Retract { loc }) name;
+        map2 (fun loc service -> Broker.Update { loc; service }) name service;
+        map3
+          (fun queue budget floor ->
+            Broker.Set_policy { queue; budget; floor })
+          positive positive (opt level);
+      ]
+  in
+  let* seq = oneof [ small_nat; 0 -- max_int ] in
+  let* submit = oneof [ small_nat; 0 -- max_int ] in
+  let* marker = oneofl [ `None; `Shed; `Rescued ] in
+  let* level = level in
+  let* request = request in
+  return
+    {
+      Broker.Journal.seq;
+      submit;
+      shed = marker = `Shed;
+      rescued = marker = `Rescued;
+      level;
+      request;
+    }
+
+(* Every verb, both markers and every level: the encoder equals the
+   Printf reference, and decoding inverts it. *)
+let prop_journal_codec =
+  QCheck.Test.make ~count:1000
+    ~name:"journal codec: encode = Printf reference, decode inverts"
+    (QCheck.make
+       ~print:(fun e -> reference_encode e)
+       entry_gen)
+    (fun e ->
+      let line = Broker.Journal.encode ~hexpr_to_string e in
+      String.equal line (reference_encode e)
+      &&
+      match Broker.Journal.decode ~hexpr_of_string line with
+      | Error msg -> QCheck.Test.fail_reportf "decode %S: %s" line msg
+      | Ok d ->
+          d.Broker.Journal.seq = e.seq
+          && d.submit = e.submit && d.shed = e.shed && d.rescued = e.rescued
+          && Compliance.equal_level d.level e.level
+          && req_equal d.request e.request)
+
 let test_torn_tail () =
   let path = tmpfile () in
   let reqs = sample_requests () in
@@ -1048,6 +1172,7 @@ let suite =
   [
     Alcotest.test_case "request codec round trips" `Quick test_codec_roundtrip;
     Alcotest.test_case "journal round trips" `Quick test_journal_roundtrip;
+    QCheck_alcotest.to_alcotest prop_journal_codec;
     Alcotest.test_case "torn tail dropped, resume appends" `Quick
       test_torn_tail;
     Alcotest.test_case "corrupted journals rejected loudly" `Quick

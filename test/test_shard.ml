@@ -580,44 +580,57 @@ let one_line s =
   |> List.filter (fun l -> l <> "")
   |> String.concat " "
 
-(* One connection with one request in flight over journaled shards:
-   every reply equals the rendering of its journal replay. On a
-   one-shard pool the requests run inline; on two shards they go to the
-   workers. *)
+(* One connection with one request in flight over journaled shards,
+   for each shipped script at every floor, on one shard and on two: the
+   requests run inline, every reply equals the formatter's one-line
+   rendering of its journal-replayed outcome (the server joins a served
+   reply from the report text the engine rendered when it settled the
+   verdict), and every served text is its report's [Planner.pp_report]. *)
 let test_net_inline_replay () =
-  let run ~shards =
+  let data = "../examples/data/" in
+  let run ~spec ~requests ~floor ~shards =
+    let what =
+      Fmt.str "%d shard(s) at %s" shards (Compliance.level_to_string floor)
+    in
+    let hexpr_of_string =
+      Syntax.Parser.hexpr_of_string ~automata:spec.Syntax.Spec.automata
+    in
+    let repo = Syntax.Spec.repo spec in
     Obs.Metrics.install ();
     Fun.protect ~finally:Obs.Metrics.uninstall @@ fun () ->
-    let admission = Broker.default_admission in
+    let admission = { Broker.default_admission with floor } in
     let paths = Array.init shards (fun _ -> tmpfile ()) in
     let journal i = Broker.Journal.create ~hexpr_to_string paths.(i) in
-    let pool =
-      Broker.Shard.create ~admission ~journal ~shards Scenarios.Churn.repo
-    in
+    let pool = Broker.Shard.create ~admission ~journal ~shards repo in
     let server = Broker.Net.create ~hexpr_of_string ~port:0 pool in
     let d = Domain.spawn (fun () -> Broker.Net.serve server) in
     let conns, driven =
       Broker.Net.drive ~port:(Broker.Net.port server) ~hexpr_to_string
-        [| churn_requests () |]
+        [| requests |]
     in
     Broker.Net.shutdown_conns conns;
     Domain.join d;
-    Alcotest.(check int) "every request answered"
-      (List.length (churn_requests ()))
-      (List.length driven);
+    Alcotest.(check int)
+      (what ^ ": every request answered")
+      (List.length requests) (List.length driven);
     let replayed =
       Array.map
         (fun path ->
-          let fresh = Broker.create ~admission Scenarios.Churn.repo in
+          let fresh = Broker.create ~admission repo in
+          let entries =
+            match Broker.Journal.read ~hexpr_of_string path with
+            | Ok r -> r.Broker.Journal.entries
+            | Error e ->
+                Alcotest.failf "journal read: %a" Broker.Journal.pp_error e
+          in
           List.map
-            (fun (e : Broker.Journal.entry) ->
-              let r =
-                Broker.replay fresh ~seq:e.seq ~level:e.level e.request
-              in
+            (fun e ->
+              let r = Broker.Journal.replay fresh e in
               (r.Broker.seq, r))
-            (read_entries path).Broker.Journal.entries)
+            entries)
         paths
     in
+    Array.iter Sys.remove paths;
     List.iter
       (fun (dv : Broker.Net.driven) ->
         match String.split_on_char ' ' dv.reply with
@@ -625,28 +638,60 @@ let test_net_inline_replay () =
             let shard = if tag = "*" then 0 else int_of_string tag in
             let seq = int_of_string seq in
             match List.assoc_opt seq replayed.(shard) with
-            | None -> Alcotest.failf "shard %d seq %d not journaled" shard seq
-            | Some r ->
+            | None ->
+                Alcotest.failf "%s: shard %d seq %d not journaled" what shard
+                  seq
+            | Some r -> (
+                let o = r.Broker.outcome in
                 Alcotest.(check string)
-                  (Fmt.str "shard %d seq %d reply = journal replay" shard seq)
-                  dv.reply
+                  (Fmt.str "%s: shard %d seq %d reply = journal replay" what
+                     shard seq)
                   (Fmt.str "ok %s %d %s" tag seq
-                     (one_line
-                        (Fmt.str "%a" Broker.pp_outcome r.Broker.outcome))))
-        | _ -> Alcotest.failf "%a -> %s" Broker.pp_request dv.request dv.reply)
+                     (one_line (Fmt.str "%a" Broker.pp_outcome o)))
+                  dv.reply;
+                match o with
+                | Broker.Served { report; text; _ } ->
+                    Alcotest.(check string)
+                      (what ^ ": served text")
+                      (Fmt.str "%a" Planner.pp_report report)
+                      text
+                | _ -> ()))
+        | _ ->
+            Alcotest.failf "%s: %a -> %s" what Broker.pp_request dv.request
+              dv.reply)
       driven;
-    Array.iter Sys.remove paths;
     let inline =
       Option.value ~default:0
         (List.assoc_opt "broker.shard.inline"
            (Obs.Metrics.snapshot ()).Obs.Metrics.counters)
     in
-    Alcotest.(check bool)
-      (Fmt.str "%d shard(s): requests ran inline" shards)
-      (shards = 1) (inline > 0)
+    Alcotest.(check bool) (what ^ ": requests ran inline") true (inline > 0)
   in
-  run ~shards:1;
-  run ~shards:2
+  List.iter
+    (fun (spec_name, script_name) ->
+      let spec = Syntax.Parser.spec_of_file (data ^ spec_name ^ ".susf") in
+      let file = data ^ script_name ^ ".script" in
+      let requests =
+        match
+          Broker.Script.parse ~file
+            ~hexpr_of_string:
+              (Syntax.Parser.hexpr_of_string
+                 ~automata:spec.Syntax.Spec.automata)
+            (In_channel.with_open_text file In_channel.input_all)
+        with
+        | Error msg -> Alcotest.fail msg
+        | Ok items ->
+            List.filter_map
+              (function Broker.Script.Submit r -> Some r | _ -> None)
+              items
+      in
+      List.iter
+        (fun floor ->
+          List.iter
+            (fun shards -> run ~spec ~requests ~floor ~shards)
+            [ 1; 2 ])
+        [ Compliance.Strict; Compliance.Skip_k 1; Compliance.Affectible ])
+    [ ("hotel", "churn"); ("appended", "appended"); ("mismatched", "mismatched") ]
 
 (* While a second connection is open the select thread runs no
    request: a connection that pings inside its idle deadline is answered

@@ -384,6 +384,9 @@ policy cap(limit) = forbid #charge when x > limit;
 service s = go?.(#charge(80) . done_!);
 service bad = go?.(#x . done_!);
 client c = open(1: no_x() & cap(100)){ go!.done_? };
+client framed = no_x() & cap(100)[ go!.done_? ];
+client nested = open(2: (no_x() & cap(1)) & no_x()){ go!.done_? };
+client nested_framed = (no_x() & cap(1)) & no_x()[ go!.done_? ];
 plan p = { 1 -> s };
 plan pb = { 1 -> bad };
 |}
@@ -400,10 +403,29 @@ plan pb = { 1 -> bad };
   Alcotest.(check bool) "left conjunct enforced" true
     (Result.is_error (verdict "pb"));
   (* the client's policy really is the conjunction *)
-  match Hexpr.policies c with
+  (match Hexpr.policies c with
   | [ p ] ->
       Alcotest.(check string) "conj id" "(no_x() & cap(100))" (Usage.Policy.id p)
-  | _ -> Alcotest.fail "one policy expected"
+  | _ -> Alcotest.fail "one policy expected");
+  (* a conjunction prints as its parenthesised id, in a request, a
+     framing and a nested conjunction alike, and parses back to it *)
+  let printed = Fmt.str "%a" Syntax.Spec.to_susf spec in
+  let spec2 =
+    try Syntax.Parser.spec_of_string printed
+    with Syntax.Parser.Error (m, l, col) ->
+      Alcotest.failf "reparse failed at %d:%d: %s@.%s" l col m printed
+  in
+  Alcotest.(check string) "the reprint is a fixed point" printed
+    (Fmt.str "%a" Syntax.Spec.to_susf spec2);
+  List.iter
+    (fun name ->
+      let ids s =
+        List.map Usage.Policy.id
+          (Hexpr.policies (Option.get (Syntax.Spec.find_client s name)))
+      in
+      Alcotest.(check (list string)) (name ^ ": same policies") (ids spec)
+        (ids spec2))
+    [ "c"; "framed"; "nested"; "nested_framed" ]
 
 let test_forbid_nullable_is_error () =
   match
