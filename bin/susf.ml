@@ -998,7 +998,11 @@ let serve_cmd =
   let force_arg =
     Arg.(
       value & flag
-      & info [ "force" ] ~doc:"Overwrite an existing journal file.")
+      & info [ "force" ]
+          ~doc:
+            "Overwrite an existing journal file. With $(b,--listen), \
+             overwrite $(i,JOURNAL).0 … $(i,JOURNAL).N-1 and remove the \
+             $(i,JOURNAL).k (k >= N) a server with more $(b,--shards) left.")
   in
   let serve_faults_arg =
     Arg.(
@@ -1083,22 +1087,49 @@ let serve_cmd =
         exit 2
       end;
       let jpath j i = j ^ "." ^ string_of_int i in
+      (* a fresh pool owns the whole JOURNAL.k set: without --force it
+         clobbers none of it; with --force it also removes the files a
+         larger pool left (a pool writes a gap-free set), which
+         --recover would count as shards *)
       (match journal with
-      | Some j when (not recover) && not force ->
-          for i = 0 to shards - 1 do
-            if Sys.file_exists (jpath j i) then begin
-              Fmt.epr
-                "%s exists — pass --force to overwrite it, or --recover to \
-                 resume from it@."
-                (jpath j i);
-              exit 2
+      | Some j when not recover ->
+          let rec sweep i =
+            let p = jpath j i in
+            if Sys.file_exists p then begin
+              if not force then begin
+                Fmt.epr
+                  "%s exists — pass --force to overwrite it, or --recover to \
+                   resume from it@."
+                  p;
+                exit 2
+              end;
+              if i >= shards then Sys.remove p;
+              sweep (i + 1)
             end
-          done
+            else if i < shards then sweep (i + 1)
+          in
+          sweep 0
       | _ -> ());
-      if (recover || check) && Option.is_none journal then begin
+      if recover && Option.is_none journal then begin
         Fmt.epr "--recover/--check need --journal@.";
         exit 2
       end;
+      (* a journaled pool creates JOURNAL.0 … JOURNAL.N-1 when it starts,
+         and clients route by hash mod N: recovering a set written under
+         another --shards would lose or re-route sessions *)
+      (match journal with
+      | Some j when recover -> (
+          let wrong i = Sys.file_exists (jpath j i) <> (i < shards) in
+          match List.find_opt wrong (List.init (shards + 1) Fun.id) with
+          | Some i ->
+              Fmt.epr
+                "--recover: %s %s — restart with the --shards the journals \
+                 were written under@."
+                (jpath j i)
+                (if i < shards then "is missing" else "exists");
+              exit 2
+          | None -> ())
+      | _ -> ());
       let engines =
         if not recover then
           Array.init shards (fun _ -> Broker.create ~admission repo)
@@ -1106,20 +1137,18 @@ let serve_cmd =
           let j = Option.get journal in
           Array.init shards (fun i ->
               let p = jpath j i in
-              if not (Sys.file_exists p) then Broker.create ~admission repo
-              else
-                match
-                  Broker.Recovery.recover ~hexpr_of_string ~admission
-                    ~journal:p repo
-                with
-                | Error msg ->
-                    Fmt.epr "shard %d: recovery failed: %s@." i msg;
-                    exit 2
-                | Ok (b, r) ->
-                    if r.Broker.Recovery.torn_dropped then
-                      Broker.Journal.drop_torn_tail p;
-                    Fmt.epr "-- shard %d: %a@." i Broker.Recovery.pp_report r;
-                    b)
+              match
+                Broker.Recovery.recover ~hexpr_of_string ~admission ~journal:p
+                  repo
+              with
+              | Error msg ->
+                  Fmt.epr "shard %d: recovery failed: %s@." i msg;
+                  exit 2
+              | Ok (b, r) ->
+                  if r.Broker.Recovery.torn_dropped then
+                    Broker.Journal.drop_torn_tail p;
+                  Fmt.epr "-- shard %d: %a@." i Broker.Recovery.pp_report r;
+                  b)
       in
       if recover then begin
         let checked = ref 0 and mismatches = ref 0 in
@@ -1229,11 +1258,36 @@ let serve_cmd =
           open_conns;
       if errs = [] then 0 else 1
     in
+    (* a flag its mode would ignore is a usage error, not a silent
+       no-op: a --check that checked nothing must not exit 0 *)
+    List.iter
+      (fun (ignored, why) ->
+        if ignored then begin
+          Fmt.epr "%s@." why;
+          exit 2
+        end)
+      [
+        ( Option.is_some listen && Option.is_some connect,
+          "--listen and --connect are mutually exclusive" );
+        ( check && not (Option.is_some listen && recover),
+          "--check needs --listen and --recover" );
+        ( Option.is_some listen && snapshot_every > 0,
+          "--snapshot-every applies to --script runs, not --listen" );
+        ( Option.is_some listen && Option.is_some faults,
+          "--faults applies to --script runs, not --listen" );
+        ( Option.is_some connect && Option.is_some journal,
+          "--journal applies to the server, not --connect" );
+        ( Option.is_some connect && recover,
+          "--recover applies to the server, not --connect" );
+        ( Option.is_some connect && force,
+          "--force applies to the server, not --connect" );
+        ( Option.is_some connect && snapshot_every > 0,
+          "--snapshot-every applies to --script runs, not --connect" );
+        ( Option.is_some connect && Option.is_some faults,
+          "--faults applies to --script runs, not --connect" );
+      ];
     match (listen, connect) with
-    | Some _, Some _ ->
-        Fmt.epr "--listen and --connect are mutually exclusive@.";
-        exit 2
-    | Some port, None -> serve_listen port
+    | Some port, _ -> serve_listen port
     | None, Some hostport -> serve_connect hostport
     | None, None ->
       let items = load_script () in

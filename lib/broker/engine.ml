@@ -96,10 +96,6 @@ type t = {
   sessions : (string, session) Hashtbl.t;
   mutable registered : int;  (* [order] of the latest new session *)
   index : Index.t;
-  compliance : Product.survey Repr.Key.Pair_tbl.t;
-      (* the long-lived compliance cache shared across every analysis
-         this broker runs, keyed on contract-id pairs as in
-         [Planner.analyze]; one survey answers every admission level *)
   mutable adm : admission;
   queue : request Queue.t;
   mutable seq : int;
@@ -163,7 +159,6 @@ let create ?(admission = default_admission) repo =
       sessions = Hashtbl.create 64;
       registered = 0;
       index = Index.create ();
-      compliance = Repr.Key.Pair_tbl.create 64;
       adm = admission;
       queue = Queue.create ();
       seq = 0;
@@ -220,19 +215,6 @@ let cached_verdict t name =
 let universe_of t (s : session) =
   List.sort_uniq String.compare (t.repo_policies @ s.own_policies)
 
-(* ---- compliance (shared cache, Planner.analyze keying) --------------- *)
-
-let survey_pair t cb cs =
-  let k = (Contract.id cb, Contract.id cs) in
-  match Repr.Key.Pair_tbl.find_opt t.compliance k with
-  | Some r -> r
-  | None ->
-      let r = Product.survey cb cs in
-      Repr.Key.Pair_tbl.replace t.compliance k r;
-      r
-
-let compliant t ~level cb cs = Product.admits level (survey_pair t cb cs)
-
 (* ---- invalidation ---------------------------------------------------- *)
 
 let invalidate_client t name =
@@ -248,7 +230,7 @@ let invalidate_client t name =
    No_plan) survives the publish. Sites are taken against [repo] (the
    repository *without* the new service: its own sites only become
    reachable once it is bound at a pre-existing one). *)
-let publish_relevant t repo h ~level (name, (s : session)) =
+let publish_relevant repo h ~level (name, (s : session)) =
   match Contract.project h with
   | exception Contract.Unprojectable _ -> true
   | cs ->
@@ -256,7 +238,7 @@ let publish_relevant t repo h ~level (name, (s : session)) =
       |> List.exists (fun (site : Planner.site) ->
              match Contract.project site.Planner.body with
              | exception Contract.Unprojectable _ -> true
-             | cb -> compliant t ~level cb cs)
+             | cb -> Product.admits level (Product.survey cb cs))
 
 (* Apply the invalidation contract for a mutation: entries bound to a
    touched location, entries whose policy universe changed, and — when a
@@ -291,7 +273,7 @@ let invalidate_for_mutation t ~old_repo ~new_repo_policies ~touched_locs
   (* relevance is judged at the entry's own level: a service only
      admissible below it cannot change the entry's first-valid plan *)
   let relevant h (e : Index.entry) s =
-    publish_relevant t old_repo h ~level:e.Index.level (e.Index.client, s)
+    publish_relevant old_repo h ~level:e.Index.level (e.Index.client, s)
   in
   match published with
   | `None -> ()
@@ -319,24 +301,14 @@ let invalidate_for_mutation t ~old_repo ~new_repo_policies ~touched_locs
              else Index.watch t.index name true)
 
 (* Retire the interned footprint of a withdrawn service: its projection
-   (if any) leaves the repository, so drop the memo entries keyed on it
-   — the global ones via [Repr.Cache.invalidate], the broker's own
-   compliance pairs by hand. Sound regardless of sharing (memo tables
-   cache pure functions); at worst a structurally identical service
-   elsewhere recomputes. *)
-let retire_contract t h =
+   (if any) leaves the repository, so drop the memo entries keyed on it,
+   its surveys included. Sound regardless of sharing (memo tables cache
+   pure functions); at worst a structurally identical service elsewhere
+   recomputes. *)
+let retire_contract h =
   match Contract.project h with
   | exception Contract.Unprojectable _ -> ()
-  | c ->
-      let id = Contract.id c in
-      Repr.Cache.invalidate id;
-      let doomed =
-        Repr.Key.Pair_tbl.fold
-          (fun ((a, b) as k) _ acc ->
-            if a = id || b = id then k :: acc else acc)
-          t.compliance []
-      in
-      List.iter (Repr.Key.Pair_tbl.remove t.compliance) doomed
+  | c -> Repr.Cache.invalidate (Contract.id c)
 
 (* ---- serving --------------------------------------------------------- *)
 
@@ -387,7 +359,7 @@ let budgeted_serve t name (s : session) ~level ~store =
         if analyzed >= budget then `Budget analyzed
         else begin
           t.st.analyzed <- t.st.analyzed + 1;
-          let r = Planner.analyze ~cache:t.compliance ~level t.repo ~client p in
+          let r = Planner.analyze ~level t.repo ~client p in
           if Result.is_ok r.Planner.verdict then
             `Done (Index.Valid r, analyzed + 1)
           else go (analyzed + 1) rest
@@ -493,7 +465,7 @@ let apply t ~level = function
             ~touched_locs:[ loc ] ~published:`None;
           t.repo <- remaining;
           t.repo_policies <- new_repo_policies;
-          retire_contract t old;
+          retire_contract old;
           Ack)
   | Update { loc; service } -> (
       match List.assoc_opt loc t.repo with
@@ -509,7 +481,7 @@ let apply t ~level = function
             ~touched_locs:[ loc ] ~published:(`Replace service);
           t.repo <- replaced;
           t.repo_policies <- new_repo_policies;
-          if not (Hexpr.equal old service) then retire_contract t old;
+          if not (Hexpr.equal old service) then retire_contract old;
           Ack)
   | (Orchestrate { client } | Mediate { client }) as request -> (
       (* the repair ladder as an admission path: serve-first (the cached
@@ -740,24 +712,16 @@ let drain t =
   in
   go []
 
-(* ---- snapshot restore ------------------------------------------------- *)
+(* ---- oracle ---------------------------------------------------------- *)
 
-(* Rebuild a snapshot-recorded index entry with no plan budget and no
-   stats traffic. The uninterrupted broker only caches *settled*
-   verdicts (a budget exhaustion caches nothing), and by the oracle
-   property a settled verdict is the first valid enumerated plan on the
-   current repository — which is exactly what this recomputes, so the
-   rebuilt entry is byte-identical to the lost one. *)
-let rebuild_entry t name (s : session) ~level =
-  let client = (name, s.body) in
-  let rec go = function
-    | [] -> Index.No_plan
-    | p :: rest ->
-        let r = Planner.analyze ~cache:t.compliance ~level t.repo ~client p in
-        if Result.is_ok r.Planner.verdict then Index.Valid r else go rest
-  in
-  let verdict = go (Planner.enumerate t.repo ~client) in
-  store_verdict t name s ~level verdict ~text:(render verdict)
+module Oracle = struct
+  let serve ?level repo ~client =
+    match Planner.first_valid ?level repo ~client with
+    | Some r -> Index.Valid r
+    | None -> Index.No_plan
+end
+
+(* ---- snapshot restore ------------------------------------------------- *)
 
 let restore ?admission ~sessions ~served ~seq repo =
   let t = create ?admission repo in
@@ -771,7 +735,15 @@ let restore ?admission ~sessions ~served ~seq repo =
       | None ->
           invalid_arg
             (Fmt.str "Broker.restore: served client %s has no session" name)
-      | Some s -> rebuild_entry t name s ~level)
+      | Some s ->
+          (* rebuilt with no plan budget and no stats traffic: the
+             uninterrupted broker only caches *settled* verdicts (a
+             budget exhaustion caches nothing), and by the oracle
+             property a settled verdict is the oracle's answer on the
+             current repository, so the rebuilt entry is byte-identical
+             to the lost one *)
+          let verdict = Oracle.serve ~level t.repo ~client:(name, s.body) in
+          store_verdict t name s ~level verdict ~text:(render verdict))
     served;
   t.seq <- seq;
   refresh_gauges t;
@@ -803,19 +775,6 @@ let target ~shards = function
   | Mediate { client } ->
       Shard (route ~shards client)
   | Publish _ | Retract _ | Update _ | Set_policy _ -> Broadcast
-
-(* ---- oracle ---------------------------------------------------------- *)
-
-module Oracle = struct
-  let serve ?(level = Compliance.Strict) repo ~client =
-    let rec go = function
-      | [] -> Index.No_plan
-      | p :: rest ->
-          let r = Planner.analyze ~level repo ~client p in
-          if Result.is_ok r.Planner.verdict then Index.Valid r else go rest
-    in
-    go (Planner.enumerate repo ~client)
-end
 
 let verdict_equal a b =
   match (a, b) with

@@ -346,12 +346,11 @@ module Oracle : sig
     client:string * Hexpr.t ->
     Index.verdict
   (** What a from-scratch planner answers on this repository at this
-      admission level (default [Strict]): the first [Planner.enumerate]d
-      plan whose verdict is [Ok], with no broker cache involved. The
-      broker's invalidation contract promises [Serve] at level [L]
-      always equals this at level [L] on the current repository — the
-      property test replays arbitrary interleavings against it, per
-      level. *)
+      admission level (default [Strict]): [Planner.first_valid], with
+      no broker index involved. The broker's invalidation contract
+      promises [Serve] at level [L] always equals this at level [L] on
+      the current repository — the property test replays arbitrary
+      interleavings against it, per level. *)
 end
 
 val verdict_equal : Index.verdict -> Index.verdict -> bool

@@ -113,30 +113,25 @@ let create ~hexpr_of_string ?idle_timeout ?(port = 0) pool =
 (* [s] ends in a newline. A failed write (the client hung up: with
    SIGPIPE ignored that is EPIPE) marks the connection closed. *)
 let write conn s =
-  Mutex.lock conn.wlock;
-  (try
-     if not conn.closed then begin
-       let n = String.length s in
-       let rec go off =
-         if off < n then go (off + Unix.write_substring conn.fd s off (n - off))
-       in
-       go 0
-     end
-   with Unix.Unix_error _ -> conn.closed <- true);
-  Mutex.unlock conn.wlock
+  Mutex.protect conn.wlock @@ fun () ->
+  try
+    if not conn.closed then begin
+      let n = String.length s in
+      let rec go off =
+        if off < n then go (off + Unix.write_substring conn.fd s off (n - off))
+      in
+      go 0
+    end
+  with Unix.Unix_error _ -> conn.closed <- true
 
 let write_line conn line = write conn (line ^ "\n")
 
-let close_conn conn =
-  Mutex.lock conn.wlock;
-  conn.closed <- true;
-  Mutex.unlock conn.wlock
+let close_conn conn = Mutex.protect conn.wlock (fun () -> conn.closed <- true)
 
 (* Close a closed connection's descriptor; select loop only. *)
 let release conn =
-  Mutex.lock conn.wlock;
-  (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-  Mutex.unlock conn.wlock
+  Mutex.protect conn.wlock (fun () ->
+      try Unix.close conn.fd with Unix.Unix_error _ -> ())
 
 let outcome_line = function
   | Engine.Served { text; cached; level; _ } ->

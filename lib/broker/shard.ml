@@ -104,17 +104,15 @@ let run_cycle sh jobs =
 let run_owned sh jobs =
   (try run_cycle sh jobs
    with e ->
-     Mutex.lock sh.lock;
-     sh.failed <- Some e;
-     sh.stopping <- true;
-     Mutex.unlock sh.lock);
-  Mutex.lock sh.lock;
+     Mutex.protect sh.lock (fun () ->
+         sh.failed <- Some e;
+         sh.stopping <- true));
+  Mutex.protect sh.lock @@ fun () ->
   sh.busy <- false;
   Condition.broadcast sh.idle;
   (* the worker may be parked on [busy] with jobs behind it (or a stop);
      with neither it has nothing to do, so it is left asleep *)
-  if sh.stopping || not (Queue.is_empty sh.jobs) then Condition.signal sh.wake;
-  Mutex.unlock sh.lock
+  if sh.stopping || not (Queue.is_empty sh.jobs) then Condition.signal sh.wake
 
 let rec worker sh =
   Mutex.lock sh.lock;
@@ -229,21 +227,19 @@ let submit ?inline t ?callback request =
 let drain t =
   Array.iter
     (fun sh ->
-      Mutex.lock sh.lock;
-      while (not (Queue.is_empty sh.jobs)) || sh.busy do
-        Condition.wait sh.idle sh.lock
-      done;
-      Mutex.unlock sh.lock;
+      Mutex.protect sh.lock (fun () ->
+          while (not (Queue.is_empty sh.jobs)) || sh.busy do
+            Condition.wait sh.idle sh.lock
+          done);
       check_failed sh)
     t.shards
 
 let stop t =
   Array.iter
     (fun sh ->
-      Mutex.lock sh.lock;
-      sh.stopping <- true;
-      Condition.broadcast sh.wake;
-      Mutex.unlock sh.lock)
+      Mutex.protect sh.lock (fun () ->
+          sh.stopping <- true;
+          Condition.broadcast sh.wake))
     t.shards;
   Array.iter
     (fun sh ->

@@ -68,7 +68,7 @@ let reachable_sites repo plan (cloc, ch) =
   in
   go [] [] (open_sites cloc ch)
 
-let analyze ?cache ?(level = Compliance.Strict) repo ~client plan =
+let analyze ?(level = Compliance.Strict) repo ~client plan =
   Obs.Trace.with_span "planner.analyze" @@ fun () ->
   if Obs.Trace.active () then begin
     Obs.Trace.add_attr "client" (Obs.Trace.Str (fst client));
@@ -80,23 +80,8 @@ let analyze ?cache ?(level = Compliance.Strict) repo ~client plan =
   if Obs.Metrics.active () then
     Obs.Metrics.observe "planner.sites.per_analyze" (List.length sites);
   let survey body hs =
-    (* project first: [Unprojectable] must escape per-site, so it is
-       never cached. The survey is level-independent, so one cache
-       entry answers every admission level. *)
     let cb = Contract.project body and cs = Contract.project hs in
-    match cache with
-    | None -> Product.survey cb cs
-    | Some tbl -> (
-        let k = (Contract.id cb, Contract.id cs) in
-        match Repr.Key.Pair_tbl.find_opt tbl k with
-        | Some r ->
-            Obs.Metrics.incr "planner.compliance_cache.hits";
-            r
-        | None ->
-            Obs.Metrics.incr "planner.compliance_cache.misses";
-            let r = Product.survey cb cs in
-            Repr.Key.Pair_tbl.replace tbl k r;
-            r)
+    Product.survey cb cs
   in
   let rec check_compliance = function
     | [] -> None
@@ -182,14 +167,18 @@ let exposed repo ~client plan =
 
 let valid_plans ?(all = true) repo ~client =
   Obs.Trace.with_span "planner.valid_plans" @@ fun () ->
-  (* compliance of a (request, service) pair does not depend on the rest
-     of the plan, so it is shared across the enumeration *)
-  let cache = Repr.Key.Pair_tbl.create 17 in
   let plans = enumerate repo ~client in
   Obs.Metrics.add "planner.plans.explored" (List.length plans);
   plans
-  |> List.map (fun plan -> analyze ~cache repo ~client plan)
+  |> List.map (fun plan -> analyze repo ~client plan)
   |> List.filter (fun r -> all || Result.is_ok r.verdict)
+
+let first_valid ?level repo ~client =
+  Seq.find_map
+    (fun plan ->
+      let r = analyze ?level repo ~client plan in
+      if Result.is_ok r.verdict then Some r else None)
+    (plans repo ~client)
 
 let pp_reason ppf = function
   | Unserved r -> Fmt.pf ppf "request %d is not served by the plan" r

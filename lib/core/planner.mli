@@ -39,24 +39,19 @@ type reason =
 type report = { plan : Plan.t; verdict : (Netcheck.stats, reason) result }
 
 val analyze :
-  ?cache:Product.survey Repr.Key.Pair_tbl.t ->
   ?level:Compliance.level ->
   Network.repo ->
   client:string * Hexpr.t ->
   Plan.t ->
   report
-(** Validate one plan: per-request compliance first (cheap, local), then
-    the global security/progress exploration. [cache] memoises the
-    per-pair {!Product.survey} across calls, keyed on the hash-consing
-    ids of the projected (client-body, service) contract pair —
-    {!valid_plans} shares one over the whole enumeration, requests whose
-    bodies project to the same contracts share a single survey, and one
-    cached survey answers {e every} admission level. [level] (default
-    [Strict]) is threaded to both the per-request compliance check and
-    the {!Netcheck} exploration, but only their communication-stuck
+(** Validate one plan: per-request compliance first (a memoized
+    {!Product.survey} of each site's projected pair), then the global
+    security/progress exploration. [level] (default [Strict]) is
+    threaded to both the per-request compliance check and the
+    {!Netcheck} exploration, but only their communication-stuck
     tolerance loosens: the security conditions (security stucks,
-    unplanned requests) stay fatal at every level, so a verdict
-    admitted at a weaker level can never hide a policy violation. *)
+    unplanned requests) stay fatal at every level, so a verdict admitted
+    at a weaker level can never hide a policy violation. *)
 
 val enumerate : Network.repo -> client:string * Hexpr.t -> Plan.t list
 (** All complete plans for the client: every reachable request bound to
@@ -82,6 +77,14 @@ val valid_plans :
   ?all:bool -> Network.repo -> client:string * Hexpr.t -> report list
 (** Reports for the enumerated plans. With [all] (default), include
     invalid plans with their failure reason; otherwise only valid ones. *)
+
+val first_valid :
+  ?level:Compliance.level ->
+  Network.repo ->
+  client:string * Hexpr.t ->
+  report option
+(** The first {!enumerate}d plan whose {!analyze} verdict at [level]
+    (default [Strict]) is [Ok], walking the enumeration lazily. *)
 
 val pp_reason : reason Fmt.t
 val pp_report : report Fmt.t

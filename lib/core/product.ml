@@ -113,10 +113,9 @@ type survey = {
    contains a cycle — final states have no outgoing transitions, so any
    cycle is a live loop, and a maximal path is exactly one that ends
    client-terminated, ends stuck, or loops forever. *)
-let survey c1 c2 =
+let explore initial =
   Obs.Trace.with_span "product.survey" @@ fun () ->
   Obs.Metrics.incr "product.surveys";
-  let initial = (c1, c2) in
   let parent = Repr.Key.Pair_tbl.create 64 in
   Repr.Key.Pair_tbl.replace parent (key initial) None;
   let succs_of = Repr.Key.Pair_tbl.create 64 in
@@ -189,6 +188,16 @@ let survey c1 c2 =
     successful = !terminated || has_cycle ();
     first_counterexample = !first;
   }
+
+(* A survey depends on the two contracts alone, so one process-wide
+   memo answers every pairwise question; [product.surveys] counts its
+   misses. The name is the one the planner's per-client table had. *)
+let surveys =
+  Repr.Memo.Pair.create ~name:"planner.compliance_cache"
+    ~key:(fun (c1, c2) -> (Contract.id c1, Contract.id c2))
+    ()
+
+let survey c1 c2 = Repr.Memo.Pair.find surveys (c1, c2) ~compute:explore
 
 (* Theorem 1's three readings of one relation — Definition 4, emptiness
    of [H₁ ⊗ H₂], no reachable stuck configuration — are all decided by

@@ -65,10 +65,11 @@ type survey = {
 
 val survey : Contract.t -> Contract.t -> survey
 (** One reachability pass computing the measures every
-    {!Compliance.level} is decided on — {!Planner.analyze} caches this
-    per hash-consed contract-id pair, so one survey answers all levels.
-    It walks the hash-consed contract graph directly: successors come
-    from the memoized [Contract.transitions]. *)
+    {!Compliance.level} is decided on, memoized process-wide on the
+    contract-id pair (as [planner.compliance_cache]): one survey answers
+    every level, plan and client. It walks the hash-consed contract
+    graph directly: successors come from the memoized
+    [Contract.transitions]. *)
 
 val compliant : Contract.t -> Contract.t -> bool
 (** The Theorem 1 decision procedure: [(survey c1 c2).stuck_states = 0].

@@ -19,14 +19,8 @@ let histograms : (string, hist) Hashtbl.t = Hashtbl.create 16
    atomic load. *)
 let lock = Mutex.create ()
 
-let locked f =
-  Mutex.lock lock;
-  let r = f () in
-  Mutex.unlock lock;
-  r
-
 let reset () =
-  locked (fun () ->
+  Mutex.protect lock (fun () ->
       Hashtbl.reset counters;
       Hashtbl.reset gauges;
       Hashtbl.reset histograms)
@@ -48,16 +42,17 @@ let cell tbl name =
 
 let add name n =
   if !enabled then
-    locked (fun () ->
+    Mutex.protect lock (fun () ->
         let r = cell counters name in
         r := !r + n)
 
 let incr name = add name 1
-let set name v = if !enabled then locked (fun () -> cell gauges name := v)
+let set name v =
+  if !enabled then Mutex.protect lock (fun () -> cell gauges name := v)
 
 let set_max name v =
   if !enabled then
-    locked (fun () ->
+    Mutex.protect lock (fun () ->
         let r = cell gauges name in
         if v > !r then r := v)
 
@@ -78,7 +73,7 @@ let bucket_index ~bounds v =
 
 let observe ?(bounds = default_bounds) name v =
   if !enabled then
-    locked (fun () ->
+    Mutex.protect lock (fun () ->
         let h =
           match Hashtbl.find_opt histograms name with
           | Some h -> h
@@ -120,7 +115,7 @@ let sorted_bindings tbl f =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let snapshot () =
-  locked @@ fun () ->
+  Mutex.protect lock @@ fun () ->
   {
     counters = sorted_bindings counters (fun r -> !r);
     gauges = sorted_bindings gauges (fun r -> !r);

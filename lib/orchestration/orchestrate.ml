@@ -109,13 +109,13 @@ let analyze ?max_parties repo ~client =
   Obs.Trace.with_span "orchestration.analyze" @@ fun () ->
   if Obs.Trace.active () then
     Obs.Trace.add_attr "client" (Obs.Trace.Str (fst client));
-  match Planner.valid_plans ~all:false repo ~client with
-  | r :: _ ->
+  match Planner.first_valid repo ~client with
+  | Some r ->
       Obs.Metrics.incr "orchestration.fallback.planned";
       if Obs.Trace.active () then
         Obs.Trace.add_attr "verdict" (Obs.Trace.Str "planned");
       Planned r
-  | [] -> (
+  | None -> (
       match synthesize_client ?max_parties repo ~client with
       | Ok o ->
           if Obs.Trace.active () then

@@ -15,16 +15,11 @@ let registry : entry list ref = ref []
    and iterated outside it (no nested lock order to get wrong). *)
 let lock = Mutex.create ()
 
-let entries () =
-  Mutex.lock lock;
-  let es = !registry in
-  Mutex.unlock lock;
-  es
+let entries () = Mutex.protect lock (fun () -> !registry)
 
 let register ~name ?clear ?invalidate ~stats ~reset_counters () =
-  Mutex.lock lock;
-  registry := { name; clear; invalidate; stats; reset_counters } :: !registry;
-  Mutex.unlock lock
+  Mutex.protect lock (fun () ->
+      registry := { name; clear; invalidate; stats; reset_counters } :: !registry)
 
 let clear_all () =
   Obs.Metrics.incr "repr.cache.clears";

@@ -53,21 +53,17 @@ module Make (C : ConsedType) = struct
     t
 
   let intern t node =
-    Mutex.lock t.lock;
-    let r =
-      let candidate = C.make ~id:t.next node in
-      match W.find_opt t.tbl candidate with
-      | Some existing ->
-          t.hits <- t.hits + 1;
-          Obs.Metrics.incr t.hits_name;
-          existing
-      | None ->
-          t.misses <- t.misses + 1;
-          Obs.Metrics.incr t.misses_name;
-          W.add t.tbl candidate;
-          t.next <- t.next + 1;
-          candidate
-    in
-    Mutex.unlock t.lock;
-    r
+    Mutex.protect t.lock @@ fun () ->
+    let candidate = C.make ~id:t.next node in
+    match W.find_opt t.tbl candidate with
+    | Some existing ->
+        t.hits <- t.hits + 1;
+        Obs.Metrics.incr t.hits_name;
+        existing
+    | None ->
+        t.misses <- t.misses + 1;
+        Obs.Metrics.incr t.misses_name;
+        W.add t.tbl candidate;
+        t.next <- t.next + 1;
+        candidate
 end

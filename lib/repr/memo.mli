@@ -13,11 +13,22 @@
 
 type ('a, 'b) t
 
-val create :
-  ?initial_size:int -> name:string -> key:('a -> int) -> unit -> ('a, 'b) t
+val create : name:string -> key:('a -> int) -> unit -> ('a, 'b) t
 (** [create ~name ~key ()] makes a table memoizing a function of values
     projected to an int key by [key] (typically the hash-cons id). *)
 
 val find : ('a, 'b) t -> 'a -> compute:('a -> 'b) -> 'b
-(** Cached result for [a], running [compute a] on a miss and storing
-    the result. [compute] must be pure in [key a]. *)
+(** Cached result for [a], running [compute a] on a miss (outside the
+    table's lock) and storing the result. [compute] must be pure in
+    [key a]. *)
+
+(** Tables keyed by an ordered pair of ids. [Cache.invalidate id] drops
+    exactly the pairs with [id] on either side, by one scan of the
+    table. *)
+module Pair : sig
+  type ('a, 'b) t
+
+  val create : name:string -> key:('a -> int * int) -> unit -> ('a, 'b) t
+
+  val find : ('a, 'b) t -> 'a -> compute:('a -> 'b) -> 'b
+end

@@ -271,6 +271,43 @@ let test_serve_bad_numbers () =
   Alcotest.(check bool) "no journal created" false
     (Sys.file_exists "too-many.journal.0")
 
+(* A flag the chosen mode would ignore is a usage error too: a --check
+   that checks nothing, a snapshot or fault that never fires, a journal
+   the --connect client never writes. *)
+let test_serve_ignored_flags () =
+  let script = [ "--script"; churn_script ] in
+  let client = script @ [ "--connect"; "127.0.0.1:1" ] in
+  List.iter
+    (fun (args, message) ->
+      let what = String.concat " " args in
+      let code =
+        Sys.command
+          (Filename.quote_command susf ([ "serve"; hotel ] @ args)
+             ~stdout:"/dev/null" ~stderr:"ignored-flag.err")
+      in
+      Alcotest.(check int) (what ^ " exit code") 2 code;
+      Alcotest.(check string) (what ^ " message") message
+        (String.trim (read_file "ignored-flag.err")))
+    [
+      ( [ "--listen"; "0"; "--journal"; "unchecked.journal"; "--check" ],
+        "--check needs --listen and --recover" );
+      (script @ [ "--check" ], "--check needs --listen and --recover");
+      ( [ "--listen"; "0"; "--snapshot-every"; "2" ],
+        "--snapshot-every applies to --script runs, not --listen" );
+      ( [ "--listen"; "0"; "--faults"; "crash@2" ],
+        "--faults applies to --script runs, not --listen" );
+      ( client @ [ "--journal"; "client.journal" ],
+        "--journal applies to the server, not --connect" );
+      (client @ [ "--recover" ], "--recover applies to the server, not --connect");
+      (client @ [ "--force" ], "--force applies to the server, not --connect");
+      ( client @ [ "--snapshot-every"; "2" ],
+        "--snapshot-every applies to --script runs, not --connect" );
+      ( client @ [ "--faults"; "crash@2" ],
+        "--faults applies to --script runs, not --connect" );
+    ];
+  Alcotest.(check bool) "no journal created" false
+    (Sys.file_exists "unchecked.journal.0")
+
 let test_serve_script_diagnostics () =
   let bad = write_log "bad.script" "serve c1\nfrobnicate c1\n" in
   let code =
@@ -303,12 +340,12 @@ let test_metrics_hold_no_durations () =
    server must have exited by itself within a few seconds of [f]
    returning (it is killed otherwise); its exit code (-1 for a signal)
    and its metrics file are returned. *)
-let with_server ?limit name f =
+let with_server ?limit ?(args = []) name f =
   let err = name ^ ".err" and metrics = name ^ ".metrics.json" in
   List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ err; metrics ];
   let serve =
     Filename.quote_command susf
-      [ "serve"; hotel; "--listen"; "0"; "--metrics"; metrics ]
+      ([ "serve"; hotel; "--listen"; "0"; "--metrics"; metrics ] @ args)
       ~stdout:"/dev/null" ~stderr:err
   in
   let script =
@@ -425,6 +462,73 @@ let test_serve_survives_fd_limit () =
   Alcotest.(check int) "server exit code" 0 code;
   Alcotest.(check bool) "net.accept_errors counted" true
     (counter metrics "net.accept_errors" > 0)
+
+(* A journal set belongs to the shard count it was written under: the
+   pool creates JOURNAL.0 … JOURNAL.N-1 at start and routes clients by
+   hash mod N. Recovering it with another --shards exits 2 and names
+   the file, instead of ignoring journals (fewer shards) or re-routing
+   every client (more). A forced fresh start at a smaller width removes
+   the larger set's extra files, so its own recovery is not refused. *)
+let test_recover_needs_same_shards () =
+  let journal = "reshard.journal" in
+  let file i = Fmt.str "%s.%d" journal i in
+  List.iter
+    (fun i -> if Sys.file_exists (file i) then Sys.remove (file i))
+    (List.init 9 Fun.id);
+  let clients = [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" ] in
+  let serve_clients ?(force = []) shards =
+    let args =
+      [ "--shards"; string_of_int shards; "--journal"; journal ] @ force
+    in
+    let code, _ =
+      with_server ~args "reshard" (fun port ->
+          let fd = connect port in
+          List.iter
+            (fun c ->
+              ignore
+                (ask fd
+                   (Fmt.str
+                      "open %s = open(1: phi({s1},45,100)){ req!.(cobo?.pay! \
+                       + noav?) }"
+                      c));
+              ignore (ask fd ("serve " ^ c)))
+            clients;
+          Alcotest.(check string) "shutdown" "ok bye" (ask fd "shutdown");
+          Unix.close fd)
+    in
+    Alcotest.(check int) (Fmt.str "%d-shard server exit code" shards) 0 code
+  in
+  serve_clients 4;
+  let recover shards =
+    let code =
+      Sys.command
+        (Filename.quote_command susf
+           [ "serve"; hotel; "--listen"; "0"; "--shards"; string_of_int shards;
+             "--journal"; journal; "--recover"; "--check" ]
+           ~stdout:"/dev/null" ~stderr:"reshard.recover.err")
+    in
+    (code, read_file "reshard.recover.err")
+  in
+  let has affix text = Astring.String.is_infix ~affix text in
+  let code, err = recover 4 in
+  Alcotest.(check int) "the same --shards recovers" 0 code;
+  Alcotest.(check bool) "every client's verdict checked" true
+    (has "-- 8 recovered verdicts checked" err);
+  let code, err = recover 2 in
+  Alcotest.(check int) "fewer shards exit code" 2 code;
+  Alcotest.(check bool) "fewer shards name a journal left out" true
+    (has "reshard.journal.2 exists" err);
+  let code, err = recover 8 in
+  Alcotest.(check int) "more shards exit code" 2 code;
+  Alcotest.(check bool) "more shards name a missing journal" true
+    (has "reshard.journal.4 is missing" err);
+  serve_clients ~force:[ "--force" ] 2;
+  Alcotest.(check bool) "the 4-shard set's extra files removed" false
+    (Sys.file_exists (file 2) || Sys.file_exists (file 3));
+  let code, err = recover 2 in
+  Alcotest.(check int) "the forced 2-shard set recovers" 0 code;
+  Alcotest.(check bool) "every client's verdict checked at 2 shards" true
+    (has "-- 8 recovered verdicts checked" err)
 
 (* `serve --connect` against a listener that reads the first request
    and hangs up: a diagnostic and exit 1, not an uncaught exception. *)
@@ -568,4 +672,8 @@ let suite =
       test_int_overflow;
     Alcotest.test_case "serve rejects out-of-range numbers" `Quick
       test_serve_bad_numbers;
+    Alcotest.test_case "serve rejects flags its mode ignores" `Quick
+      test_serve_ignored_flags;
+    Alcotest.test_case "serve --recover needs the journals' --shards" `Quick
+      test_recover_needs_same_shards;
   ]

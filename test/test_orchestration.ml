@@ -192,12 +192,18 @@ let test_marketplace_pruning () =
 (* --- planner fallback ordering (satellite) ---------------------------- *)
 
 let test_fallback_ordering () =
+  let client = ("c1", Scenarios.Hotel.client1) in
+  let reports = Planner.valid_plans Scenarios.Hotel.repo ~client in
+  (* the 1-based position of the first valid plan in enumeration order *)
+  let rec position i = function
+    | [] -> Alcotest.fail "hotel c1 has no valid plan"
+    | (r : Planner.report) :: rest ->
+        if Result.is_ok r.Planner.verdict then i else position (i + 1) rest
+  in
+  let first_valid = position 1 reports in
   Obs.Metrics.install ();
   Fun.protect ~finally:Obs.Metrics.uninstall @@ fun () ->
-  (match
-     Orchestrate.analyze Scenarios.Hotel.repo
-       ~client:("c1", Scenarios.Hotel.client1)
-   with
+  (match Orchestrate.analyze Scenarios.Hotel.repo ~client with
   | Orchestrate.Planned r ->
       Alcotest.(check bool) "the 1:1 plan is valid" true
         (Result.is_ok r.Planner.verdict)
@@ -213,6 +219,10 @@ let test_fallback_ordering () =
     (counter "orchestration.synthesis.runs");
   Alcotest.(check int) "the planned fallback is counted" 1
     (counter "orchestration.fallback.planned");
+  Alcotest.(check bool) "plans follow the first valid one" true
+    (first_valid < List.length reports);
+  Alcotest.(check int) "analysis stops at the first valid plan" first_valid
+    (counter "planner.analyze.calls");
   (* and the converse: with no 1:1 plan the synthesis tier does run *)
   let repo, client = Scenarios.Supply_chain.chain ~parties:3 in
   (match Orchestrate.analyze repo ~client with

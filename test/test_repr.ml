@@ -247,47 +247,135 @@ let prop_bisim_verdict_identical =
       && Bisim.contract_simulates a b = Ref_lts.simulates a b)
 
 let test_planner_cache_identical () =
+  (* each report from an empty survey memo equals the same report
+     answered from a memo that already holds every pair it asks about *)
   let repo = Scenarios.Hotel.repo in
-  List.iter
-    (fun (client, plan) ->
-      let cache = Repr.Key.Pair_tbl.create 17 in
-      let with_cache = Planner.analyze ~cache repo ~client plan in
-      let without = Planner.analyze repo ~client plan in
-      Alcotest.(check string)
-        (Fmt.str "plan %a" Plan.pp plan)
-        (Fmt.str "%a" Planner.pp_report without)
-        (Fmt.str "%a" Planner.pp_report with_cache);
-      (* a second cached run hits the cache and still agrees *)
-      let again = Planner.analyze ~cache repo ~client plan in
-      Alcotest.(check string)
-        (Fmt.str "plan %a (cached rerun)" Plan.pp plan)
-        (Fmt.str "%a" Planner.pp_report without)
-        (Fmt.str "%a" Planner.pp_report again))
+  let cases =
     [
       (("c1", Scenarios.Hotel.client1), Scenarios.Hotel.plan1);
       (("c2", Scenarios.Hotel.client2), Scenarios.Hotel.plan2_s4);
       (("c2", Scenarios.Hotel.client2), Scenarios.Hotel.plan2_s2);
     ]
+  in
+  let render (client, plan) =
+    Fmt.str "%a" Planner.pp_report (Planner.analyze repo ~client plan)
+  in
+  let cold =
+    List.map
+      (fun case ->
+        Repr.Cache.clear_all ();
+        render case)
+      cases
+  in
+  List.iter (fun case -> ignore (render case : string)) cases;
+  let misses () = (cache_stats "planner.compliance_cache").Repr.Cache.misses in
+  let before = misses () in
+  let warm = List.map render cases in
+  Alcotest.(check int) "every survey answered from the memo" before
+    (misses ());
+  List.iter2
+    (fun ((_, plan), c) w ->
+      Alcotest.(check string) (Fmt.str "plan %a" Plan.pp plan) c w)
+    (List.combine cases cold) warm
+
+(* --- the survey memo --- *)
+
+let test_pair_memo_invalidate () =
+  (* [Cache.invalidate id] drops exactly the pairs with [id] on either
+     side, however often it runs. Negative ids name no interned value,
+     so the other registered tables are untouched. *)
+  let computed = ref 0 in
+  let m = Repr.Memo.Pair.create ~name:"test.memo.pairs" ~key:Fun.id () in
+  let ask pairs =
+    List.iter
+      (fun p ->
+        ignore
+          (Repr.Memo.Pair.find m p ~compute:(fun (a, b) ->
+               incr computed;
+               a - b)
+            : int))
+      pairs
+  in
+  let entries () = (cache_stats "test.memo.pairs").Repr.Cache.entries in
+  ask [ (-1, -2); (-2, -3); (-3, -1); (-2, -2); (-4, -5) ];
+  Alcotest.(check int) "one entry per pair" 5 (entries ());
+  Repr.Cache.invalidate (-2);
+  Alcotest.(check int) "the three pairs with -2 dropped" 2 (entries ());
+  computed := 0;
+  ask [ (-3, -1); (-4, -5) ];
+  Alcotest.(check int) "the other pairs survive" 0 !computed;
+  ask [ (-1, -2); (-2, -2) ];
+  Alcotest.(check int) "a dropped pair recomputes" 2 !computed;
+  Repr.Cache.invalidate (-1);
+  Alcotest.(check int) "the pairs with -1 dropped" 2 (entries ());
+  Repr.Cache.invalidate (-2);
+  Alcotest.(check int) "the self pair dropped" 1 (entries ());
+  Repr.Cache.invalidate (-9);
+  Alcotest.(check int) "an id in no pair drops nothing" 1 (entries ());
+  computed := 0;
+  ask [ (-4, -5) ];
+  Alcotest.(check int) "the last pair still answers" 0 !computed
+
+let test_surveys_once_per_pair () =
+  (* one survey per distinct contract pair a process asks about, across
+     clients, plans and the repair ladder *)
+  Obs.Metrics.install ();
+  Fun.protect ~finally:Obs.Metrics.uninstall @@ fun () ->
+  Repr.Cache.clear_all ();
+  let pass () =
+    List.iter
+      (fun file ->
+        let spec = Syntax.Parser.spec_of_file ("../examples/data/" ^ file) in
+        let repo = Syntax.Spec.repo spec in
+        List.iter
+          (fun client ->
+            ignore (Planner.valid_plans repo ~client : Planner.report list);
+            ignore (Mediator.Repair.analyze repo ~client))
+          spec.Syntax.Spec.clients)
+      [ "hotel.susf"; "mismatched.susf" ]
+  in
+  pass ();
+  let surveys = counter "product.surveys" in
+  Alcotest.(check bool) "something was surveyed" true (surveys > 0);
+  Alcotest.(check int) "surveys = memo misses"
+    (counter "planner.compliance_cache.misses")
+    surveys;
+  Alcotest.(check int) "surveys = distinct pairs held"
+    (cache_stats "planner.compliance_cache").Repr.Cache.entries surveys;
+  pass ();
+  Alcotest.(check int) "a second pass surveys nothing" surveys
+    (counter "product.surveys")
 
 (* --- counters and hashes shared across domains --- *)
 
 let test_memo_counts_across_domains () =
-  (* shard domains share memo tables (contract.transitions above all):
-     every lookup is counted exactly once, however two domains
-     interleave on one table *)
+  (* shard domains share memo tables (contract.transitions and the
+     survey memo above all): every lookup is counted exactly once,
+     however two domains interleave on one table *)
   let m = Repr.Memo.create ~name:"test.memo.domains" ~key:Fun.id () in
+  let p =
+    Repr.Memo.Pair.create ~name:"test.memo.pair_domains" ~key:Fun.id ()
+  in
   let per_domain = 1_000_000 in
   let lookups () =
     for i = 1 to per_domain do
-      ignore (Repr.Memo.find m (i land 1023) ~compute:Fun.id : int)
+      ignore (Repr.Memo.find m (i land 1023) ~compute:Fun.id : int);
+      ignore
+        (Repr.Memo.Pair.find p (i land 31, (i lsr 5) land 31) ~compute:fst
+          : int)
     done
   in
   let other = Domain.spawn lookups in
   lookups ();
   Domain.join other;
-  let s = cache_stats "test.memo.domains" in
-  Alcotest.(check int) "hits + misses = lookups" (2 * per_domain)
-    (s.Repr.Cache.hits + s.Repr.Cache.misses)
+  List.iter
+    (fun name ->
+      let s = cache_stats name in
+      Alcotest.(check int)
+        (name ^ ": hits + misses = lookups")
+        (2 * per_domain)
+        (s.Repr.Cache.hits + s.Repr.Cache.misses))
+    [ "test.memo.domains"; "test.memo.pair_domains" ]
 
 let test_fnv_known_answers () =
   List.iter
@@ -308,6 +396,10 @@ let suite =
       test_invalidate_selective;
     Alcotest.test_case "planner cache does not change reports" `Quick
       test_planner_cache_identical;
+    Alcotest.test_case "pair memo: invalidate drops exactly its pairs" `Quick
+      test_pair_memo_invalidate;
+    Alcotest.test_case "product.surveys = distinct pairs asked" `Quick
+      test_surveys_once_per_pair;
     QCheck_alcotest.to_alcotest prop_rebuild_physical;
     QCheck_alcotest.to_alcotest prop_equal_is_structural;
     QCheck_alcotest.to_alcotest prop_compare_total_order;
