@@ -226,10 +226,8 @@ let plans_cmd =
                   (fun r -> Result.is_ok r.Core.Planner.verdict)
                   reports)
         then
-          match
-            Orchestration.Orchestrate.synthesize_client repo ~client:(name, h)
-          with
-          | Ok o ->
+          match Mediator.Repair.climb ~mediate repo ~client:(name, h) with
+          | Mediator.Repair.Orchestrated o ->
               List.iter
                 (fun (c : Orchestration.Orchestrate.coalition) ->
                   Fmt.pr "  %a@." Orchestration.Orchestrate.pp_coalition c;
@@ -240,37 +238,28 @@ let plans_cmd =
                       ok := false;
                       Fmt.pr "  controller FAILED re-verification: %s@." e)
                 o.Orchestration.Orchestrate.coalitions
-          | Error d when not mediate ->
+          | Mediator.Repair.Mediated m ->
+              List.iter
+                (fun (h : Mediator.Repair.healed) ->
+                  Fmt.pr "  request %d: mediated %s via %s@." h.rid h.service
+                    h.adapter_loc;
+                  Fmt.pr "    %a@." Mediator.Synthesis.pp_mediator h.mediator;
+                  List.iter
+                    (fun s -> Fmt.pr "    %a@." Mediator.Synthesis.pp_step s)
+                    h.mediator.Mediator.Synthesis.steps)
+                m.Mediator.Repair.healed;
+              List.iter
+                (fun (rid, loc) ->
+                  Fmt.pr "  request %d: bound directly to %s@." rid loc)
+                m.Mediator.Repair.direct;
+              Fmt.pr
+                "  mediated triple re-verified: strict compliance + netcheck \
+                 hold@."
+          | Mediator.Repair.Declined { coalition; mediation } ->
               ok := false;
-              Fmt.pr "  %a@." Orchestration.Orchestrate.pp_declined d
-          | Error coalition -> (
-              (* the last rung: heal the mismatch with a synthesized
-                 adapter, or decline with both traces *)
-              match Mediator.Repair.heal repo ~client:(name, h) with
-              | Ok m ->
-                  List.iter
-                    (fun (h : Mediator.Repair.healed) ->
-                      Fmt.pr "  request %d: mediated %s via %s@." h.rid
-                        h.service h.adapter_loc;
-                      Fmt.pr "    %a@." Mediator.Synthesis.pp_mediator
-                        h.mediator;
-                      List.iter
-                        (fun s ->
-                          Fmt.pr "    %a@." Mediator.Synthesis.pp_step s)
-                        h.mediator.Mediator.Synthesis.steps)
-                    m.Mediator.Repair.healed;
-                  List.iter
-                    (fun (rid, loc) ->
-                      Fmt.pr "  request %d: bound directly to %s@." rid loc)
-                    m.Mediator.Repair.direct;
-                  Fmt.pr
-                    "  mediated triple re-verified: strict compliance + \
-                     netcheck hold@."
-              | Error d ->
-                  ok := false;
-                  Fmt.pr "  %a@." Orchestration.Orchestrate.pp_declined
-                    coalition;
-                  Fmt.pr "  %a@." Mediator.Repair.pp_declined d))
+              Fmt.pr "  %a@." Orchestration.Orchestrate.pp_declined coalition;
+              Option.iter (Fmt.pr "  %a@." Mediator.Repair.pp_declined) mediation
+          | Mediator.Repair.Planned _ -> ())
       (clients spec client);
     if (not (orchestrate || mediate)) || !ok then 0 else 1
   in

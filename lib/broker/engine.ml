@@ -485,12 +485,12 @@ let apply t ~level = function
           Ack)
   | (Orchestrate { client } | Mediate { client }) as request -> (
       (* the repair ladder as an admission path: serve-first (the cached
-         1:1 answer keeps its oracle and invalidation contract),
-         coalition synthesis on No_plan, and for [Mediate] adapter
-         synthesis last — only then a decline, carrying both traces.
-         The synthesis rungs are deterministic and recomputed per
-         request, never cached in the index, so the invalidation and
-         recovery contracts are untouched. *)
+         1:1 answer keeps its oracle and invalidation contract), then on
+         No_plan the shared climb: coalition synthesis, and for
+         [Mediate] adapter synthesis — only then a decline, carrying
+         each rung's trace. The synthesis rungs are deterministic and
+         recomputed per request, never cached in the index, so the
+         invalidation and recovery contracts are untouched. *)
       let mediate = match request with Mediate _ -> true | _ -> false in
       Obs.Metrics.incr
         (if mediate then "broker.mediate.requests"
@@ -499,12 +499,11 @@ let apply t ~level = function
       | None -> Rejected (Unknown_client client)
       | Some s -> (
           match serve t ~level client with
-          | Rejected No_plan -> (
+          | Rejected No_plan as unplanned -> (
               match
-                Orchestration.Orchestrate.synthesize_client t.repo
-                  ~client:(client, s.body)
+                Mediator.Repair.climb ~mediate t.repo ~client:(client, s.body)
               with
-              | Ok o ->
+              | Mediator.Repair.Orchestrated o ->
                   let coalitions =
                     List.map
                       (fun (c : Orchestration.Orchestrate.coalition) ->
@@ -520,41 +519,36 @@ let apply t ~level = function
                       (0, 0) o.Orchestration.Orchestrate.coalitions
                   in
                   Orchestrated { coalitions; states; transitions }
-              | Error d when not mediate ->
-                  Rejected
-                    (No_orchestration
-                       (Fmt.str "%a" Orchestration.Orchestrate.pp_declined d))
-              | Error coalition -> (
-                  match
-                    Mediator.Repair.heal t.repo ~client:(client, s.body)
-                  with
-                  | Ok m ->
-                      Obs.Metrics.incr "broker.mediate.repaired";
-                      let healed =
-                        List.map
-                          (fun (h : Mediator.Repair.healed) ->
-                            (h.rid, h.service, h.adapter_loc))
-                          m.Mediator.Repair.healed
-                      in
-                      let states, steps =
-                        List.fold_left
-                          (fun (a, b) (h : Mediator.Repair.healed) ->
-                            ( a + h.mediator.Mediator.Synthesis.states,
-                              b
-                              + List.length h.mediator.Mediator.Synthesis.steps
-                            ))
-                          (0, 0) m.Mediator.Repair.healed
-                      in
-                      Mediated
-                        { healed; direct = m.Mediator.Repair.direct; states;
-                          steps }
-                  | Error d ->
-                      Obs.Metrics.incr "broker.mediate.declined";
-                      Rejected
-                        (No_mediation
-                           (Fmt.str "%a; %a"
-                              Orchestration.Orchestrate.pp_declined coalition
-                              Mediator.Repair.pp_declined d))))
+              | Mediator.Repair.Mediated m ->
+                  Obs.Metrics.incr "broker.mediate.repaired";
+                  let healed =
+                    List.map
+                      (fun (h : Mediator.Repair.healed) ->
+                        (h.rid, h.service, h.adapter_loc))
+                      m.Mediator.Repair.healed
+                  in
+                  let states, steps =
+                    List.fold_left
+                      (fun (a, b) (h : Mediator.Repair.healed) ->
+                        ( a + h.mediator.Mediator.Synthesis.states,
+                          b + List.length h.mediator.Mediator.Synthesis.steps ))
+                      (0, 0) m.Mediator.Repair.healed
+                  in
+                  Mediated
+                    { healed; direct = m.Mediator.Repair.direct; states; steps }
+              | Mediator.Repair.Declined { coalition; mediation } ->
+                  let why =
+                    Fmt.str "%a%a" Orchestration.Orchestrate.pp_declined
+                      coalition
+                      Fmt.(option (any "; " ++ Mediator.Repair.pp_declined))
+                      mediation
+                  in
+                  if mediate then begin
+                    Obs.Metrics.incr "broker.mediate.declined";
+                    Rejected (No_mediation why)
+                  end
+                  else Rejected (No_orchestration why)
+              | Mediator.Repair.Planned _ -> unplanned)
           | o -> o))
   | Set_policy { queue; budget; floor } ->
       (* out-of-range deltas are rejected whole, not clamped: a silent

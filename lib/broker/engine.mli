@@ -86,21 +86,23 @@ type request =
   | Orchestrate of { client : string }
       (** serve-first admission: answer with the client's first valid
           1:1 plan when one exists (identical to [Serve]); only on
-          [Rejected No_plan] fall back to most-permissive controller
-          synthesis over service coalitions
-          ([Orchestration.Orchestrate.synthesize_client]). Synthesis is
-          deterministic and recomputed per request — orchestrated
-          verdicts are never cached in the index, so the invalidation
-          contract is untouched. *)
+          [Rejected No_plan] climb the shared repair ladder to its
+          coalition rung ([Mediator.Repair.climb ~mediate:false]):
+          most-permissive controller synthesis over service coalitions.
+          Synthesis is deterministic and recomputed per request —
+          orchestrated verdicts are never cached in the index, so the
+          invalidation contract is untouched. *)
   | Mediate of { client : string }
       (** the full repair ladder as one admission path: first the
-          cached 1:1 serve, then coalition synthesis, then mediator
-          synthesis ([Mediator.Repair.heal]) — an adapter that
+          cached 1:1 serve, then [Mediator.Repair.climb ~mediate:true]:
+          coalition synthesis, then mediator synthesis — an adapter that
           reorders, buffers or renames-within-policy, published and
           re-verified through the strict pipeline. Only when every rung
           declines is the request rejected ([No_mediation]), carrying
-          both decline traces. Like [Orchestrate], the synthesis rungs
-          are deterministic, recomputed per request and never cached. *)
+          both decline traces (the coalition's alone when the client
+          itself is unfit, which no adapter mends). Like [Orchestrate],
+          the synthesis rungs are deterministic, recomputed per request
+          and never cached. *)
 
 type reject =
   | Shed  (** the bounded queue was full at submission *)
@@ -118,8 +120,9 @@ type reject =
           counterexample trace included *)
   | No_mediation of string
       (** a [Mediate] exhausted the whole repair ladder; the message
-          renders the coalition decline and the mediation decline,
-          counterexample traces included *)
+          renders the coalition decline and, unless the client itself
+          is unfit, the mediation decline, counterexample traces
+          included *)
 
 type outcome =
   | Served of {

@@ -44,12 +44,6 @@
    ignored, a failed [accept] parks the listener instead of spinning on
    it, and a descriptor [select] cannot watch is refused. *)
 
-let one_line s =
-  String.split_on_char '\n' s
-  |> List.map String.trim
-  |> List.filter (fun l -> l <> "")
-  |> String.concat " "
-
 (* The longest request line the server buffers, in bytes. *)
 let max_line = 1 lsl 20
 
@@ -136,7 +130,7 @@ let release conn =
 let outcome_line = function
   | Engine.Served { text; cached; level; _ } ->
       Engine.served_line ~cached ~level text
-  | o -> one_line (Fmt.str "%a" Engine.pp_outcome o)
+  | o -> Script.one_line (Fmt.str "%a" Engine.pp_outcome o)
 
 let handle_line t ~inline (conn, line) =
   let line = String.trim line in
@@ -152,7 +146,7 @@ let handle_line t ~inline (conn, line) =
     match Script.request_of_line ~hexpr_of_string:t.hexpr_of_string line with
     | Error msg ->
         Obs.Metrics.incr "net.errors";
-        write_line conn ("err " ^ one_line msg)
+        write_line conn ("err " ^ Script.one_line msg)
     | Ok request ->
         Obs.Metrics.incr "net.requests";
         let tag =

@@ -48,6 +48,11 @@ val parse :
     offending token. Exceptions raised by [hexpr_of_string] are caught
     and reported the same way. *)
 
+val one_line : string -> string
+(** Collapse formatter line breaks (a newline plus indentation) to
+    single spaces, dropping blank lines: the one-line form of a
+    pretty-printed term, decline or outcome. *)
+
 val request_line : hexpr_to_string:(Core.Hexpr.t -> string) -> Engine.request -> string
 (** Render a request as a single script line (the journal payload
     codec). Formatter line breaks inside the history-expression

@@ -115,23 +115,26 @@ let run_owned sh jobs =
   if sh.stopping || not (Queue.is_empty sh.jobs) then Condition.signal sh.wake
 
 let rec worker sh =
-  Mutex.lock sh.lock;
-  while sh.busy || (Queue.is_empty sh.jobs && not sh.stopping) do
-    Condition.wait sh.wake sh.lock
-  done;
-  if Queue.is_empty sh.jobs then begin
-    (* stopping, queue drained: flush and retire *)
-    Mutex.unlock sh.lock;
-    Option.iter Journal.close sh.journal
-  end
-  else begin
-    sh.busy <- true;
-    let jobs = List.of_seq (Queue.to_seq sh.jobs) in
-    Queue.clear sh.jobs;
-    Mutex.unlock sh.lock;
-    run_owned sh jobs;
-    worker sh
-  end
+  let jobs =
+    Mutex.protect sh.lock @@ fun () ->
+    while sh.busy || (Queue.is_empty sh.jobs && not sh.stopping) do
+      Condition.wait sh.wake sh.lock
+    done;
+    if Queue.is_empty sh.jobs then None
+    else begin
+      sh.busy <- true;
+      let jobs = List.of_seq (Queue.to_seq sh.jobs) in
+      Queue.clear sh.jobs;
+      Some jobs
+    end
+  in
+  match jobs with
+  | None ->
+      (* stopping, queue drained: flush and retire *)
+      Option.iter Journal.close sh.journal
+  | Some jobs ->
+      run_owned sh jobs;
+      worker sh
 
 (* ---- the pool --------------------------------------------------------- *)
 
@@ -180,32 +183,32 @@ let check_failed sh =
    no worker wakes up; otherwise the job queues for the worker, which is
    spawned here, under the lock, if this is the first job to queue. *)
 let enqueue ?(inline = false) sh job =
-  Mutex.lock sh.lock;
-  if sh.stopping then begin
-    Mutex.unlock sh.lock;
-    check_failed sh;
-    invalid_arg "Shard.submit: pool stopped"
-  end;
-  if inline && (not sh.busy) && Queue.is_empty sh.jobs then begin
-    sh.busy <- true;
-    Mutex.unlock sh.lock;
-    Obs.Metrics.incr "broker.shard.inline";
-    run_owned sh [ job ]
-  end
-  else begin
-    (if Option.is_none sh.worker then
-       match Domain.spawn (fun () -> worker sh) with
-       | d ->
-           sh.worker <- Some d;
-           Obs.Metrics.incr "broker.shard.workers"
-       | exception e ->
-           Mutex.unlock sh.lock;
-           raise e);
-    Queue.add job sh.jobs;
-    Obs.Metrics.set_max "broker.shard.queue.depth" (Queue.length sh.jobs);
-    Condition.signal sh.wake;
-    Mutex.unlock sh.lock
-  end
+  let action =
+    Mutex.protect sh.lock @@ fun () ->
+    if sh.stopping then `Stopped
+    else if inline && (not sh.busy) && Queue.is_empty sh.jobs then begin
+      sh.busy <- true;
+      `Inline
+    end
+    else begin
+      if Option.is_none sh.worker then begin
+        sh.worker <- Some (Domain.spawn (fun () -> worker sh));
+        Obs.Metrics.incr "broker.shard.workers"
+      end;
+      Queue.add job sh.jobs;
+      Obs.Metrics.set_max "broker.shard.queue.depth" (Queue.length sh.jobs);
+      Condition.signal sh.wake;
+      `Queued
+    end
+  in
+  match action with
+  | `Stopped ->
+      check_failed sh;
+      invalid_arg "Shard.submit: pool stopped"
+  | `Inline ->
+      Obs.Metrics.incr "broker.shard.inline";
+      run_owned sh [ job ]
+  | `Queued -> ()
 
 let submit ?inline t ?callback request =
   match Engine.target ~shards:(Array.length t.shards) request with
@@ -243,15 +246,16 @@ let stop t =
     t.shards;
   Array.iter
     (fun sh ->
-      Mutex.lock sh.lock;
-      (* a shard that never queued a job has no worker to flush and close
-         its journal: wait out any inline cycle and do it here *)
-      if Option.is_none sh.worker then
-        while sh.busy do
-          Condition.wait sh.idle sh.lock
-        done;
-      let worker = sh.worker in
-      Mutex.unlock sh.lock;
+      let worker =
+        Mutex.protect sh.lock @@ fun () ->
+        (* a shard that never queued a job has no worker to flush and
+           close its journal: wait out any inline cycle and do it here *)
+        if Option.is_none sh.worker then
+          while sh.busy do
+            Condition.wait sh.idle sh.lock
+          done;
+        sh.worker
+      in
       match worker with
       | Some d -> Domain.join d
       | None -> Option.iter Journal.close sh.journal)

@@ -46,35 +46,18 @@ type verdict =
   | Mediated of mediated
   | Declined of {
       coalition : Orchestration.Orchestrate.declined;
-      mediation : declined;
+      mediation : declined option;
+          (** [None]: the climb stopped at coalitions, or the client
+              itself is unfit *)
     }
 
 let adapter_loc ~service ~rid = Fmt.str "%s~med%d" service rid
-
-(* Channel names the rename repair must keep its hands off: every event
-   name watched by a policy in scope (the site's imposed policy, the
-   client's own framings, the candidate's). Renaming such a channel
-   could shift which events a mediated run performs relative to what
-   the policy was written against, so it is simply forbidden — the
-   security conditions are never weakened, not even structurally. *)
-let reserved_channels ~site_policy client_h service_h =
-  let of_policy p =
-    Usage.Policy.automaton p
-    |> Usage.Policy.A.transitions
-    |> List.map (fun (_, (l : Usage.Policy.Label.t), _) -> l.Usage.Policy.Label.ev_name)
-  in
-  let policies =
-    (match site_policy with Some p -> [ p ] | None -> [])
-    @ Hexpr.policies client_h @ Hexpr.policies service_h
-  in
-  List.concat_map of_policy policies |> List.sort_uniq String.compare
 
 type site_result =
   | Bound_direct of string
   | Healed_via of healed
 
-let heal_site ?(capacity = Synthesis.default_capacity) repo ~client_h
-    (site : Planner.site) =
+let heal_site repo ~client_h (site : Planner.site) =
   let rid = site.Planner.req.Hexpr.rid in
   match Contract.project site.Planner.body with
   | exception Contract.Unprojectable reason ->
@@ -96,11 +79,19 @@ let heal_site ?(capacity = Synthesis.default_capacity) repo ~client_h
                    the minimal repair is no repair *)
                 Ok (Bound_direct loc)
               else
+                (* the rename repair keeps its hands off every event name a
+                   policy in scope watches (the client's framings and
+                   request policies, the site's among them, and the
+                   candidate's): renaming one could shift which events a
+                   mediated run performs relative to what the policy was
+                   written against, so security is never weakened, not
+                   even structurally *)
                 let reserved =
-                  reserved_channels ~site_policy:site.Planner.req.Hexpr.policy
-                    client_h h
+                  Orchestration.Orchestrate.watched [ client_h; h ]
                 in
-                let config = { Synthesis.capacity; reserved } in
+                let config =
+                  { Synthesis.capacity = Synthesis.default_capacity; reserved }
+                in
                 match
                   Synthesis.synthesize ~config ~client:cb ~service:cs ()
                 with
@@ -117,14 +108,14 @@ let heal_site ?(capacity = Synthesis.default_capacity) repo ~client_h
         in
         try_cands None cands)
 
-let heal ?capacity repo ~client:(cloc, ch) =
+let heal repo ~client:(cloc, ch) =
   Obs.Trace.with_span "mediator.heal" @@ fun () ->
   if Obs.Trace.active () then Obs.Trace.add_attr "client" (Obs.Trace.Str cloc);
   let sites = Planner.client_sites (cloc, ch) in
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | site :: rest -> (
-        match heal_site ?capacity repo ~client_h:ch site with
+        match heal_site repo ~client_h:ch site with
         | Ok r -> go ((site.Planner.req.Hexpr.rid, r) :: acc) rest
         | Error d -> Error d)
   in
@@ -188,23 +179,10 @@ let heal ?capacity repo ~client:(cloc, ch) =
             match List.assoc_opt hd.service repo with
             | None -> false
             | Some h ->
-                let reserved =
-                  let site =
-                    List.find_opt
-                      (fun (s : Planner.site) ->
-                        s.Planner.req.Hexpr.rid = hd.rid)
-                      sites
-                  in
-                  reserved_channels
-                    ~site_policy:
-                      (Option.bind site (fun (s : Planner.site) ->
-                           s.Planner.req.Hexpr.policy))
-                    ch h
-                in
                 let config =
                   {
                     Synthesis.capacity = hd.mediator.Synthesis.capacity;
-                    reserved;
+                    reserved = Orchestration.Orchestrate.watched [ ch; h ];
                   }
                 in
                 let cb =
@@ -241,16 +219,44 @@ let heal ?capacity repo ~client:(cloc, ch) =
                      reason = Fmt.str "%a" Planner.pp_reason reason;
                    })))
 
-(* ---- the full repair ladder ------------------------------------------- *)
+(* ---- the repair ladder ------------------------------------------------ *)
 
-let analyze ?max_parties ?capacity repo ~client =
-  match Orchestration.Orchestrate.analyze ?max_parties repo ~client with
-  | Orchestration.Orchestrate.Planned r -> Planned r
-  | Orchestration.Orchestrate.Orchestrated o -> Orchestrated o
-  | Orchestration.Orchestrate.Declined coalition -> (
-      match heal ?capacity repo ~client with
-      | Ok m -> Mediated m
-      | Error mediation -> Declined { coalition; mediation })
+(* Rungs 2-3 for a client that rung 1 (a valid 1:1 plan) left unserved:
+   coalition synthesis; then, with [mediate], adapter synthesis; else a
+   decline carrying each rung's trace. A client the coalition rung
+   declines for its own conduct ([Unfit_client]) is declined at once:
+   no adapter mends it. Every front end climbs through here: [susf plans
+   --orchestrate/--mediate], the broker's [orchestrate]/[mediate] verbs
+   and [analyze]. Never answers [Planned]. *)
+let climb ~mediate repo ~client =
+  Obs.Trace.with_span "orchestration.analyze" @@ fun () ->
+  let traced = Obs.Trace.active () in
+  if traced then Obs.Trace.add_attr "client" (Obs.Trace.Str (fst client));
+  let verdict, tag =
+    match Orchestration.Orchestrate.synthesize_client repo ~client with
+    | Ok o -> (Orchestrated o, "orchestrated")
+    | Error coalition -> (
+        Obs.Metrics.incr "orchestration.declined";
+        let declined mediation =
+          (Declined { coalition; mediation }, "declined")
+        in
+        match coalition with
+        | Orchestration.Orchestrate.Unfit_client _ -> declined None
+        | _ when not mediate -> declined None
+        | _ -> (
+            match heal repo ~client with
+            | Ok m -> (Mediated m, "mediated")
+            | Error d -> declined (Some d)))
+  in
+  if traced then Obs.Trace.add_attr "verdict" (Obs.Trace.Str tag);
+  verdict
+
+(* The whole ladder: the first valid 1:1 plan, else [climb] through
+   mediation. *)
+let analyze repo ~client =
+  match Planner.first_valid repo ~client with
+  | Some r -> Planned r
+  | None -> climb ~mediate:true repo ~client
 
 let pp_healed ppf hd =
   Fmt.pf ppf "request %d: healed %s via %s — %a" hd.rid hd.service
@@ -287,9 +293,13 @@ let pp_mediated ppf m =
 
 let pp_verdict ppf = function
   | Planned r -> Fmt.pf ppf "1:1 %a" Planner.pp_report r
-  | Orchestrated o -> Orchestration.Orchestrate.pp_verdict ppf
-      (Orchestration.Orchestrate.Orchestrated o)
+  | Orchestrated o ->
+      Fmt.pf ppf "client %s orchestrated:@,%a" o.client
+        Fmt.(list ~sep:(any "@,") Orchestration.Orchestrate.pp_coalition)
+        o.coalitions
   | Mediated m -> pp_mediated ppf m
   | Declined { coalition; mediation } ->
-      Fmt.pf ppf "no repair:@,%a@,%a"
-        Orchestration.Orchestrate.pp_declined coalition pp_declined mediation
+      Fmt.pf ppf "no repair:@,%a%a" Orchestration.Orchestrate.pp_declined
+        coalition
+        Fmt.(option (any "@," ++ pp_declined))
+        mediation

@@ -11,13 +11,8 @@ type declined =
       counterexample : Controller.counterexample;
     }
   | Outside_fragment of { rid : int; reason : string }
-
-type verdict =
-  | Planned of Planner.report
-  | Orchestrated of orchestrated
-  | Declined of declined
-
-let default_max_parties = 6
+  | Unvouched of { rid : int; reason : string }
+  | Unfit_client of { reason : string }
 
 let projectable h =
   match Contract.project h with
@@ -38,6 +33,49 @@ let candidates repo (site : Planner.site) =
          | Some phi -> Result.is_ok (Validity.check_expr (Hexpr.frame phi h))))
     repo
 
+(* The event names the policies of [hs] watch, framings and request
+   policies alike. *)
+let watched hs =
+  List.concat_map Hexpr.policies hs
+  |> List.concat_map (fun p ->
+         Usage.Policy.automaton p |> Usage.Policy.A.transitions
+         |> List.map (fun (_, (l : Usage.Policy.Label.t), _) ->
+                l.Usage.Policy.Label.ev_name))
+  |> List.sort_uniq String.compare
+
+(* The controller decides communication only, so the rung keeps
+   security by letting no policy see into a member: a candidate is left
+   out when a policy of the client or of any candidate watches an event
+   it performs, or one of its own policies watches an event the client
+   or any candidate performs. "Any candidate" includes itself: its run
+   lands in the shared history, where its own framing may also see a
+   second session of its own. *)
+let unwatched ch cands =
+  let profile h =
+    (List.map (fun (e : Usage.Event.t) -> e.name) (Hexpr.events h), watched [ h ])
+  in
+  let meets a b = List.exists (fun x -> List.mem x b) a in
+  let sees (ev, w) (ev', w') = meets ev w' || meets w ev' in
+  let client = profile ch in
+  let profiles = List.map (fun (_, h) -> profile h) cands in
+  List.filter
+    (fun (_, h) ->
+      let p = profile h in
+      not (sees p client || List.exists (sees p) profiles))
+    cands
+
+(* Whether [h] sends or receives outside every session: no coalition
+   partners such an action. *)
+let rec talks_outside_sessions (h : Hexpr.t) =
+  match h with
+  | Hexpr.Ext _ | Hexpr.Int _ -> true
+  | Hexpr.Open _ | Hexpr.Nil | Hexpr.Var _ | Hexpr.Ev _ | Hexpr.Close _
+  | Hexpr.Frame_close _ ->
+      false
+  | Hexpr.Mu (_, b) | Hexpr.Frame (_, b) -> talks_outside_sessions b
+  | Hexpr.Seq (a, b) | Hexpr.Choice (a, b) ->
+      talks_outside_sessions a || talks_outside_sessions b
+
 (* Size-k sublists preserving order — coalition enumeration is smallest
    size first, repository order within a size. *)
 let rec choose k lst =
@@ -48,17 +86,32 @@ let rec choose k lst =
     | x :: rest ->
         List.map (fun c -> x :: c) (choose (k - 1) rest) @ choose k rest
 
-let synthesize_site ~max_parties repo ~cloc (site : Planner.site) =
+(* A coalition holds the client and at most five members. *)
+let max_members = 5
+
+let synthesize_site repo ~client:(cloc, ch) (site : Planner.site) =
   let rid = site.Planner.req.Hexpr.rid in
   match Contract.project site.Planner.body with
   | exception Contract.Unprojectable reason ->
       Error (Outside_fragment { rid; reason })
   | cb ->
-      let cands = candidates repo site in
-      if cands = [] then Error (No_candidates { rid })
+      let eligible = candidates repo site in
+      let cands = unwatched ch eligible in
+      if eligible = [] then Error (No_candidates { rid })
+      else if cands = [] then
+        Error
+          (Unvouched
+             {
+               rid;
+               reason =
+                 Fmt.str
+                   "policies watch events across parties for every eligible \
+                    member (%a)"
+                   Fmt.(list ~sep:(any ", ") string)
+                   (List.map fst eligible);
+             })
       else begin
         let explored = ref 0 and last_ce = ref None in
-        let max_members = max 1 (max_parties - 1) in
         let rec try_size k =
           if k > max_members || k > List.length cands then
             match !last_ce with
@@ -93,39 +146,23 @@ let synthesize_site ~max_parties repo ~cloc (site : Planner.site) =
         try_size 1
       end
 
-let synthesize_client ?(max_parties = default_max_parties) repo
-    ~client:(cloc, ch) =
+let synthesize_client repo ~client:(cloc, ch) =
   let sites = Planner.client_sites (cloc, ch) in
+  let unfit reason = Error (Unfit_client { reason }) in
   let rec go acc = function
     | [] -> Ok { client = cloc; coalitions = List.rev acc }
     | s :: rest -> (
-        match synthesize_site ~max_parties repo ~cloc s with
+        match synthesize_site repo ~client:(cloc, ch) s with
         | Ok c -> go (c :: acc) rest
         | Error d -> Error d)
   in
-  go [] sites
-
-let analyze ?max_parties repo ~client =
-  Obs.Trace.with_span "orchestration.analyze" @@ fun () ->
-  if Obs.Trace.active () then
-    Obs.Trace.add_attr "client" (Obs.Trace.Str (fst client));
-  match Planner.first_valid repo ~client with
-  | Some r ->
-      Obs.Metrics.incr "orchestration.fallback.planned";
-      if Obs.Trace.active () then
-        Obs.Trace.add_attr "verdict" (Obs.Trace.Str "planned");
-      Planned r
-  | None -> (
-      match synthesize_client ?max_parties repo ~client with
-      | Ok o ->
-          if Obs.Trace.active () then
-            Obs.Trace.add_attr "verdict" (Obs.Trace.Str "orchestrated");
-          Orchestrated o
-      | Error d ->
-          Obs.Metrics.incr "orchestration.declined";
-          if Obs.Trace.active () then
-            Obs.Trace.add_attr "verdict" (Obs.Trace.Str "declined");
-          Declined d)
+  (* what no controller can mend: the client's own conduct *)
+  if sites = [] then unfit "it has no request site"
+  else if Result.is_error (Validity.check_expr ch) then
+    unfit "it is not valid on its own"
+  else if talks_outside_sessions ch then
+    unfit "it communicates outside every session"
+  else go [] sites
 
 let pp_coalition ppf c =
   Fmt.pf ppf "request %d: orchestrated via {%a} — controller %d states, %d transitions"
@@ -142,16 +179,13 @@ let pp_declined ppf = function
   | Outside_fragment { rid; reason } ->
       Fmt.pf ppf "request %d falls outside the compliance fragment: %s" rid
         reason
+  | Unvouched { rid; reason } ->
+      Fmt.pf ppf "request %d: no coalition can be vouched for: %s" rid reason
+  | Unfit_client { reason } ->
+      Fmt.pf ppf "no coalition or adapter can mend the client itself: %s"
+        reason
   | No_controller { rid; explored; counterexample } ->
       Fmt.pf ppf "request %d: no orchestrator after %d coalition%s — %a" rid
         explored
         (if explored = 1 then "" else "s")
         Controller.pp_counterexample counterexample
-
-let pp_verdict ppf = function
-  | Planned r -> Fmt.pf ppf "1:1 %a" Planner.pp_report r
-  | Orchestrated o ->
-      Fmt.pf ppf "client %s orchestrated:@,%a" o.client
-        Fmt.(list ~sep:(any "@,") pp_coalition)
-        o.coalitions
-  | Declined d -> pp_declined ppf d

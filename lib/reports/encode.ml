@@ -259,6 +259,11 @@ let orchestration_declined (d : Orchestration.Orchestrate.declined) =
   | Orchestration.Orchestrate.Outside_fragment { rid; reason } ->
       obj "outside-fragment"
         [ ("request", Json.Int rid); ("reason", Json.String reason) ]
+  | Orchestration.Orchestrate.Unvouched { rid; reason } ->
+      obj "unvouched"
+        [ ("request", Json.Int rid); ("reason", Json.String reason) ]
+  | Orchestration.Orchestrate.Unfit_client { reason } ->
+      obj "unfit-client" [ ("reason", Json.String reason) ]
   | Orchestration.Orchestrate.No_controller { rid; explored; counterexample = ce }
     ->
       obj "no-controller"

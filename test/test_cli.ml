@@ -14,6 +14,15 @@ let run args =
 let check_exit expected args () =
   Alcotest.(check int) (String.concat " " args) expected (run args)
 
+(* A journaled run refuses to overwrite its journal, so each test that
+   writes one first removes what an earlier run of the suite left: the
+   journal, its snapshot and the per-shard files JOURNAL.k. *)
+let remove_journal journal =
+  List.iter
+    (fun f -> if Sys.file_exists f then Sys.remove f)
+    (journal :: (journal ^ ".snapshot")
+    :: List.init 9 (Fmt.str "%s.%d" journal))
+
 let write_log name contents =
   let oc = open_out name in
   output_string oc contents;
@@ -55,14 +64,18 @@ let capture args =
   in
   read_file "capture.out" ^ Fmt.str "exit %d" code
 
-(* susf fmt output must parse back, reprint to itself, and check the
-   same as its source, for every shipped specification *)
-let test_fmt_reparses () =
+(* every .susf file under examples/data and the test corpus *)
+let shipped_specs () =
   let specs dir =
     Sys.readdir dir |> Array.to_list |> List.sort compare
     |> List.filter (fun f -> Filename.check_suffix f ".susf")
     |> List.map (Filename.concat dir)
   in
+  specs "../examples/data" @ specs "corpus"
+
+(* susf fmt output must parse back, reprint to itself, and check the
+   same as its source, for every shipped specification *)
+let test_fmt_reparses () =
   List.iter
     (fun path ->
       let fmt src dst =
@@ -84,7 +97,7 @@ let test_fmt_reparses () =
         (path ^ ": check agrees on the reprint")
         (capture [ "check"; path ])
         (capture [ "check"; "roundtrip.susf" ]))
-    (specs "../examples/data" @ specs "corpus");
+    (shipped_specs ());
   (* the hotel reprint verifies the canonical client/plan pair *)
   Alcotest.(check int) "hotel reprint" 0
     (Sys.command
@@ -139,6 +152,7 @@ let test_serve_crash_recovery () =
     read f |> String.split_on_char '\n'
     |> List.filter (fun l -> l <> "" && l.[0] = '[')
   in
+  remove_journal "crash.journal";
   Alcotest.(check int) "uninterrupted run" 0
     (out [ "serve"; hotel; "--script"; churn_script ] "full.txt");
   Alcotest.(check int) "crashed run exits 3" 3
@@ -211,6 +225,7 @@ let test_serve_rescue_floor_change () =
   let base =
     [ "serve"; hotel; "--script"; script; "--queue"; "1"; "--floor"; "skip:1" ]
   in
+  remove_journal "rescue.journal";
   Alcotest.(check int) "uninterrupted run" 0 (out base "rfull.txt");
   (* the workload must rescue at the script-set floor (not the startup
      one), or this test proves nothing *)
@@ -260,6 +275,7 @@ let test_serve_bad_numbers () =
     ];
   (* more shards than the runtime has domains for: refused before any
      journal is created, not by the first request to queue *)
+  remove_journal "too-many.journal";
   let code =
     Sys.command
       (Filename.quote_command susf
@@ -275,6 +291,8 @@ let test_serve_bad_numbers () =
    that checks nothing, a snapshot or fault that never fires, a journal
    the --connect client never writes. *)
 let test_serve_ignored_flags () =
+  remove_journal "unchecked.journal";
+  remove_journal "client.journal";
   let script = [ "--script"; churn_script ] in
   let client = script @ [ "--connect"; "127.0.0.1:1" ] in
   List.iter
@@ -331,6 +349,120 @@ let test_metrics_hold_no_durations () =
   let m = In_channel.with_open_text "durations.json" In_channel.input_all in
   Alcotest.(check bool) "no *.time_us key" false
     (Astring.String.is_infix ~affix:".time_us\"" m)
+
+(* ---- the repair ladder ------------------------------------------------ *)
+
+(* A counter's value in a --metrics file, 0 when absent *)
+let counter metrics name =
+  match Astring.String.cut ~sep:(Fmt.str "%S:" name) metrics with
+  | Some (_, rest) -> Scanf.sscanf rest " %d" Fun.id
+  | None -> 0
+
+(* The rung each client block of `susf plans` output settles on *)
+let printed_rungs out =
+  let blocks = ref [] in
+  List.iter
+    (fun l ->
+      (* "client NAME:" heads a block; counterexample dumps also hold
+         "client: ..." lines, which are not block heads *)
+      match Scanf.sscanf_opt l "client %[^: ]:%!" Fun.id with
+      | Some name when name <> "" -> blocks := (name, ref []) :: !blocks
+      | _ -> ( match !blocks with (_, ls) :: _ -> ls := l :: !ls | [] -> ()))
+    (String.split_on_char '\n' out);
+  List.rev_map
+    (fun (name, ls) ->
+      let has affix = List.exists (Astring.String.is_infix ~affix) !ls in
+      ( name,
+        if has ": VALID (" then "planned"
+        else if has "mediated triple re-verified" then "mediated"
+        else if has "controller re-verified" then "orchestrated"
+        else "declined" ))
+    !blocks
+
+(* One ladder, three front ends: for every client of every shipped spec,
+   `susf plans --orchestrate`/`--mediate`, the broker's
+   orchestrate/mediate verbs and the library (the first valid 1:1 plan,
+   else [Repair.climb ~mediate]) settle on the same rung. *)
+let test_one_ladder () =
+  List.iter
+    (fun path ->
+      let spec = Syntax.Parser.spec_of_file path in
+      let repo = Syntax.Spec.repo spec in
+      List.iter
+        (fun mediate ->
+          let flag = if mediate then "--mediate" else "--orchestrate" in
+          let library =
+            List.map
+              (fun (name, body) ->
+                let client = (name, body) in
+                ( name,
+                  if Option.is_some (Core.Planner.first_valid repo ~client)
+                  then "planned"
+                  else
+                    match Mediator.Repair.climb ~mediate repo ~client with
+                    | Mediator.Repair.Planned _ -> "planned"
+                    | Mediator.Repair.Orchestrated _ -> "orchestrated"
+                    | Mediator.Repair.Mediated _ -> "mediated"
+                    | Mediator.Repair.Declined _ -> "declined" ))
+              spec.Syntax.Spec.clients
+          in
+          let broker =
+            List.map
+              (fun (client, body) ->
+                let b = Broker.create repo in
+                ignore (Broker.process b (Broker.Open { client; body }));
+                let verb =
+                  if mediate then Broker.Mediate { client }
+                  else Broker.Orchestrate { client }
+                in
+                ( client,
+                  match (Broker.process b verb).Broker.outcome with
+                  | Broker.Served _ -> "planned"
+                  | Broker.Orchestrated _ -> "orchestrated"
+                  | Broker.Mediated _ -> "mediated"
+                  | Broker.Rejected _ -> "declined"
+                  | o -> Fmt.str "%a" Broker.pp_outcome o ))
+              spec.Syntax.Spec.clients
+          in
+          let cli =
+            Sys.command
+              (Filename.quote_command susf [ "plans"; path; flag ]
+                 ~stdout:"ladder.out" ~stderr:"/dev/null")
+          in
+          let printed = printed_rungs (read_file "ladder.out") in
+          let rungs = Alcotest.(list (pair string string)) in
+          Alcotest.check rungs (Fmt.str "%s %s: plans = library" path flag)
+            library printed;
+          Alcotest.check rungs (Fmt.str "%s %s: broker = library" path flag)
+            library broker;
+          Alcotest.(check int)
+            (Fmt.str "%s %s: exit 1 exactly when a client is declined" path
+               flag)
+            (if List.exists (fun (_, r) -> r = "declined") library then 1
+             else 0)
+            cli)
+        [ false; true ])
+    (shipped_specs ())
+
+(* orchestration.declined is counted inside the ladder, so every front
+   end reports it: mismatched's shopper has no coalition (then an
+   adapter heals it), once under plans, and twice in the broker script,
+   which mediates the shopper twice *)
+let test_ladder_counts_declines () =
+  let mismatched = "../examples/data/mismatched.susf" in
+  Alcotest.(check int) "plans --mediate" 0
+    (run [ "plans"; mismatched; "--mediate"; "--metrics"; "ladder.json" ]);
+  let metrics = read_file "ladder.json" in
+  Alcotest.(check int) "plans: coalitions explored" 1
+    (counter metrics "orchestration.coalitions.explored");
+  Alcotest.(check int) "plans: coalition declines" 1
+    (counter metrics "orchestration.declined");
+  Alcotest.(check int) "serve --script" 0
+    (run
+       [ "serve"; mismatched; "--script"; "../examples/data/mismatched.script";
+         "--metrics"; "ladder.json" ]);
+  Alcotest.(check int) "broker: coalition declines" 2
+    (counter (read_file "ladder.json") "orchestration.declined")
 
 (* ---- a socket server in a subprocess ---------------------------------- *)
 
@@ -426,11 +558,6 @@ let still_serves what port =
   Alcotest.(check string) (what ^ ": shutdown") "ok bye" (ask fd "shutdown");
   Unix.close fd
 
-let counter metrics name =
-  match Astring.String.cut ~sep:(Fmt.str "%S:" name) metrics with
-  | Some (_, rest) -> Scanf.sscanf rest " %d" Fun.id
-  | None -> 0
-
 (* A client that sends a burst of pings and hangs up without reading
    them: the server's replies hit a closed socket, which must close that
    connection only, not kill the server with SIGPIPE. *)
@@ -472,9 +599,7 @@ let test_serve_survives_fd_limit () =
 let test_recover_needs_same_shards () =
   let journal = "reshard.journal" in
   let file i = Fmt.str "%s.%d" journal i in
-  List.iter
-    (fun i -> if Sys.file_exists (file i) then Sys.remove (file i))
-    (List.init 9 Fun.id);
+  remove_journal journal;
   let clients = [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" ] in
   let serve_clients ?(force = []) shards =
     let args =
@@ -676,4 +801,12 @@ let suite =
       test_serve_ignored_flags;
     Alcotest.test_case "serve --recover needs the journals' --shards" `Quick
       test_recover_needs_same_shards;
+    Alcotest.test_case "plans, broker and library climb one ladder" `Quick
+      test_one_ladder;
+    Alcotest.test_case "the ladder counts coalition declines" `Quick
+      test_ladder_counts_declines;
+    (* the mediation rung declines what the coalition rung cannot vouch
+       for, too: no corpus expectation covers that rung *)
+    Alcotest.test_case "coalition security declines (--mediate)" `Quick
+      (check_exit 1 [ "plans"; "corpus/coalition_security.susf"; "--mediate" ]);
   ]

@@ -14,7 +14,8 @@
      the fault-tolerant runtime re-binds to <newloc> and completes (or
      reports a Degraded outcome when no compliant substitute exists);
    - [// EXPECT-ORCHESTRATE <client> <declined|m1,m2,...>]
-     runs the orchestration tier ([Orchestrate.analyze]): either no
+     climbs the repair ladder to its coalition rung (no valid 1:1
+     plan, then [Repair.climb ~mediate:false]): either no
      orchestrator exists, or the coalitions' members, in site order,
      are exactly m1,m2,... and every controller re-verifies. *)
 
@@ -156,26 +157,31 @@ let run_file path () =
                 newloc Simulate.pp_outcome o)
       | `Orchestrate (client, expected) ->
           let h = lookup_expr spec client in
+          let repo = Syntax.Spec.repo spec in
           let got =
-            match
-              Orchestration.Orchestrate.analyze (Syntax.Spec.repo spec)
-                ~client:(client, h)
-            with
-            | Orchestration.Orchestrate.Planned _ -> "planned"
-            | Orchestration.Orchestrate.Declined _ -> "declined"
-            | Orchestration.Orchestrate.Orchestrated o ->
-                List.iter
-                  (fun (c : Orchestration.Orchestrate.coalition) ->
-                    match Orchestration.Controller.verify c.controller with
-                    | Ok () -> ()
-                    | Error e ->
-                        Alcotest.failf "%s: %s controller fails: %s" path
-                          client e)
-                  o.Orchestration.Orchestrate.coalitions;
-                List.concat_map
-                  (fun (c : Orchestration.Orchestrate.coalition) -> c.members)
-                  o.Orchestration.Orchestrate.coalitions
-                |> String.concat ","
+            if Option.is_some (Planner.first_valid repo ~client:(client, h))
+            then "planned"
+            else
+              match
+                Mediator.Repair.climb ~mediate:false repo ~client:(client, h)
+              with
+              | Mediator.Repair.Declined _ -> "declined"
+              | Mediator.Repair.Planned _ | Mediator.Repair.Mediated _ ->
+                  Alcotest.failf "%s: %s climbed past the coalition rung" path
+                    client
+              | Mediator.Repair.Orchestrated o ->
+                  List.iter
+                    (fun (c : Orchestration.Orchestrate.coalition) ->
+                      match Orchestration.Controller.verify c.controller with
+                      | Ok () -> ()
+                      | Error e ->
+                          Alcotest.failf "%s: %s controller fails: %s" path
+                            client e)
+                    o.Orchestration.Orchestrate.coalitions;
+                  List.concat_map
+                    (fun (c : Orchestration.Orchestrate.coalition) -> c.members)
+                    o.Orchestration.Orchestrate.coalitions
+                  |> String.concat ","
           in
           Alcotest.(check string)
             (Printf.sprintf "%s: orchestration of %s" path client)

@@ -196,7 +196,8 @@ let test_ladder_declines_witness () =
     Repair.analyze Scenarios.Mismatched.witness_repo
       ~client:("c", Scenarios.Mismatched.witness_client)
   with
-  | Repair.Declined { mediation = Repair.Unmediable { counterexample; _ }; _ }
+  | Repair.Declined
+      { mediation = Some (Repair.Unmediable { counterexample; _ }); _ }
     ->
       Alcotest.(check bool) "decline carries the synthesis trace" true
         (counterexample.Synthesis.trace <> [])
@@ -208,7 +209,7 @@ let test_blocked_client_declines () =
   match
     Repair.analyze repo ~client:("c", Scenarios.Mismatched.blocked_client)
   with
-  | Repair.Declined { mediation = Repair.Unmediable _; _ } -> ()
+  | Repair.Declined { mediation = Some (Repair.Unmediable _); _ } -> ()
   | v -> Alcotest.failf "expected Unmediable decline, got %a" Repair.pp_verdict v
 
 (* --- the property: random permutation pairs ---------------------------- *)

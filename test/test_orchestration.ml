@@ -7,6 +7,7 @@
 
 open Core
 open Orchestration
+module Repair = Mediator.Repair
 
 (* Replay a counterexample trace through the full product and confirm it
    lands on the advertised stuck state, which is concretely stuck for
@@ -59,8 +60,8 @@ let test_supply_chain_synthesizes () =
         (Fmt.str "no valid 1:1 plan (%d parties)" parties)
         0
         (List.length (Planner.valid_plans ~all:false repo ~client));
-      match Orchestrate.analyze repo ~client with
-      | Orchestrate.Orchestrated { coalitions = [ c ]; _ } ->
+      match Repair.analyze repo ~client with
+      | Repair.Orchestrated { coalitions = [ c ]; _ } ->
           Alcotest.(check int) "request id" Scenarios.Supply_chain.rid
             c.Orchestrate.rid;
           Alcotest.(check int)
@@ -82,7 +83,7 @@ let test_supply_chain_synthesizes () =
             (Automaton.size ctrl.Controller.automaton)
             ctrl.Controller.states
       | v ->
-          Alcotest.failf "expected an orchestration: %a" Orchestrate.pp_verdict
+          Alcotest.failf "expected an orchestration: %a" Repair.pp_verdict
             v)
     [ 3; 4; 5; 6 ]
 
@@ -90,39 +91,44 @@ let test_supply_chain_broken_declines () =
   List.iter
     (fun parties ->
       let repo, client = Scenarios.Supply_chain.broken ~parties in
-      match Orchestrate.analyze repo ~client with
-      | Orchestrate.Declined
-          (Orchestrate.No_controller { rid; counterexample; _ }) ->
+      Alcotest.(check bool) "no valid 1:1 plan" true
+        (Option.is_none (Planner.first_valid repo ~client));
+      match Repair.climb ~mediate:false repo ~client with
+      | Repair.Declined
+          { coalition = Orchestrate.No_controller { rid; counterexample; _ }; _ }
+        ->
           Alcotest.(check int) "request id" Scenarios.Supply_chain.rid rid;
           Alcotest.(check bool) "the trace walks down the chain" true
             (List.length counterexample.Controller.trace > 0);
           check_counterexample counterexample
       | v ->
-          Alcotest.failf "expected a decline: %a" Orchestrate.pp_verdict v)
+          Alcotest.failf "expected a decline: %a" Repair.pp_verdict v)
     [ 3; 4; 5; 6 ]
 
 (* --- marketplace ------------------------------------------------------ *)
 
 let test_marketplace_coalition () =
   match
-    Orchestrate.analyze Scenarios.Marketplace.repo
+    Repair.analyze Scenarios.Marketplace.repo
       ~client:Scenarios.Marketplace.buyer
   with
-  | Orchestrate.Orchestrated { coalitions = [ c ]; _ } -> (
+  | Repair.Orchestrated { coalitions = [ c ]; _ } -> (
       Alcotest.(check (list string))
         "the sound seller and the escrow, not the rogue"
         [ "seller"; "escrow" ] c.Orchestrate.members;
       match Controller.verify c.Orchestrate.controller with
       | Ok () -> ()
       | Error e -> Alcotest.fail ("controller fails verification: " ^ e))
-  | v -> Alcotest.failf "expected an orchestration: %a" Orchestrate.pp_verdict v
+  | v -> Alcotest.failf "expected an orchestration: %a" Repair.pp_verdict v
 
 let test_marketplace_no_escrow_declines () =
-  match
-    Orchestrate.analyze Scenarios.Marketplace.repo_no_escrow
-      ~client:Scenarios.Marketplace.buyer
-  with
-  | Orchestrate.Declined (Orchestrate.No_controller { counterexample; _ }) -> (
+  let repo = Scenarios.Marketplace.repo_no_escrow
+  and client = Scenarios.Marketplace.buyer in
+  Alcotest.(check bool) "no valid 1:1 plan" true
+    (Option.is_none (Planner.first_valid repo ~client));
+  match Repair.climb ~mediate:false repo ~client with
+  | Repair.Declined
+      { coalition = Orchestrate.No_controller { counterexample; _ }; _ } -> (
       check_counterexample counterexample;
       match counterexample.Controller.reason with
       | Controller.Unmatched_offer { party = 0; channel = "pay" } -> ()
@@ -134,7 +140,7 @@ let test_marketplace_no_escrow_declines () =
                     (fun p -> p.Automaton.name)
                     (Automaton.parties counterexample.Controller.automaton)))
             r)
-  | v -> Alcotest.failf "expected a decline: %a" Orchestrate.pp_verdict v
+  | v -> Alcotest.failf "expected a decline: %a" Repair.pp_verdict v
 
 (* The most-permissive-controller showcase: with a rogue seller in the
    session the controller must never route the rfq to it; with two sound
@@ -203,12 +209,12 @@ let test_fallback_ordering () =
   let first_valid = position 1 reports in
   Obs.Metrics.install ();
   Fun.protect ~finally:Obs.Metrics.uninstall @@ fun () ->
-  (match Orchestrate.analyze Scenarios.Hotel.repo ~client with
-  | Orchestrate.Planned r ->
+  (match Repair.analyze Scenarios.Hotel.repo ~client with
+  | Repair.Planned r ->
       Alcotest.(check bool) "the 1:1 plan is valid" true
         (Result.is_ok r.Planner.verdict)
   | v ->
-      Alcotest.failf "expected the 1:1 plan to win: %a" Orchestrate.pp_verdict
+      Alcotest.failf "expected the 1:1 plan to win: %a" Repair.pp_verdict
         v);
   let snap = Obs.Metrics.snapshot () in
   let counter name =
@@ -217,17 +223,15 @@ let test_fallback_ordering () =
   Alcotest.(check int)
     "orchestration.synthesis.runs untouched when a 1:1 plan exists" 0
     (counter "orchestration.synthesis.runs");
-  Alcotest.(check int) "the planned fallback is counted" 1
-    (counter "orchestration.fallback.planned");
   Alcotest.(check bool) "plans follow the first valid one" true
     (first_valid < List.length reports);
   Alcotest.(check int) "analysis stops at the first valid plan" first_valid
     (counter "planner.analyze.calls");
   (* and the converse: with no 1:1 plan the synthesis tier does run *)
   let repo, client = Scenarios.Supply_chain.chain ~parties:3 in
-  (match Orchestrate.analyze repo ~client with
-  | Orchestrate.Orchestrated _ -> ()
-  | v -> Alcotest.failf "expected an orchestration: %a" Orchestrate.pp_verdict v);
+  (match Repair.analyze repo ~client with
+  | Repair.Orchestrated _ -> ()
+  | v -> Alcotest.failf "expected an orchestration: %a" Repair.pp_verdict v);
   let snap = Obs.Metrics.snapshot () in
   let counter name =
     Option.value ~default:0 (List.assoc_opt name snap.Obs.Metrics.counters)

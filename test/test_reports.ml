@@ -134,8 +134,8 @@ let test_parser_rejects () =
 let test_counterexample_roundtrips () =
   (* a broken supply chain declines with a controller counterexample *)
   let repo, (name, body) = Scenarios.Supply_chain.broken ~parties:4 in
-  (match Orchestration.Orchestrate.analyze repo ~client:(name, body) with
-  | Orchestration.Orchestrate.Declined d ->
+  (match Mediator.Repair.climb ~mediate:false repo ~client:(name, body) with
+  | Mediator.Repair.Declined { coalition = d; _ } ->
       rt "orchestration decline" (Encode.orchestration_declined d);
       (match d with
       | Orchestration.Orchestrate.No_controller { counterexample; _ } ->
@@ -143,6 +143,29 @@ let test_counterexample_roundtrips () =
             (Encode.orchestration_counterexample counterexample)
       | _ -> Alcotest.fail "broken chain: expected No_controller")
   | _ -> Alcotest.fail "broken chain: expected a decline");
+  (* the coalition rung's security declines say why: chatty talks
+     outside its session (unfit), and wrapped's framing watches the only
+     member's lookup (unvouched) *)
+  let spec = Syntax.Parser.spec_of_file "corpus/coalition_security.susf" in
+  List.iter
+    (fun (client, kind) ->
+      let body = List.assoc client spec.Syntax.Spec.clients in
+      match
+        Mediator.Repair.climb ~mediate:false (Syntax.Spec.repo spec)
+          ~client:(client, body)
+      with
+      | Mediator.Repair.Declined { coalition = d; _ } ->
+          let j = Encode.orchestration_declined d in
+          Alcotest.(check bool)
+            (Fmt.str "%s: %s decline" client kind)
+            true
+            (Astring.String.is_infix ~affix:(Fmt.str "\"kind\":%S" kind)
+               (str j));
+          rt (kind ^ " decline") j
+      | v ->
+          Alcotest.failf "%s: expected a decline, got %a" client
+            Mediator.Repair.pp_verdict v)
+    [ ("chatty", "unfit-client"); ("wrapped", "unvouched") ];
   (* the unmediable witness declines with a mediation counterexample *)
   match
     Mediator.Repair.heal Scenarios.Mismatched.witness_repo
