@@ -8,11 +8,16 @@ open Core
    strict pipeline: the adapters join the repository as ordinary
    services, the mediated plan binds each site to its adapter, and
    [Planner.analyze] runs strict Compliance + Netcheck + Validity over
-   it — so security conditions are exactly those of a direct plan. The
-   healed service's own event behaviour is held
-   to the imposed policy by the eligibility check
-   ([Validity.check_expr] on [φ[h]]), the same discipline coalition
-   members answer to. *)
+   it.
+
+   The re-verification sees the adapter in the service's place, and the
+   adapter performs none of the service's events, so the service's
+   security is vouched for before synthesis: the imposed policy by the
+   eligibility check ([Validity.check_expr] on [φ[h]]), and every other
+   policy by leaving out a candidate that a policy of the client or of
+   its own watches across parties ([Orchestrate.unwatched] on the
+   candidate alone), and by declining when the services bound at two
+   sites watch each other's events. *)
 
 type healed = {
   rid : int;
@@ -39,6 +44,7 @@ type declined =
     }
   | Outside_fragment of { rid : int; reason : string }
   | Not_reverified of { rid : int; service : string; reason : string }
+  | Unvouched of { rid : int; reason : string }
 
 type verdict =
   | Planned of Planner.report
@@ -57,14 +63,50 @@ type site_result =
   | Bound_direct of string
   | Healed_via of healed
 
+let event_names h =
+  List.sort_uniq String.compare
+    (List.map (fun (e : Usage.Event.t) -> e.name) (Hexpr.events h))
+
+let inter a b = List.filter (fun x -> List.mem x b) a
+
+(* The events of [h] and [h'] that a policy of the other, or of [h]
+   itself, watches. *)
+let crossing h h' =
+  let w = Orchestration.Orchestrate.watched in
+  List.sort_uniq String.compare
+    (inter (event_names h) (w [ h; h' ]) @ inter (event_names h') (w [ h ]))
+
+let names = Fmt.(list ~sep:(any ", ") string)
+
 let heal_site repo ~client_h (site : Planner.site) =
   let rid = site.Planner.req.Hexpr.rid in
   match Contract.project site.Planner.body with
   | exception Contract.Unprojectable reason ->
       Error (Outside_fragment { rid; reason })
   | cb -> (
-      let cands = Orchestration.Orchestrate.candidates repo site in
-      if cands = [] then Error (No_candidates { rid })
+      let eligible = Orchestration.Orchestrate.candidates repo site in
+      let cands =
+        List.filter
+          (fun c -> Orchestration.Orchestrate.unwatched client_h [ c ] <> [])
+          eligible
+      in
+      if eligible = [] then Error (No_candidates { rid })
+      else if cands = [] then
+        Error
+          (Unvouched
+             {
+               rid;
+               reason =
+                 Fmt.str
+                   "policies watch %a across parties for every eligible \
+                    candidate (%a)"
+                   names
+                   (List.sort_uniq String.compare
+                      (List.concat_map
+                         (fun (_, h) -> crossing h client_h)
+                         eligible))
+                   names (List.map fst eligible);
+             })
       else
         let rec try_cands last = function
           | [] -> (
@@ -112,8 +154,35 @@ let heal repo ~client:(cloc, ch) =
   Obs.Trace.with_span "mediator.heal" @@ fun () ->
   if Obs.Trace.active () then Obs.Trace.add_attr "client" (Obs.Trace.Str cloc);
   let sites = Planner.client_sites (cloc, ch) in
+  (* the services bound at two sites must not watch each other's events:
+     the re-verification sees neither *)
+  let rec unvouched = function
+    | [] -> None
+    | (rid, loc, h) :: rest -> (
+        match List.find_opt (fun (_, _, h') -> crossing h h' <> []) rest with
+        | Some (rid', loc', h') ->
+            Some
+              (Unvouched
+                 {
+                   rid = rid';
+                   reason =
+                     Fmt.str
+                       "the services bound at requests %d (%s) and %d (%s) \
+                        watch each other's %a"
+                       rid loc rid' loc' names (crossing h h');
+                 })
+        | None -> unvouched rest)
+  in
+  let service = function
+    | rid, (Bound_direct loc | Healed_via { service = loc; _ }) ->
+        (rid, loc, List.assoc loc repo)
+  in
   let rec go acc = function
-    | [] -> Ok (List.rev acc)
+    | [] -> (
+        let bound = List.rev acc in
+        match unvouched (List.map service bound) with
+        | Some d -> Error d
+        | None -> Ok bound)
     | site :: rest -> (
         match heal_site repo ~client_h:ch site with
         | Ok r -> go ((site.Planner.req.Hexpr.rid, r) :: acc) rest
@@ -277,6 +346,8 @@ let pp_declined ppf = function
   | Not_reverified { rid; service; reason } ->
       Fmt.pf ppf "request %d: mediation via %s did not re-verify: %s" rid
         service reason
+  | Unvouched { rid; reason } ->
+      Fmt.pf ppf "request %d: no mediation can be vouched for: %s" rid reason
 
 let pp_mediated ppf m =
   Fmt.pf ppf "client %s mediated:@,%a%a@,mediated triple re-verified: %s"

@@ -59,6 +59,16 @@ val watched : Core.Hexpr.t list -> string list
     coalition rung keeps parties apart on them, and the mediation rung
     never renames them. *)
 
+val unwatched :
+  Core.Hexpr.t -> Core.Network.repo -> Core.Network.repo
+(** [unwatched client cands] keeps the candidates no policy sees into:
+    it leaves out a candidate when a policy of the client or of any
+    candidate, the candidate itself included, watches an event the
+    candidate performs, or the candidate's own policies watch an event
+    the client or any candidate performs. The coalition rung applies it
+    to a site's candidates together, the mediation rung to each
+    candidate alone. *)
+
 val synthesize_client :
   Core.Network.repo ->
   client:string * Core.Hexpr.t ->

@@ -329,6 +329,9 @@ let mediation_declined (d : Mediator.Repair.declined) =
           ("service", Json.String service);
           ("reason", Json.String reason);
         ]
+  | Mediator.Repair.Unvouched { rid; reason } ->
+      obj "unvouched"
+        [ ("request", Json.Int rid); ("reason", Json.String reason) ]
 
 let broker_outcome : Broker.outcome -> Json.t =
   let obj kind fields = Json.Obj (("kind", Json.String kind) :: fields) in

@@ -590,6 +590,127 @@ let test_serve_survives_fd_limit () =
   Alcotest.(check bool) "net.accept_errors counted" true
     (counter metrics "net.accept_errors" > 0)
 
+(* A client that pipelines pings and never reads a reply: the server
+   keeps the output that client's socket does not take, up to 1 MiB,
+   then closes the connection and counts it, and all along another
+   connection's ping is answered. The flood stops when the server hangs
+   up, or when the server has not read from it for half a second. *)
+let test_serve_survives_stalled_reader () =
+  let code, metrics =
+    with_server "stall" (fun port ->
+        let flood = connect port in
+        Unix.set_nonblock flood;
+        let burst = String.concat "" (List.init 8192 (fun _ -> "ping\n")) in
+        let start = Unix.gettimeofday () in
+        let rec pipeline ~progress =
+          let now = Unix.gettimeofday () in
+          if now -. start < 5.0 && now -. progress < 0.5 then
+            match
+              Unix.single_write_substring flood burst 0 (String.length burst)
+            with
+            | _ -> pipeline ~progress:now
+            | exception
+                Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+                Unix.sleepf 0.001;
+                pipeline ~progress
+            | exception Unix.Unix_error _ -> ()
+        in
+        pipeline ~progress:start;
+        let fd = connect port in
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 1.0;
+        let reply =
+          try ask fd "ping"
+          with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            "no reply within 1 s"
+        in
+        Alcotest.(check string) "another connection's ping" "ok pong" reply;
+        Alcotest.(check string) "shutdown" "ok bye" (ask fd "shutdown");
+        List.iter Unix.close [ fd; flood ])
+  in
+  Alcotest.(check int) "server exit code" 0 code;
+  Alcotest.(check int) "net.overflows" 1 (counter metrics "net.overflows")
+
+(* [ask] for a client that never sleeps while its request is in flight,
+   as perfbench's closed-loop client does: it spins on a non-blocking
+   socket until the reply line is in. *)
+let ask_spinning fd line =
+  let msg = line ^ "\n" in
+  ignore (Unix.write_substring fd msg 0 (String.length msg));
+  let b = Buffer.create 16 and chunk = Bytes.create 64 in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec go () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> Buffer.contents b
+    | n when Bytes.get chunk (n - 1) = '\n' ->
+        Buffer.add_subbytes b chunk 0 (n - 1);
+        Buffer.contents b
+    | n ->
+        Buffer.add_subbytes b chunk 0 n;
+        go ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        if Unix.gettimeofday () > deadline then
+          Alcotest.failf "%s: no reply within 5 s" line;
+        go ()
+  in
+  go ()
+
+let pings fd n =
+  Unix.set_nonblock fd;
+  for _ = 1 to n do
+    Alcotest.(check string) "ping" "ok pong" (ask_spinning fd "ping")
+  done;
+  Unix.clear_nonblock fd
+
+(* The select thread polls only for a short window after a request: a
+   server left idle after 1,000 closed-loop pings uses little CPU time
+   (the child's, from [Unix.times]) over the second it waits. *)
+let test_idle_server_sleeps () =
+  let cpu () =
+    let t = Unix.times () in
+    t.Unix.tms_cutime +. t.Unix.tms_cstime
+  in
+  let before = cpu () in
+  let code, _ =
+    with_server "idle" (fun port ->
+        let fd = connect port in
+        pings fd 1000;
+        Unix.sleepf 1.0;
+        Alcotest.(check string) "shutdown" "ok bye" (ask fd "shutdown");
+        Unix.close fd)
+  in
+  let used = cpu () -. before in
+  Alcotest.(check int) "server exit code" 0 code;
+  Alcotest.(check bool)
+    (Fmt.str "server CPU time %.3f s < 0.5 s" used)
+    true (used < 0.5)
+
+(* A lone connection's closed-loop pings land inside the poll window;
+   with a second connection open, the select thread never polls. *)
+let test_poll_window_lone_connection () =
+  let _, metrics =
+    with_server "poll" (fun port ->
+        let fd = connect port in
+        pings fd 1000;
+        Alcotest.(check string) "shutdown" "ok bye" (ask fd "shutdown");
+        Unix.close fd)
+  in
+  Alcotest.(check bool) "one connection: net.poll.caught > 0" true
+    (counter metrics "net.poll.caught" > 0);
+  let _, metrics =
+    with_server "nopoll" (fun port ->
+        let fd = connect port and other = connect port in
+        Alcotest.(check string) "the second connection is open" "ok pong"
+          (ask other "ping");
+        pings fd 1000;
+        Alcotest.(check string) "shutdown" "ok bye" (ask fd "shutdown");
+        List.iter Unix.close [ fd; other ])
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check int) ("two connections: " ^ name) 0
+        (counter metrics name))
+    [ "net.poll.caught"; "net.poll.slept" ]
+
 (* A journal set belongs to the shard count it was written under: the
    pool creates JOURNAL.0 … JOURNAL.N-1 at start and routes clients by
    hash mod N. Recovering it with another --shards exits 2 and names
@@ -791,6 +912,13 @@ let suite =
       test_serve_survives_hangup;
     Alcotest.test_case "serve --listen survives running out of descriptors"
       `Quick test_serve_survives_fd_limit;
+    Alcotest.test_case "serve --listen: a client that never reads stalls no \
+                        other"
+      `Quick test_serve_survives_stalled_reader;
+    Alcotest.test_case "an idle server does not poll" `Quick
+      test_idle_server_sleeps;
+    Alcotest.test_case "the poll window serves only a lone connection" `Quick
+      test_poll_window_lone_connection;
     Alcotest.test_case "serve --connect reports a server that hangs up"
       `Quick test_connect_server_vanishes;
     Alcotest.test_case "integer overflow is a diagnostic" `Quick

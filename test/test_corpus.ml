@@ -17,7 +17,12 @@
      climbs the repair ladder to its coalition rung (no valid 1:1
      plan, then [Repair.climb ~mediate:false]): either no
      orchestrator exists, or the coalitions' members, in site order,
-     are exactly m1,m2,... and every controller re-verifies. *)
+     are exactly m1,m2,... and every controller re-verifies;
+   - [// EXPECT-MEDIATE <client> <declined|loc1,loc2,...>]
+     climbs the whole ladder (no valid 1:1 plan, then
+     [Repair.climb ~mediate:true]): either it declines, and so does the
+     broker's mediate verb, or the client is mediated with the services
+     bound at its sites, in site order, exactly loc1,loc2,.... *)
 
 open Core
 
@@ -46,6 +51,8 @@ let expectations src =
              Some (`Failover (client, plan, crashloc, target))
          | "//" :: "EXPECT-ORCHESTRATE" :: client :: verdict :: [] ->
              Some (`Orchestrate (client, verdict))
+         | "//" :: "EXPECT-MEDIATE" :: client :: verdict :: [] ->
+             Some (`Mediate (client, verdict))
          | _ -> None)
 
 let verdict_string (r : Planner.report) =
@@ -186,6 +193,46 @@ let run_file path () =
           Alcotest.(check string)
             (Printf.sprintf "%s: orchestration of %s" path client)
             expected got
+      | `Mediate (client, expected) ->
+          let h = lookup_expr spec client in
+          let repo = Syntax.Spec.repo spec in
+          let got =
+            if Option.is_some (Planner.first_valid repo ~client:(client, h))
+            then "planned"
+            else
+              match
+                Mediator.Repair.climb ~mediate:true repo ~client:(client, h)
+              with
+              | Mediator.Repair.Declined _ -> "declined"
+              | Mediator.Repair.Planned _ -> "planned"
+              | Mediator.Repair.Orchestrated _ -> "orchestrated"
+              | Mediator.Repair.Mediated m ->
+                  let bound =
+                    List.map
+                      (fun (hd : Mediator.Repair.healed) ->
+                        (hd.rid, hd.service))
+                      m.Mediator.Repair.healed
+                    @ m.Mediator.Repair.direct
+                  in
+                  Planner.client_sites (client, h)
+                  |> List.map (fun (s : Planner.site) ->
+                         List.assoc s.Planner.req.Hexpr.rid bound)
+                  |> String.concat ","
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s: mediation of %s" path client)
+            expected got;
+          if expected = "declined" then begin
+            let b = Broker.create repo in
+            ignore (Broker.process b (Broker.Open { client; body = h }));
+            match
+              (Broker.process b (Broker.Mediate { client })).Broker.outcome
+            with
+            | Broker.Rejected _ -> ()
+            | o ->
+                Alcotest.failf "%s: the broker's mediate %s answered %a" path
+                  client Broker.pp_outcome o
+          end
       | `Effect (program, client) -> (
           let t =
             match Syntax.Spec.find_program spec program with

@@ -166,6 +166,18 @@ let test_counterexample_roundtrips () =
           Alcotest.failf "%s: expected a decline, got %a" client
             Mediator.Repair.pp_verdict v)
     [ ("chatty", "unfit-client"); ("wrapped", "unvouched") ];
+  (* the mediation rung declines wrapped2 too: its only adapter would
+     hide caching's lookup from the client's framing *)
+  (match
+     Mediator.Repair.climb ~mediate:true (Syntax.Spec.repo spec)
+       ~client:("wrapped2", List.assoc "wrapped2" spec.Syntax.Spec.clients)
+   with
+  | Mediator.Repair.Declined
+      { mediation = Some (Mediator.Repair.Unvouched _ as d); _ } ->
+      rt "mediation unvouched decline" (Encode.mediation_declined d)
+  | v ->
+      Alcotest.failf "wrapped2: expected an unvouched mediation, got %a"
+        Mediator.Repair.pp_verdict v);
   (* the unmediable witness declines with a mediation counterexample *)
   match
     Mediator.Repair.heal Scenarios.Mismatched.witness_repo
