@@ -340,10 +340,10 @@ let simulate_cmd =
       & info [ "faults" ] ~docv:"SPEC"
           ~doc:
             "Inject faults and run under the supervised runtime. SPEC is a \
-             comma-separated list of KIND\\@TRIGGER items, e.g. \
-             $(b,crash:s3\\@4) (crash location s3 at step 4), \
-             $(b,crash:s3\\@p0.01) (per-step probability), $(b,drop:idc\\@7), \
-             $(b,delay:req:3\\@p0.05), $(b,violate:s1\\@2).")
+             comma-separated list of KIND@TRIGGER items, e.g. \
+             $(b,crash:s3@4) (crash location s3 at step 4), \
+             $(b,crash:s3@p0.01) (per-step probability), $(b,drop:idc@7), \
+             $(b,delay:req:3@p0.05), $(b,violate:s1@2).")
   in
   let retries_arg =
     Arg.(
@@ -999,8 +999,8 @@ let serve_cmd =
       & opt (some string) None
       & info [ "faults" ] ~docv:"SPEC"
           ~doc:
-            "Serve-loop fault injection: comma-separated $(b,crash\\@K) / \
-             $(b,torn\\@K) clauses, firing when event $(i,K) (0-based) is \
+            "Serve-loop fault injection: comma-separated $(b,crash@K) / \
+             $(b,torn@K) clauses, firing when event $(i,K) (0-based) is \
              about to be accepted. $(b,torn) additionally leaves an \
              unterminated garbage line in the journal. A fired fault stops \
              the run with exit code 3.")

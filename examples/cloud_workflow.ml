@@ -1,44 +1,50 @@
-(* A three-level cloud workflow (see Scenarios.Cloud): analyst →
+(* A three-level cloud workflow (examples/data/cloud.susf): analyst →
    orchestrator → worker → storage. Sessions nest three deep; the policy
    imposed by the analyst at the top constrains write events performed
    by the storage service two sessions below. Storage is a recursive
-   service (guarded tail recursion). *)
+   service (guarded tail recursion). Run from the repository root. *)
 
 open Core
-open Scenarios
 
 let pf = Format.printf
+let spec = Syntax.Parser.spec_of_file "examples/data/cloud.susf"
+let service name = List.assoc name (Syntax.Spec.repo spec)
+let client name = Option.get (Syntax.Spec.find_client spec name)
+let plan name = Option.get (Syntax.Spec.find_plan spec name)
+let analyst = client "analyst"
+let good_plan = plan "good"
+
+(* the workflow with [worker]'s body at location wrk *)
+let repo ~worker =
+  List.map
+    (fun loc -> (loc, service (if loc = "wrk" then worker else loc)))
+    [ "orc"; "wrk"; "store"; "compact"; "flaky" ]
 
 let () =
   pf "== the workflow (frugal worker: 2 writes) ==@.";
   List.iter
     (fun r -> pf "  %a@." Planner.pp_report r)
-    (Planner.valid_plans
-       (Cloud.repo ~worker:Cloud.frugal_worker)
-       ~client:("ana", Cloud.analyst));
+    (Planner.valid_plans (repo ~worker:"wrk") ~client:("ana", analyst));
 
   pf "@.== the greedy worker (3 writes) breaks the analyst's policy ==@.";
   let r3 =
-    Planner.analyze
-      (Cloud.repo ~worker:Cloud.greedy_worker)
-      ~client:("ana", Cloud.analyst) Cloud.good_plan
+    Planner.analyze (repo ~worker:"greedy") ~client:("ana", analyst) good_plan
   in
   pf "  %a@." Planner.pp_report r3;
 
   pf "@.== snapshot-then-delete storage under a stricter analyst ==@.";
   let r =
-    Planner.analyze
-      (Cloud.repo ~worker:Cloud.frugal_worker)
-      ~client:("ana", Cloud.strict_analyst)
-      (Plan.of_list [ (1, "orc"); (2, "wrk"); (3, "compact") ])
+    Planner.analyze (repo ~worker:"wrk")
+      ~client:("ana", client "strict_analyst")
+      (plan "compact")
   in
   pf "  %a@." Planner.pp_report r;
 
   pf "@.== a run three sessions deep ==@.";
   let t =
     Simulate.run
-      (Cloud.repo ~worker:Cloud.frugal_worker)
-      (Network.initial ~plan:Cloud.good_plan [ ("ana", Cloud.analyst) ])
+      (repo ~worker:"wrk")
+      (Network.initial ~plan:good_plan [ ("ana", analyst) ])
       Simulate.first
   in
   Simulate.pp_trace_compact Fmt.stdout t;
@@ -50,10 +56,7 @@ let () =
 
   pf "@.== statically: the flaky storage would deadlock the worker ==@.";
   (match
-     Netcheck.check_client
-       (Cloud.repo ~worker:Cloud.frugal_worker)
-       (Plan.of_list [ (1, "orc"); (2, "wrk"); (3, "flaky") ])
-       ("ana", Cloud.analyst)
+     Netcheck.check_client (repo ~worker:"wrk") (plan "flaky") ("ana", analyst)
    with
   | Netcheck.Valid _ -> pf "  unexpected: valid@."
   | Netcheck.Invalid s -> pf "  %a@." Netcheck.pp_stuck s);
@@ -61,9 +64,8 @@ let () =
   pf "@.== worst-case storage bill ==@.";
   let model = Quant.Model.of_list [ ("write", 5.0) ] in
   match
-    Quant.Plan_cost.worst_case
-      (Cloud.repo ~worker:Cloud.frugal_worker)
-      Cloud.good_plan ("ana", Cloud.analyst) model
+    Quant.Plan_cost.worst_case (repo ~worker:"wrk") good_plan ("ana", analyst)
+      model
   with
   | Some c -> pf "  the frugal worker bills at most %g@." c
   | None -> pf "  unbounded@."

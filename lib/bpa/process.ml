@@ -122,29 +122,12 @@ let transitions defs =
   in
   trans
 
-module PSet = Set.Make (struct
-  type nonrec t = t
-
-  let compare = compare
-end)
-
 let reachable ?(limit = 100_000) defs p0 =
   let trans = transitions defs in
-  let rec loop seen = function
-    | [] -> seen
-    | p :: todo ->
-        if PSet.cardinal seen > limit then
-          failwith "Bpa.Process.reachable: state limit exceeded"
-        else
-          let succs =
-            trans p |> List.map snd
-            |> List.filter (fun q -> not (PSet.mem q seen))
-            |> List.sort_uniq compare
-          in
-          let seen = List.fold_left (fun s q -> PSet.add q s) seen succs in
-          loop seen (succs @ todo)
-  in
-  PSet.elements (loop (PSet.singleton p0) [ p0 ])
+  Automata.Reach.states ~compare
+    ~limit:(limit, "Bpa.Process.reachable: state limit exceeded")
+    (fun p -> List.map snd (trans p))
+    [ p0 ]
 
 module Nfa = Automata.Nfa.Make (Sym)
 

@@ -4,21 +4,6 @@ type t =
   | Frm_close of Usage.Policy.t
   | Comm of string
 
-let of_action (a : Core.Action.t) =
-  match a with
-  | Core.Action.Evt e -> Ev e
-  | Core.Action.Frm_open p -> Frm_open p
-  | Core.Action.Frm_close p -> Frm_close p
-  | Core.Action.Op { policy = Some p; _ } -> Frm_open p
-  | Core.Action.Cl { policy = Some p; _ } -> Frm_close p
-  | Core.Action.Op { policy = None; _ } -> Comm "open"
-  | Core.Action.Cl { policy = None; _ } -> Comm "close"
-  | Core.Action.In a -> Comm (a ^ "?")
-  | Core.Action.Out a -> Comm (a ^ "!")
-  | Core.Action.Tau -> Comm "tau"
-
-let is_inert = function Comm _ -> true | Ev _ | Frm_open _ | Frm_close _ -> false
-
 let compare x y =
   let tag = function
     | Ev _ -> 0

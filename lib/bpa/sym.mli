@@ -8,14 +8,6 @@ type t =
   | Frm_close of Usage.Policy.t
   | Comm of string  (** rendered communication, e.g. ["a?"]; inert *)
 
-val of_action : Core.Action.t -> t
-(** Maps the stand-alone labels: events and framings to themselves,
-    [open_{r,φ}]/[close_{r,φ}] to the corresponding framing (cf.
-    {!Core.Validity.check_expr}), communications to {!Comm}. *)
-
-val is_inert : t -> bool
-(** [true] for symbols that no policy observes. *)
-
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : t Fmt.t

@@ -41,8 +41,6 @@ let level_of_string s =
             (Fmt.str "unknown compliance level %S (want strict, skip:K or \
                       affectible)" s))
 
-let pp_level ppf l = Fmt.string ppf (level_to_string l)
-
 let equal_level a b =
   match (a, b) with
   | Strict, Strict | Affectible, Affectible -> true

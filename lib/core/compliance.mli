@@ -52,7 +52,6 @@ val level_to_string : level -> string
     by scripts, journals and snapshots. *)
 
 val level_of_string : string -> (level, string) result
-val pp_level : level Fmt.t
 
 val equal_level : level -> level -> bool
 (** Semantic equality: [Skip_k 0] equals [Skip_k 0] but not [Strict] —

@@ -159,29 +159,11 @@ let rec transitions c =
 
 let is_terminated c = c == nil
 
-module CSet = Set.Make (struct
-  type nonrec t = t
-
-  let compare = compare
-end)
-
 let reachable ?(limit = 100_000) c0 =
-  let rec loop seen = function
-    | [] -> seen
-    | c :: todo ->
-        if CSet.cardinal seen > limit then
-          failwith "Contract.reachable: state limit exceeded"
-        else
-          let succs =
-            transitions c
-            |> List.map (fun (_, _, k) -> k)
-            |> List.filter (fun k -> not (CSet.mem k seen))
-            |> List.sort_uniq compare
-          in
-          let seen = List.fold_left (fun s k -> CSet.add k s) seen succs in
-          loop seen (succs @ todo)
-  in
-  CSet.elements (loop (CSet.singleton c0) [ c0 ])
+  Automata.Reach.states ~compare
+    ~limit:(limit, "Contract.reachable: state limit exceeded")
+    (fun c -> List.map (fun (_, _, k) -> k) (transitions c))
+    [ c0 ]
 
 let dual_memo : (t, t) Repr.Memo.t =
   Repr.Memo.create ~name:"contract.dual" ~key:id ()

@@ -2,7 +2,6 @@ type item = Ev of Usage.Event.t | Op of Usage.Policy.t | Cl of Usage.Policy.t
 type t = item list
 
 let empty = []
-let snoc h i = h @ [ i ]
 
 let flatten h =
   List.filter_map (function Ev e -> Some e | Op _ | Cl _ -> None) h

@@ -9,7 +9,6 @@ type t = item list
 (** Chronological order (oldest first). *)
 
 val empty : t
-val snoc : t -> item -> t
 
 val flatten : t -> Usage.Event.t list
 (** [η♭]: the history with all framing events erased. *)

@@ -1,5 +1,4 @@
 module Map = Map.Make (Hexpr)
-module Set = Set.Make (Hexpr)
 
 let is_terminated h = Hexpr.equal h Hexpr.nil
 
@@ -25,21 +24,11 @@ let step h l =
   |> List.filter_map (fun (l', h') -> if Action.equal l l' then Some h' else None)
 
 let reachable ?(limit = 100_000) h0 =
-  let rec loop seen = function
-    | [] -> seen
-    | h :: todo ->
-        if Set.cardinal seen > limit then
-          failwith "Semantics.reachable: state limit exceeded (ill-formed recursion?)"
-        else
-          let succs =
-            transitions h |> List.map snd
-            |> List.filter (fun k -> not (Set.mem k seen))
-            |> List.sort_uniq Hexpr.compare
-          in
-          let seen = List.fold_left (fun s k -> Set.add k s) seen succs in
-          loop seen (succs @ todo)
-  in
-  Set.elements (loop (Set.singleton h0) [ h0 ])
+  Automata.Reach.states ~compare:Hexpr.compare
+    ~limit:
+      (limit, "Semantics.reachable: state limit exceeded (ill-formed recursion?)")
+    (fun h -> List.map snd (transitions h))
+    [ h0 ]
 
 let lts h0 =
   let states = Array.of_list (reachable h0) in

@@ -150,5 +150,3 @@ and infer_branches env what combine branches =
       if List.for_all (fun (_, ty, _) -> Ast.ty_equal ty ty0) inferred then
         Ok (ty0, combine (List.map (fun (a, _, eff) -> (a, eff)) inferred))
       else Error (Branches_differ what)
-
-let infer_effect e = Result.map snd (infer [] e)

@@ -18,6 +18,3 @@ val infer :
   (string * Ast.ty) list -> Ast.term -> (Ast.ty * Core.Hexpr.t, error) result
 (** Latent effects of recursive functions are tied with [μ]; the effect
     of a conditional is the {!Effect.join} of its branches. *)
-
-val infer_effect : Ast.term -> (Core.Hexpr.t, error) result
-(** [infer []] restricted to the effect, for closed services. *)

@@ -74,17 +74,6 @@ let planner_report (r : Core.Planner.report) =
       ("detail", detail);
     ]
 
-let netcheck_verdict = function
-  | Core.Netcheck.Valid stats ->
-      Json.Obj
-        [
-          ("verdict", Json.String "valid");
-          ("states", Json.Int stats.Core.Netcheck.states);
-          ("transitions", Json.Int stats.Core.Netcheck.transitions);
-        ]
-  | Core.Netcheck.Invalid s ->
-      Json.Obj [ ("verdict", Json.String "invalid"); ("stuck", stuck s) ]
-
 let sim_stats (s : Core.Simulate.stats) =
   Json.Obj
     [

@@ -7,7 +7,6 @@ val hexpr : Core.Hexpr.t -> Json.t
 val planner_report : Core.Planner.report -> Json.t
 (** [{"plan": …, "verdict": "valid"|…, "detail": …}] *)
 
-val netcheck_verdict : Core.Netcheck.verdict -> Json.t
 val sim_stats : Core.Simulate.stats -> Json.t
 
 val sim_outcome : Core.Simulate.outcome -> Json.t

@@ -106,11 +106,6 @@ let parse_serve s =
        (Ok [])
   |> Result.map List.rev
 
-let pp_serve_fault ppf f =
-  Fmt.pf ppf "%s@@%d"
-    (match f.skind with Crash_serve -> "crash" | Torn_write -> "torn")
-    f.after
-
 let pp_kind ppf = function
   | Crash loc -> Fmt.pf ppf "crash:%s" loc
   | Drop chan -> Fmt.pf ppf "drop:%s" chan

@@ -78,5 +78,3 @@ val parse_serve : string -> (serve_fault list, string) result
 (** Comma-separated [crash\@K] / [torn\@K] clauses — fire when event
     [K] (0-based count of already-accepted events) is about to be
     accepted, i.e. after [K] events succeeded. *)
-
-val pp_serve_fault : serve_fault Fmt.t

@@ -9,7 +9,7 @@ let client_body ~parties:_ =
 
 let check_parties n =
   if n < 3 || n > 6 then
-    invalid_arg "Scenarios.Supply_chain: parties must be between 3 and 6"
+    invalid_arg "Testkit.Supply_chain: parties must be between 3 and 6"
 
 (* Stage i forwards the order downstream and the invoice upstream; the
    final stage just invoices. [final] lets the broken variant replace
@@ -46,5 +46,3 @@ let chain ~parties =
 let broken ~parties =
   make ~parties ~final:(fun i ->
       Hexpr.seq_all [ Hexpr.recv (ord i); Hexpr.recv "pay"; Hexpr.send (inv i) ])
-
-let repo, client = chain ~parties:4

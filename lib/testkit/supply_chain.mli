@@ -1,5 +1,6 @@
 (** The supply-chain scenario family: 3–6 party order/invoice chains
-    that {e only} the orchestration tier can serve.
+    that {e only} the orchestration tier can serve. The 4-party chain
+    also ships as [examples/data/supply_chain.susf].
 
     {v
     retailer = open_70 Ord1!.Inv1?
@@ -31,9 +32,3 @@ val broken : parties:int -> Core.Network.repo * (string * Core.Hexpr.t)
 (** Same chain, but the final stage is [Ordk?.Pay?.Invk!]: it withholds
     the invoice until a payment no party ever offers — the chain
     deadlocks and no controller exists. *)
-
-val repo : Core.Network.repo
-(** [fst (chain ~parties:4)]. *)
-
-val client : string * Core.Hexpr.t
-(** [snd (chain ~parties:4)]. *)

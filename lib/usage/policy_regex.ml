@@ -15,9 +15,6 @@ module R = Automata.Regex.Make (Pat)
 
 let evp ?(guard = Guard.True) ev_name = R.sym { ev_name; guard }
 
-let wild names =
-  R.star (R.any_of (List.map (fun n -> { ev_name = n; guard = Guard.True }) names))
-
 let forbid ~name ~params r =
   if R.nullable r then
     invalid_arg "Policy_regex.forbid: the empty trace cannot be forbidden";

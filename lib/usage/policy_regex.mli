@@ -10,7 +10,7 @@
     expression describes the forbidden pattern {e as a subsequence
     skeleton} — ["read; write"] is violated by [read · log · write].
     When an event name does appear in the expression, occurrences that
-    should be skippable must be made explicit with {!wild} / {!R.star}. *)
+    should be skippable must be made explicit with {!R.star}. *)
 
 type pattern = { ev_name : string; guard : Guard.t }
 
@@ -25,9 +25,6 @@ module R : module type of Automata.Regex.Make (Pat)
 
 val evp : ?guard:Guard.t -> string -> R.t
 (** A single event pattern (guard defaults to [True]). *)
-
-val wild : string list -> R.t
-(** [star (any_of names)]: skip any number of these events. *)
 
 val forbid : name:string -> params:string list -> R.t -> Usage_automaton.t
 (** Compile the forbidden-trace expression into a usage automaton.

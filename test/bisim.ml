@@ -1,3 +1,5 @@
+open Core
+
 module type LTS = sig
   type state
   type label
@@ -16,21 +18,9 @@ module Make (L : LTS) = struct
   end)
 
   let reachable trans roots =
-    let rec loop seen = function
-      | [] -> seen
-      | s :: todo ->
-          let fresh =
-            trans s |> List.map snd
-            |> List.filter (fun q -> not (SMap.mem q seen))
-            |> List.sort_uniq L.compare_state
-          in
-          let seen = List.fold_left (fun m q -> SMap.add q () m) seen fresh in
-          loop seen (fresh @ todo)
-    in
-    let seen0 =
-      List.fold_left (fun m s -> SMap.add s () m) SMap.empty roots
-    in
-    loop seen0 roots |> SMap.bindings |> List.map fst
+    Automata.Reach.states ~compare:L.compare_state
+      (fun s -> List.map snd (trans s))
+      roots
 
   (* Partition refinement: iterate block signatures to a fixed point.
      [trans] is the (possibly saturated) transition function; labels are

@@ -1,15 +1,16 @@
 (** Strong and weak bisimilarity on the finite transition systems of
-    this library (history expressions and contracts).
+    the library (history expressions and contracts): the tests' oracle.
 
-    Used to validate the semantics-preserving transformations —
-    {!Hexpr.normalize}, unfolding, the parser's canonicalisation — with a
-    much finer equivalence than trace or validity agreement, and exposed
-    for clients who want to compare services behaviourally.
+    It validates the semantics-preserving transformations —
+    [Core.Hexpr.normalize], unfolding, the parser's canonicalisation —
+    with a much finer equivalence than trace or validity agreement.
 
     Both relations are computed by partition refinement over the union
     of the two reachable state spaces (finite for well-formed terms).
     Weak bisimilarity abstracts the [τ] commits of the unguarded-choice
     extension. *)
+
+open Core
 
 module type LTS = sig
   type state

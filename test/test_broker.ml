@@ -443,14 +443,19 @@ let test_ladder_rescue () =
 (* ------------------------------------------------------------------ *)
 (* Loosened levels change answers; the index is level-aware *)
 
+let loose_client = Fixture.(client loose "c")
+let loose_repo = Fixture.(services loose [ "ls" ])
+let loose_with_sound = Syntax.Spec.repo Fixture.loose
+let loose_rid = fst (List.hd (Core.Plan.bindings Fixture.(plan loose "loose")))
+
 let loose_binding msg (r : Core.Planner.report) =
-  match List.assoc_opt Scenarios.Loose.rid (Core.Plan.bindings r.Core.Planner.plan) with
+  match List.assoc_opt loose_rid (Core.Plan.bindings r.Core.Planner.plan) with
   | Some loc -> loc
-  | None -> Alcotest.failf "%s: request %d unbound" msg Scenarios.Loose.rid
+  | None -> Alcotest.failf "%s: request %d unbound" msg loose_rid
 
 let test_loose_oracle_levels () =
-  let client = ("c", Scenarios.Loose.client) in
-  (match Broker.Oracle.serve Scenarios.Loose.repo ~client with
+  let client = ("c", loose_client) in
+  (match Broker.Oracle.serve loose_repo ~client with
   | Broker.Index.No_plan -> ()
   | Broker.Index.Valid _ ->
       Alcotest.fail "strict admits the loose supplier");
@@ -464,26 +469,26 @@ let test_loose_oracle_levels () =
     | Broker.Index.No_plan ->
         Alcotest.failf "no plan at %s" (Compliance.level_to_string level)
   in
-  valid_at Scenarios.Loose.repo (Compliance.Skip_k 1) "ls";
-  valid_at Scenarios.Loose.repo Compliance.Affectible "ls";
+  valid_at loose_repo (Compliance.Skip_k 1) "ls";
+  valid_at loose_repo Compliance.Affectible "ls";
   (* skip-0 is strict by another name: still no plan *)
-  (match Broker.Oracle.serve ~level:(Compliance.Skip_k 0) Scenarios.Loose.repo ~client with
+  (match Broker.Oracle.serve ~level:(Compliance.Skip_k 0) loose_repo ~client with
   | Broker.Index.No_plan -> ()
   | Broker.Index.Valid _ -> Alcotest.fail "skip:0 admits what strict rejects");
   (* with a sound supplier behind the loose one, strict skips to it
      while the loosened levels stop at the first (loose) candidate *)
-  valid_at Scenarios.Loose.repo_with_sound Compliance.Strict "ss";
-  valid_at Scenarios.Loose.repo_with_sound (Compliance.Skip_k 1) "ls";
-  valid_at Scenarios.Loose.repo_with_sound Compliance.Affectible "ls"
+  valid_at loose_with_sound Compliance.Strict "ss";
+  valid_at loose_with_sound (Compliance.Skip_k 1) "ls";
+  valid_at loose_with_sound Compliance.Affectible "ls"
 
 let test_level_aware_cache () =
   let b =
     Broker.create
       ~admission:(burst_admission (Compliance.Skip_k 1))
-      Scenarios.Loose.repo_with_sound
+      loose_with_sound
   in
   (match
-     outcome b (Broker.Open { client = "c"; body = Scenarios.Loose.client })
+     outcome b (Broker.Open { client = "c"; body = loose_client })
    with
   | Broker.Ack -> ()
   | o -> Alcotest.failf "open: %a" Broker.pp_outcome o);
@@ -692,7 +697,7 @@ let test_orchestrate_serve_first () =
     (counter "broker.orchestrate.requests" > 0)
 
 let test_orchestrate_synthesizes () =
-  let repo, (name, body) = Scenarios.Supply_chain.chain ~parties:4 in
+  let repo, (name, body) = Testkit.Supply_chain.chain ~parties:4 in
   let b = Broker.create repo in
   ignore (outcome b (Broker.Open { client = name; body }));
   (* plain serve finds nothing 1:1… *)
@@ -717,11 +722,11 @@ let test_orchestrate_synthesizes () =
     (Broker.index_size b)
 
 let test_orchestrate_declines () =
-  let b = Broker.create Scenarios.Marketplace.repo_no_escrow in
+  let b = Broker.create Fixture.(services marketplace [ "seller"; "rogue" ]) in
   ignore
     (outcome b
        (Broker.Open
-          { client = "buyer"; body = snd Scenarios.Marketplace.buyer }));
+          { client = "buyer"; body = Fixture.(client marketplace "buyer") }));
   (match outcome b (Broker.Orchestrate { client = "buyer" }) with
   | Broker.Rejected (Broker.No_orchestration msg) ->
       Alcotest.(check bool)

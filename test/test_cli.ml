@@ -829,6 +829,43 @@ let test_connect_server_vanishes () =
        port requests)
     (String.trim (read_file "vanish.err"))
 
+(* Every help page renders without a cmdliner complaint, and the fault
+   syntax keeps its [@]. The subcommands are read off the top-level
+   page; the count guards that reading. *)
+let test_help_pages () =
+  let help args =
+    let what = String.concat " " ("susf" :: args) ^ " --help=plain" in
+    let code =
+      Sys.command
+        (Filename.quote_command susf (args @ [ "--help=plain" ])
+           ~stdout:"help.out" ~stderr:"help.err")
+    in
+    Alcotest.(check int) (what ^ " exit") 0 code;
+    Alcotest.(check string) (what ^ " stderr") "" (read_file "help.err");
+    read_file "help.out"
+  in
+  (* a command is a line indented by exactly 7 spaces under COMMANDS *)
+  let _, commands =
+    String.split_on_char '\n' (help [])
+    |> List.fold_left
+         (fun (inside, acc) line ->
+           let n = String.length line in
+           if line = "COMMANDS" then (true, acc)
+           else if n > 0 && line.[0] <> ' ' then (false, acc)
+           else if inside && n > 7 && String.sub line 0 7 = "       "
+                   && line.[7] <> ' '
+           then
+             (inside, List.hd (String.split_on_char ' ' (String.trim line)) :: acc)
+           else (inside, acc))
+         (false, [])
+  in
+  Alcotest.(check int) "subcommands listed" 22 (List.length commands);
+  List.iter (fun c -> ignore (help [ c ])) commands;
+  let shows page s = Astring.String.is_infix ~affix:s (help [ page ]) in
+  Alcotest.(check bool) "serve shows crash@K" true (shows "serve" "crash@K");
+  Alcotest.(check bool) "simulate shows crash:s3@4" true
+    (shows "simulate" "crash:s3@4")
+
 let suite =
   [
     Alcotest.test_case "check valid plan" `Quick
@@ -905,6 +942,7 @@ let suite =
     Alcotest.test_case "show" `Quick (check_exit 0 [ "show"; hotel ]);
     Alcotest.test_case "unknown file" `Quick
       (check_exit 124 [ "check"; "no-such-file.susf" ]);
+    Alcotest.test_case "help pages render" `Quick test_help_pages;
     Alcotest.test_case "audit exit codes" `Quick test_audit_codes;
     Alcotest.test_case "trace and metrics outputs" `Quick test_obs_outputs;
     Alcotest.test_case "fmt round trip" `Quick test_fmt_reparses;

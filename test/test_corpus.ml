@@ -1,5 +1,6 @@
-(* Data-driven regression corpus: every [.susf] file under [corpus/]
-   carries machine-checked expectations in its comments.
+(* Data-driven regression corpus: every [.susf] file under [corpus/],
+   and every one under [examples/data/] that has them, carries
+   machine-checked expectations in its comments.
 
    - [// EXPECT-CHECK <client> <plan> <verdict>]
      runs the planner ([analyze]) and compares the verdict
@@ -251,9 +252,17 @@ let run_file path () =
                 expected_effect (Hexpr.normalize eff)))
     expected
 
+(* every corpus file, and the shipped examples that state expectations *)
 let suite =
-  Sys.readdir corpus_dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".susf")
-  |> List.sort compare
-  |> List.map (fun f ->
-         Alcotest.test_case f `Quick (run_file (Filename.concat corpus_dir f)))
+  let specs dir =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".susf")
+    |> List.sort compare
+    |> List.map (Filename.concat dir)
+  in
+  specs corpus_dir
+  @ List.filter
+      (fun path -> expectations (read_file path) <> [])
+      (specs "../examples/data")
+  |> List.map (fun path ->
+         Alcotest.test_case (Filename.basename path) `Quick (run_file path))

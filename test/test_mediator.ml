@@ -147,7 +147,7 @@ let test_adapter_roundtrips () =
 let test_ladder_direct_first () =
   (* a valid 1:1 plan exists: the ladder answers Planned and synthesis
      never runs *)
-  let repo = [ ("ss", Scenarios.Loose.sound_service) ] in
+  let repo = Fixture.(services loose [ "ss" ]) in
   let runs () =
     let snap = Obs.Metrics.snapshot () in
     match
@@ -157,7 +157,7 @@ let test_ladder_direct_first () =
     | None -> 0
   in
   let before = runs () in
-  match Repair.analyze repo ~client:("c", Scenarios.Loose.client) with
+  match Repair.analyze repo ~client:("c", Fixture.(client loose "c")) with
   | Repair.Planned r ->
       Alcotest.(check bool) "the 1:1 plan verifies" true
         (Result.is_ok r.Planner.verdict);

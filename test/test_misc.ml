@@ -100,22 +100,19 @@ let test_scheduler_fuel () =
 (* Every monitored run of ANY plan (valid or not) in every shipped
    scenario maintains: histories are prefixes of balanced and valid. *)
 let scenario_plans =
+  let shipped name spec =
+    let repo = Syntax.Spec.repo spec
+    and client = ("shopper", Fixture.client spec "shopper") in
+    (name, repo, client, Planner.enumerate repo ~client)
+  in
   [
     ( "hotel",
       Scenarios.Hotel.repo,
       ("c1", Scenarios.Hotel.client1),
       Planner.enumerate Scenarios.Hotel.repo
         ~client:("c1", Scenarios.Hotel.client1) );
-    ( "ecommerce",
-      Scenarios.Ecommerce.repo,
-      ("shopper", Scenarios.Ecommerce.shopper),
-      Planner.enumerate Scenarios.Ecommerce.repo
-        ~client:("shopper", Scenarios.Ecommerce.shopper) );
-    ( "mesh",
-      Scenarios.Mesh.repo,
-      ("shopper", Scenarios.Mesh.shopper),
-      Planner.enumerate Scenarios.Mesh.repo
-        ~client:("shopper", Scenarios.Mesh.shopper) );
+    shipped "ecommerce" Fixture.ecommerce;
+    shipped "mesh" Fixture.mesh;
   ]
 
 let test_monitored_runs_always_valid () =

@@ -57,7 +57,9 @@ let prop_planner_sink_identity =
         [ Plan.empty; Scenarios.Hotel.plan1; Scenarios.Hotel.plan2_s4 ])
 
 let test_runtime_sink_identity () =
-  let clients = [ (Scenarios.Redundant.plan, Scenarios.Redundant.client) ] in
+  let clients =
+    [ (Fixture.(plan redundant "pi1"), ("c1", Fixture.(client redundant "c1"))) ]
+  in
   let faults =
     match Runtime.Faults.parse "crash:s3@4" with
     | Ok f -> f
@@ -65,7 +67,8 @@ let test_runtime_sink_identity () =
   in
   let go () =
     let r =
-      Runtime.Engine.run ~seed:7 ~faults Scenarios.Redundant.repo clients
+      Runtime.Engine.run ~seed:7 ~faults (Syntax.Spec.repo Fixture.redundant)
+        clients
         (Simulate.random ~seed:7)
     in
     Fmt.str "%a%a" Simulate.pp_trace r.Runtime.Engine.trace

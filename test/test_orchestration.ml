@@ -54,7 +54,7 @@ let check_counterexample (ce : Controller.counterexample) =
 let test_supply_chain_synthesizes () =
   List.iter
     (fun parties ->
-      let repo, client = Scenarios.Supply_chain.chain ~parties in
+      let repo, client = Testkit.Supply_chain.chain ~parties in
       (* no 1:1 plan exists: every stage needs its downstream *)
       Alcotest.(check int)
         (Fmt.str "no valid 1:1 plan (%d parties)" parties)
@@ -62,7 +62,7 @@ let test_supply_chain_synthesizes () =
         (List.length (Planner.valid_plans ~all:false repo ~client));
       match Repair.analyze repo ~client with
       | Repair.Orchestrated { coalitions = [ c ]; _ } ->
-          Alcotest.(check int) "request id" Scenarios.Supply_chain.rid
+          Alcotest.(check int) "request id" Testkit.Supply_chain.rid
             c.Orchestrate.rid;
           Alcotest.(check int)
             (Fmt.str "coalition spans the whole chain (%d parties)" parties)
@@ -90,14 +90,14 @@ let test_supply_chain_synthesizes () =
 let test_supply_chain_broken_declines () =
   List.iter
     (fun parties ->
-      let repo, client = Scenarios.Supply_chain.broken ~parties in
+      let repo, client = Testkit.Supply_chain.broken ~parties in
       Alcotest.(check bool) "no valid 1:1 plan" true
         (Option.is_none (Planner.first_valid repo ~client));
       match Repair.climb ~mediate:false repo ~client with
       | Repair.Declined
           { coalition = Orchestrate.No_controller { rid; counterexample; _ }; _ }
         ->
-          Alcotest.(check int) "request id" Scenarios.Supply_chain.rid rid;
+          Alcotest.(check int) "request id" Testkit.Supply_chain.rid rid;
           Alcotest.(check bool) "the trace walks down the chain" true
             (List.length counterexample.Controller.trace > 0);
           check_counterexample counterexample
@@ -109,8 +109,9 @@ let test_supply_chain_broken_declines () =
 
 let test_marketplace_coalition () =
   match
-    Repair.analyze Scenarios.Marketplace.repo
-      ~client:Scenarios.Marketplace.buyer
+    Repair.analyze
+      (Syntax.Spec.repo Fixture.marketplace)
+      ~client:("buyer", Fixture.(client marketplace "buyer"))
   with
   | Repair.Orchestrated { coalitions = [ c ]; _ } -> (
       Alcotest.(check (list string))
@@ -122,8 +123,8 @@ let test_marketplace_coalition () =
   | v -> Alcotest.failf "expected an orchestration: %a" Repair.pp_verdict v
 
 let test_marketplace_no_escrow_declines () =
-  let repo = Scenarios.Marketplace.repo_no_escrow
-  and client = Scenarios.Marketplace.buyer in
+  let repo = Fixture.(services marketplace [ "seller"; "rogue" ])
+  and client = ("buyer", Fixture.(client marketplace "buyer")) in
   Alcotest.(check bool) "no valid 1:1 plan" true
     (Option.is_none (Planner.first_valid repo ~client));
   match Repair.climb ~mediate:false repo ~client with
@@ -148,14 +149,19 @@ let test_marketplace_no_escrow_declines () =
 let test_marketplace_pruning () =
   let party name contract = { Automaton.name; contract } in
   let proj = Contract.project in
-  let buyer = proj Scenarios.Marketplace.buyer_body in
+  let service name = proj Fixture.(service marketplace name) in
+  let buyer =
+    match Fixture.(client marketplace "buyer") with
+    | Hexpr.Open (_, body) -> proj body
+    | _ -> Alcotest.fail "the buyer opens one session"
+  in
   let four =
     Automaton.build
       [
         party "buyer" buyer;
-        party "seller" (proj Scenarios.Marketplace.seller);
-        party "rogue" (proj Scenarios.Marketplace.rogue);
-        party "escrow" (proj Scenarios.Marketplace.escrow);
+        party "seller" (service "seller");
+        party "rogue" (service "rogue");
+        party "escrow" (service "escrow");
       ]
   in
   (match Controller.synthesize four with
@@ -177,9 +183,9 @@ let test_marketplace_pruning () =
     Automaton.build
       [
         party "buyer" buyer;
-        party "seller_a" (proj Scenarios.Marketplace.seller);
-        party "seller_b" (proj Scenarios.Marketplace.seller);
-        party "escrow" (proj Scenarios.Marketplace.escrow);
+        party "seller_a" (service "seller");
+        party "seller_b" (service "seller");
+        party "escrow" (service "escrow");
       ]
   in
   match Controller.synthesize competing with
@@ -228,7 +234,7 @@ let test_fallback_ordering () =
   Alcotest.(check int) "analysis stops at the first valid plan" first_valid
     (counter "planner.analyze.calls");
   (* and the converse: with no 1:1 plan the synthesis tier does run *)
-  let repo, client = Scenarios.Supply_chain.chain ~parties:3 in
+  let repo, client = Testkit.Supply_chain.chain ~parties:3 in
   (match Repair.analyze repo ~client with
   | Repair.Orchestrated _ -> ()
   | v -> Alcotest.failf "expected an orchestration: %a" Repair.pp_verdict v);

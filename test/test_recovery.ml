@@ -896,7 +896,7 @@ let ladder_admission =
 
 let ladder_script () =
   let sc_repo, (retailer, retailer_body) =
-    Scenarios.Supply_chain.chain ~parties:4
+    Testkit.Supply_chain.chain ~parties:4
   in
   let repo = sc_repo @ Scenarios.Mismatched.repo in
   (* normalize the combinator-built bodies through the codec once:

@@ -133,7 +133,7 @@ let test_parser_rejects () =
    declines, round-trip through the parser *)
 let test_counterexample_roundtrips () =
   (* a broken supply chain declines with a controller counterexample *)
-  let repo, (name, body) = Scenarios.Supply_chain.broken ~parties:4 in
+  let repo, (name, body) = Testkit.Supply_chain.broken ~parties:4 in
   (match Mediator.Repair.climb ~mediate:false repo ~client:(name, body) with
   | Mediator.Repair.Declined { coalition = d; _ } ->
       rt "orchestration decline" (Encode.orchestration_declined d);

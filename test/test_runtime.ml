@@ -4,9 +4,9 @@
 open Core
 module Faults = Runtime.Faults
 
-let repo = Scenarios.Redundant.repo
-let client = Scenarios.Redundant.client
-let plan = Scenarios.Redundant.plan
+let repo = Syntax.Spec.repo Fixture.redundant
+let client = ("c1", Fixture.(client redundant "c1"))
+let plan = Fixture.(plan redundant "pi1")
 
 let outcome = Alcotest.testable Simulate.pp_outcome ( = )
 
@@ -134,7 +134,7 @@ let test_no_substitute_degrades () =
   let r =
     Runtime.Engine.run
       ~faults:[ Faults.at 4 (Faults.Crash "s3") ]
-      Scenarios.Redundant.repo_no_backup
+      (List.remove_assoc "s3b" repo)
       [ (plan, client) ] Simulate.first
   in
   (match r.Runtime.Engine.trace.Simulate.outcome with
@@ -162,11 +162,13 @@ let test_retry_budget_zero_degrades () =
    run time (the client pays a fee nobody collects), the [noav] branch
    completes. Branch labels sort alphabetically, so [Simulate.first]
    always drives the service into [avail]. *)
+let loose_repo = Fixture.(services loose [ "ls" ])
+
 let loose_clients =
-  [ (Scenarios.Loose.plan, ("c", Scenarios.Loose.client)) ]
+  [ (Fixture.(plan loose "loose"), ("c", Fixture.(client loose "c"))) ]
 
 let test_wedge_strict_is_stuck () =
-  let r = Runtime.Engine.run Scenarios.Loose.repo loose_clients Simulate.first in
+  let r = Runtime.Engine.run loose_repo loose_clients Simulate.first in
   (match r.Runtime.Engine.trace.Simulate.outcome with
   | Simulate.Stuck _ -> ()
   | o ->
@@ -184,7 +186,7 @@ let test_wedge_budget_bounds_retraction () =
   in
   let r =
     Runtime.Engine.run ~supervisor ~level:Compliance.Affectible
-      Scenarios.Loose.repo loose_clients Simulate.first
+      loose_repo loose_clients Simulate.first
   in
   (match r.Runtime.Engine.trace.Simulate.outcome with
   | Simulate.Degraded { abandoned = [ ("c", why) ]; _ } ->
@@ -203,7 +205,7 @@ let test_wedge_budget_bounds_retraction () =
 let test_wedge_zero_budget_degrades_immediately () =
   let r =
     Runtime.Engine.run ~level:Compliance.Affectible ~retraction_budget:0
-      Scenarios.Loose.repo loose_clients Simulate.first
+      loose_repo loose_clients Simulate.first
   in
   (match r.Runtime.Engine.trace.Simulate.outcome with
   | Simulate.Degraded _ -> ()
@@ -224,7 +226,7 @@ let test_wedge_affectible_never_hard_fails () =
     in
     let r =
       Runtime.Engine.run ~level:Compliance.Affectible ~faults ~seed
-        Scenarios.Loose.repo loose_clients (Simulate.random ~seed)
+        loose_repo loose_clients (Simulate.random ~seed)
     in
     total_rollbacks := !total_rollbacks + r.Runtime.Engine.rollbacks;
     (match r.Runtime.Engine.trace.Simulate.outcome with
@@ -308,7 +310,7 @@ let test_loose_outcome_mix () =
       let r =
         Runtime.Engine.run ~level
           ~faults:[ Faults.rate 0.05 (Faults.Drop "req") ]
-          ~seed Scenarios.Loose.repo loose_clients (Simulate.random ~seed)
+          ~seed loose_repo loose_clients (Simulate.random ~seed)
       in
       rollbacks := !rollbacks + r.Runtime.Engine.rollbacks;
       match r.Runtime.Engine.trace.Simulate.outcome with

@@ -1,8 +1,21 @@
-(* End-to-end verification of the two non-paper scenarios shipped with
-   the library (Scenarios.Ecommerce, Scenarios.Cloud). *)
+(* End-to-end verification of the non-paper scenarios shipped as
+   specifications: examples/data/ecommerce.susf, examples/data/cloud.susf
+   and test/corpus/mesh.susf. *)
 
 open Core
-open Scenarios
+
+let ecommerce_repo = Syntax.Spec.repo Fixture.ecommerce
+let shopper = Fixture.(client ecommerce "shopper")
+let careful_shopper = Fixture.(client ecommerce "careful_shopper")
+let careful_plan = Fixture.(plan ecommerce "careful")
+let analyst = Fixture.(client cloud "analyst")
+let good_plan = Fixture.(plan cloud "good")
+
+(* the workflow with [worker]'s body at location wrk *)
+let cloud_repo ~worker =
+  List.map
+    (fun loc -> (loc, Fixture.(service cloud (if loc = "wrk" then worker else loc))))
+    [ "orc"; "wrk"; "store"; "compact"; "flaky" ]
 
 let verdict repo client plan =
   match Planner.(analyze repo ~client plan).verdict with
@@ -15,39 +28,33 @@ let verdict repo client plan =
 (* --- e-commerce --- *)
 
 let test_ecommerce_matrix () =
-  let shopper = ("shopper", Ecommerce.shopper) in
+  let shopper = ("shopper", shopper) in
   let plan20 loc = Plan.of_list [ (10, "mkt"); (20, loc) ] in
-  Alcotest.(check string) "alpha" "valid" (verdict Ecommerce.repo shopper (plan20 "alpha"));
+  Alcotest.(check string) "alpha" "valid" (verdict ecommerce_repo shopper (plan20 "alpha"));
   Alcotest.(check string) "bravo (overcharge)" "insecure"
-    (verdict Ecommerce.repo shopper (plan20 "bravo"));
+    (verdict ecommerce_repo shopper (plan20 "bravo"));
   Alcotest.(check string) "charlie (retry)" "not-compliant"
-    (verdict Ecommerce.repo shopper (plan20 "charlie"));
+    (verdict ecommerce_repo shopper (plan20 "charlie"));
   Alcotest.(check string) "mkt serving itself" "not-compliant"
-    (verdict Ecommerce.repo shopper (plan20 "mkt"))
+    (verdict ecommerce_repo shopper (plan20 "mkt"))
 
 let test_ecommerce_unique_valid () =
   let reports =
-    Planner.valid_plans ~all:false Ecommerce.repo
-      ~client:("shopper", Ecommerce.shopper)
+    Planner.valid_plans ~all:false ecommerce_repo ~client:("shopper", shopper)
   in
   Alcotest.(check int) "one valid plan" 1 (List.length reports);
   Alcotest.(check bool) "it is {10[mkt],20[alpha]}" true
-    (Plan.equal (List.hd reports).Planner.plan Ecommerce.good_plan)
+    (Plan.equal (List.hd reports).Planner.plan Fixture.(plan ecommerce "good"))
 
 let test_careful_shopper () =
-  let carol = ("carol", Ecommerce.careful_shopper) in
+  let carol = ("carol", careful_shopper) in
   Alcotest.(check string) "alpha authenticates" "valid"
-    (verdict Ecommerce.repo carol Ecommerce.careful_plan);
+    (verdict ecommerce_repo carol careful_plan);
   (* with a huge limit, bravo still fails carol: no auth before charge *)
-  let lax =
-    Hexpr.frame Ecommerce.auth_first
-      (Hexpr.open_ ~rid:12 ~policy:(Ecommerce.spend 1000)
-         (Hexpr.select
-            [ ("order", Hexpr.branch [ ("ok", Hexpr.nil); ("fail", Hexpr.nil) ]) ]))
-  in
+  let lax = Fixture.(client ecommerce "lax") in
   match
     Planner.(
-      analyze Ecommerce.repo ~client:("lax", lax)
+      analyze ecommerce_repo ~client:("lax", lax)
         (Plan.of_list [ (12, "mkt"); (20, "bravo") ]))
       .verdict
   with
@@ -55,16 +62,15 @@ let test_careful_shopper () =
       match stuck.Netcheck.kind with
       | Netcheck.Security p ->
           Alcotest.(check string) "auth_first blocks"
-            (Usage.Policy.id Ecommerce.auth_first)
+            (Usage.Policy.id Fixture.(policy ecommerce "charge_requires_auth" []))
             (Usage.Policy.id p)
       | _ -> Alcotest.fail "expected a security stuckness")
   | _ -> Alcotest.fail "bravo must be insecure for carol"
 
 let test_ecommerce_runs () =
   let t =
-    Simulate.run Ecommerce.repo
-      (Network.initial ~plan:Ecommerce.careful_plan
-         [ ("carol", Ecommerce.careful_shopper) ])
+    Simulate.run ecommerce_repo
+      (Network.initial ~plan:careful_plan [ ("carol", careful_shopper) ])
       (Simulate.random ~seed:5)
   in
   Alcotest.(check bool) "completes" true (t.Simulate.outcome = Simulate.Completed);
@@ -80,7 +86,7 @@ let test_ecommerce_runs () =
   | _ -> Alcotest.fail "one client"
 
 let test_spend_policy () =
-  let p = Ecommerce.spend 100 in
+  let p = Fixture.(policy ecommerce "spend" [ Usage.Value.int 100 ]) in
   let charge n = Usage.Event.make ~arg:(Usage.Value.int n) "charge" in
   Alcotest.(check bool) "100 ok" true (Usage.Policy.respects p [ charge 100 ]);
   Alcotest.(check bool) "101 over" false (Usage.Policy.respects p [ charge 101 ]);
@@ -90,8 +96,8 @@ let test_spend_policy () =
 (* --- cloud --- *)
 
 let test_cloud_matrix () =
-  let ana = ("ana", Cloud.analyst) in
-  let repo = Cloud.repo ~worker:Cloud.frugal_worker in
+  let ana = ("ana", analyst) in
+  let repo = cloud_repo ~worker:"wrk" in
   let plan3 loc = Plan.of_list [ (1, "orc"); (2, "wrk"); (3, loc) ] in
   Alcotest.(check string) "store" "valid" (verdict repo ana (plan3 "store"));
   Alcotest.(check string) "flaky" "not-compliant" (verdict repo ana (plan3 "flaky"));
@@ -101,26 +107,26 @@ let test_cloud_matrix () =
   Alcotest.(check string) "compact (plain analyst)" "valid"
     (verdict repo ana (plan3 "compact"));
   Alcotest.(check string) "compact (strict analyst)" "insecure"
-    (verdict repo ("ana", Cloud.strict_analyst) (plan3 "compact"))
+    (verdict repo
+       ("ana", Fixture.(client cloud "strict_analyst"))
+       (plan3 "compact"))
 
 let test_cloud_greedy () =
-  let repo = Cloud.repo ~worker:Cloud.greedy_worker in
-  match
-    Planner.(analyze repo ~client:("ana", Cloud.analyst) Cloud.good_plan).verdict
-  with
+  let repo = cloud_repo ~worker:"greedy" in
+  match Planner.(analyze repo ~client:("ana", analyst) good_plan).verdict with
   | Error (Planner.Insecure stuck) -> (
       match stuck.Netcheck.kind with
       | Netcheck.Security p ->
           Alcotest.(check string) "max_writes blocks"
-            (Usage.Policy.id (Cloud.max_writes 2))
+            (Usage.Policy.id Fixture.(policy cloud "at_most_2_write" []))
             (Usage.Policy.id p)
       | _ -> Alcotest.fail "expected security")
   | _ -> Alcotest.fail "greedy worker must be insecure"
 
 let test_cloud_depth () =
   (* the run really goes three sessions deep *)
-  let repo = Cloud.repo ~worker:Cloud.frugal_worker in
-  let cfg = Network.initial ~plan:Cloud.good_plan [ ("ana", Cloud.analyst) ] in
+  let repo = cloud_repo ~worker:"wrk" in
+  let cfg = Network.initial ~plan:good_plan [ ("ana", analyst) ] in
   let t = Simulate.run repo cfg Simulate.first in
   Alcotest.(check bool) "completes" true (t.Simulate.outcome = Simulate.Completed);
   let max_depth =
@@ -137,13 +143,13 @@ let test_cloud_depth () =
   Alcotest.(check int) "three nested sessions" 3 max_depth
 
 let test_cloud_cost () =
-  let repo = Cloud.repo ~worker:Cloud.frugal_worker in
+  let repo = cloud_repo ~worker:"wrk" in
   let model = Quant.Model.of_list [ ("write", 5.0) ] in
   Alcotest.(check (option (float 1e-9))) "two writes at 5" (Some 10.0)
-    (Quant.Plan_cost.worst_case repo Cloud.good_plan ("ana", Cloud.analyst) model);
+    (Quant.Plan_cost.worst_case repo good_plan ("ana", analyst) model);
   (* the unbounded storage loop is bounded by the worker's protocol *)
   Alcotest.(check bool) "storage alone is unbounded" true
-    (Quant.Cost.worst_case model Cloud.storage = None)
+    (Quant.Cost.worst_case model Fixture.(service cloud "store") = None)
 
 let suite =
   [
@@ -160,9 +166,13 @@ let suite =
 
 (* --- the payment mesh --- *)
 
+let mesh_repo = Syntax.Spec.repo Fixture.mesh
+let mesh_shopper = Fixture.(client mesh "shopper")
+let mesh_good = Fixture.(plan mesh "good")
+
 let test_mesh_good_plan () =
   Alcotest.(check string) "good plan valid" "valid"
-    (verdict Mesh.repo ("shopper", Mesh.shopper) Mesh.good_plan)
+    (verdict mesh_repo ("shopper", mesh_shopper) mesh_good)
 
 let test_mesh_failures () =
   let plan ~pay ~inv =
@@ -170,23 +180,23 @@ let test_mesh_failures () =
   in
   (* payB breaks both conjuncts of the shopper's policy *)
   Alcotest.(check string) "payB insecure" "insecure"
-    (verdict Mesh.repo ("shopper", Mesh.shopper) (plan ~pay:"payB" ~inv:"inv"));
+    (verdict mesh_repo ("shopper", mesh_shopper) (plan ~pay:"payB" ~inv:"inv"));
   (* the flaky inventory may answer backorder: non-compliant *)
   Alcotest.(check string) "invX not compliant" "not-compliant"
-    (verdict Mesh.repo ("shopper", Mesh.shopper) (plan ~pay:"payA" ~inv:"invX"))
+    (verdict mesh_repo ("shopper", mesh_shopper) (plan ~pay:"payA" ~inv:"invX"))
 
 let test_mesh_unique_valid () =
   let reports =
-    Planner.valid_plans ~all:false Mesh.repo ~client:("shopper", Mesh.shopper)
+    Planner.valid_plans ~all:false mesh_repo ~client:("shopper", mesh_shopper)
   in
   Alcotest.(check int) "unique valid plan" 1 (List.length reports);
   Alcotest.(check bool) "it is the good plan" true
-    (Plan.equal (List.hd reports).Planner.plan Mesh.good_plan)
+    (Plan.equal (List.hd reports).Planner.plan mesh_good)
 
 let test_mesh_runs_clean () =
   let stats =
-    Simulate.batch ~runs:50 Mesh.repo (fun () ->
-        Network.initial ~plan:Mesh.good_plan [ ("shopper", Mesh.shopper) ])
+    Simulate.batch ~runs:50 mesh_repo (fun () ->
+        Network.initial ~plan:mesh_good [ ("shopper", mesh_shopper) ])
   in
   Alcotest.(check int) "all complete" 50 stats.Simulate.completed;
   Alcotest.(check int) "all valid" 50 stats.Simulate.outcomes_valid
@@ -195,8 +205,8 @@ let test_mesh_sequence_of_sessions () =
   (* the order service's two nested sessions happen in sequence: the
      payment session closes before the inventory session opens *)
   let t =
-    Simulate.run Mesh.repo
-      (Network.initial ~plan:Mesh.good_plan [ ("shopper", Mesh.shopper) ])
+    Simulate.run mesh_repo
+      (Network.initial ~plan:mesh_good [ ("shopper", mesh_shopper) ])
       Simulate.first
   in
   Alcotest.(check bool) "completed" true (t.Simulate.outcome = Simulate.Completed);
@@ -217,9 +227,9 @@ let test_mesh_policy_reaches_grandchild () =
   (* the shopper's conjoined policy blocks the uncapped charge performed
      two sessions below; the witness trace shows the whole chain *)
   match
-    Netcheck.check_client Mesh.repo
+    Netcheck.check_client mesh_repo
       (Plan.of_list [ (1, "gw"); (2, "orders"); (3, "payB"); (4, "inv") ])
-      ("shopper", Mesh.shopper)
+      ("shopper", mesh_shopper)
   with
   | Netcheck.Valid _ -> Alcotest.fail "payB must be blocked"
   | Netcheck.Invalid stuck ->
