@@ -487,8 +487,9 @@ let dot_policy_cmd =
   let run file polref =
     let spec = load file in
     match
-      Syntax.Parser.hexpr_of_string ~automata:spec.Syntax.Spec.automata
-        (Printf.sprintf "%s[ eps ]" polref)
+      Core.Hexpr.node
+        (Syntax.Parser.hexpr_of_string ~automata:spec.Syntax.Spec.automata
+           (Printf.sprintf "%s[ eps ]" polref))
     with
     | Core.Hexpr.Frame (p, _) ->
         Usage.Policy_ops.pp_dot Fmt.stdout p;
@@ -742,7 +743,7 @@ let discover_cmd =
     let policy =
       Option.map
         (fun src ->
-          match parse_in_spec (src ^ "[ eps ]") with
+          match Core.Hexpr.node (parse_in_spec (src ^ "[ eps ]")) with
           | Core.Hexpr.Frame (p, _) -> p
           | _ ->
               Fmt.epr "cannot resolve policy %s@." src;
@@ -772,8 +773,9 @@ let audit_cmd =
       List.map
         (fun src ->
           match
-            Syntax.Parser.hexpr_of_string ~automata:spec.Syntax.Spec.automata
-              (src ^ "[ eps ]")
+            Core.Hexpr.node
+              (Syntax.Parser.hexpr_of_string
+                 ~automata:spec.Syntax.Spec.automata (src ^ "[ eps ]"))
           with
           | Core.Hexpr.Frame (p, _) -> p
           | _ | (exception Syntax.Parser.Error _) ->

@@ -42,7 +42,7 @@ let fresh_def =
 let of_hexpr h0 =
   let defs = ref [] in
   let rec tr env (h : Core.Hexpr.t) =
-    match h with
+    match Core.Hexpr.node h with
     | Core.Hexpr.Nil -> Zero
     | Core.Hexpr.Var x -> (
         match List.assoc_opt x env with

@@ -1,7 +1,7 @@
 module H = Core.Hexpr
 
 let rec go active (h : H.t) : H.t =
-  match h with
+  match H.node h with
   | H.Nil -> H.nil
   | H.Var x -> H.var x
   | H.Mu (x, b) -> H.mu x (go active b)
@@ -25,7 +25,7 @@ let rec go active (h : H.t) : H.t =
 let regularize h = go [] h
 
 let rec depth active (h : H.t) : int =
-  match h with
+  match H.node h with
   | H.Nil | H.Var _ | H.Ev _ | H.Close _ | H.Frame_close _ -> 0
   | H.Mu (_, b) -> depth active b
   | H.Ext bs | H.Int bs ->

@@ -99,7 +99,7 @@ let mu x body =
   | _ -> if List.mem x (free_vars body) then cons (Mu (x, body)) else body
 
 let rec project (h : Hexpr.t) : t =
-  match h with
+  match Hexpr.node h with
   | Hexpr.Nil | Hexpr.Ev _ | Hexpr.Close _ | Hexpr.Frame_close _ -> nil
   | Hexpr.Var x -> var x
   | Hexpr.Mu (x, b) -> mu x (project b)

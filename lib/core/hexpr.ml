@@ -1,6 +1,19 @@
+(* Hash-consed representation, as for [Contract]: every structurally
+   distinct term is interned once in a weak table and carries a unique
+   [id], so [equal] is [(==)]. Unlike a contract's, a term's stored hash
+   is structural — built from its atoms and its children's stored
+   hashes, never from ids — and [compare] stays the structural order, so
+   sorted output and hash-table order do not depend on what else the
+   process has interned. Shallow node equality compares policies as
+   instances: [Usage.Policy.make] shares an instance only between equal
+   ids with equal automata, so interning never hands back a term that
+   carries another automaton under the same id. *)
+
 type req = { rid : int; policy : Usage.Policy.t option }
 
-type t =
+type t = { id : int; hkey : int; node : node }
+
+and node =
   | Nil
   | Var of string
   | Mu of string * t
@@ -14,10 +27,74 @@ type t =
   | Frame_close of Usage.Policy.t
   | Choice of t * t
 
-let nil = Nil
-let var x = Var x
-let ev ?arg name = Ev (Usage.Event.make ?arg name)
-let event e = Ev e
+let node h = h.node
+let id h = h.id
+let hash h = h.hkey
+let equal (a : t) (b : t) = a == b
+
+let comb a b = ((a * 19) + b) land max_int
+let hash_policy p = Hashtbl.hash (Usage.Policy.id p)
+
+let hash_req r =
+  comb r.rid (match r.policy with None -> 0 | Some p -> hash_policy p)
+
+let hash_branches seed bs =
+  List.fold_left
+    (fun acc (a, k) -> comb (comb acc (Hashtbl.hash a)) k.hkey)
+    seed bs
+
+let hash_node = function
+  | Nil -> 1
+  | Var x -> comb 2 (Hashtbl.hash x)
+  | Mu (x, b) -> comb (comb 3 (Hashtbl.hash x)) b.hkey
+  | Ext bs -> hash_branches 4 bs
+  | Int bs -> hash_branches 5 bs
+  | Ev e -> comb 6 (Hashtbl.hash e)
+  | Seq (a, b) -> comb (comb 7 a.hkey) b.hkey
+  | Choice (a, b) -> comb (comb 8 a.hkey) b.hkey
+  | Open (r, b) -> comb (comb 9 (hash_req r)) b.hkey
+  | Close r -> comb 10 (hash_req r)
+  | Frame (p, b) -> comb (comb 11 (hash_policy p)) b.hkey
+  | Frame_close p -> comb 12 (hash_policy p)
+
+let equal_req r s =
+  Int.equal r.rid s.rid && Option.equal ( == ) r.policy s.policy
+
+let equal_node n1 n2 =
+  let equal_branches =
+    List.equal (fun (a, h) (b, k) -> String.equal a b && h == k)
+  in
+  match (n1, n2) with
+  | Nil, Nil -> true
+  | Var x, Var y -> String.equal x y
+  | Mu (x, a), Mu (y, b) -> String.equal x y && a == b
+  | Ext xs, Ext ys | Int xs, Int ys -> equal_branches xs ys
+  | Ev e, Ev f -> Usage.Event.equal e f
+  | Seq (a, b), Seq (c, d) | Choice (a, b), Choice (c, d) -> a == c && b == d
+  | Open (r, a), Open (s, b) -> equal_req r s && a == b
+  | Close r, Close s -> equal_req r s
+  | Frame (p, a), Frame (q, b) -> p == q && a == b
+  | Frame_close p, Frame_close q -> p == q
+  | ( ( Nil | Var _ | Mu _ | Ext _ | Int _ | Ev _ | Seq _ | Open _ | Close _
+      | Frame _ | Frame_close _ | Choice _ ),
+      _ ) ->
+      false
+
+module H = Repr.Hashcons.Make (struct
+  type nonrec node = node
+  type nonrec t = t
+
+  let make ~id node = { id; hkey = hash_node node; node }
+  let hash h = h.hkey
+  let equal a b = equal_node a.node b.node
+end)
+
+let table = H.create ~initial_size:1024 "hexpr.intern"
+let cons n = H.intern table n
+let nil = cons Nil
+let var x = cons (Var x)
+let ev ?arg name = cons (Ev (Usage.Event.make ?arg name))
+let event e = cons (Ev e)
 
 let compare_req a b =
   match Int.compare a.rid b.rid with
@@ -39,41 +116,42 @@ let rec compare x y =
     | Frame_close _ -> 10
     | Choice _ -> 11
   in
-  match (x, y) with
-  | Nil, Nil -> 0
-  | Var a, Var b -> String.compare a b
-  | Mu (a, h), Mu (b, k) -> (
-      match String.compare a b with 0 -> compare h k | c -> c)
-  | Ext a, Ext b | Int a, Int b ->
-      List.compare
-        (fun (c, h) (d, k) ->
-          match String.compare c d with 0 -> compare h k | c -> c)
-        a b
-  | Ev a, Ev b -> Usage.Event.compare a b
-  | Seq (a, b), Seq (c, d) | Choice (a, b), Choice (c, d) -> (
-      match compare a c with 0 -> compare b d | c -> c)
-  | Open (r, h), Open (s, k) -> (
-      match compare_req r s with 0 -> compare h k | c -> c)
-  | Close r, Close s -> compare_req r s
-  | Frame (p, h), Frame (q, k) -> (
-      match Usage.Policy.compare p q with 0 -> compare h k | c -> c)
-  | Frame_close p, Frame_close q -> Usage.Policy.compare p q
-  | ( ( Nil | Var _ | Mu _ | Ext _ | Int _ | Ev _ | Seq _ | Open _ | Close _
-      | Frame _ | Frame_close _ | Choice _ ),
-      _ ) ->
-      Int.compare (tag x) (tag y)
-
-let equal x y = compare x y = 0
+  if x == y then 0
+  else
+    match (x.node, y.node) with
+    | Nil, Nil -> 0
+    | Var a, Var b -> String.compare a b
+    | Mu (a, h), Mu (b, k) -> (
+        match String.compare a b with 0 -> compare h k | c -> c)
+    | Ext a, Ext b | Int a, Int b ->
+        List.compare
+          (fun (c, h) (d, k) ->
+            match String.compare c d with 0 -> compare h k | c -> c)
+          a b
+    | Ev a, Ev b -> Usage.Event.compare a b
+    | Seq (a, b), Seq (c, d) | Choice (a, b), Choice (c, d) -> (
+        match compare a c with 0 -> compare b d | c -> c)
+    | Open (r, h), Open (s, k) -> (
+        match compare_req r s with 0 -> compare h k | c -> c)
+    | Close r, Close s -> compare_req r s
+    | Frame (p, h), Frame (q, k) -> (
+        match Usage.Policy.compare p q with 0 -> compare h k | c -> c)
+    | Frame_close p, Frame_close q -> Usage.Policy.compare p q
+    | ( ( Nil | Var _ | Mu _ | Ext _ | Int _ | Ev _ | Seq _ | Open _ | Close _
+        | Frame _ | Frame_close _ | Choice _ ),
+        _ ) ->
+        Int.compare (tag x.node) (tag y.node)
 
 (* [ε·H ≡ H ≡ H·ε]; sequences are kept right-nested so that equal residual
    behaviours are syntactically equal as often as possible. *)
 let rec seq h1 h2 =
-  match (h1, h2) with
-  | Nil, h | h, Nil -> h
-  | Seq (a, b), h -> seq a (seq b h)
-  | _ -> Seq (h1, h2)
+  match (h1.node, h2.node) with
+  | Nil, _ -> h2
+  | _, Nil -> h1
+  | Seq (a, b), _ -> seq a (seq b h2)
+  | _ -> cons (Seq (h1, h2))
 
-let seq_all hs = List.fold_right seq hs Nil
+let seq_all hs = List.fold_right seq hs nil
 
 let check_branches kind bs =
   if bs = [] then invalid_arg (kind ^ ": empty choice");
@@ -82,12 +160,13 @@ let check_branches kind bs =
   then invalid_arg (kind ^ ": duplicate channel");
   List.sort (fun (a, _) (b, _) -> String.compare a b) bs
 
-let branch bs = Ext (check_branches "Hexpr.branch" bs)
-let select bs = Int (check_branches "Hexpr.select" bs)
-let recv a = branch [ (a, Nil) ]
-let send a = select [ (a, Nil) ]
+let branch bs = cons (Ext (check_branches "Hexpr.branch" bs))
+let select bs = cons (Int (check_branches "Hexpr.select" bs))
+let recv a = branch [ (a, nil) ]
+let send a = select [ (a, nil) ]
 
-let rec free_vars = function
+let rec free_vars t =
+  match t.node with
   | Nil | Ev _ | Close _ | Frame_close _ -> []
   | Var x -> [ x ]
   | Mu (x, b) -> List.filter (fun y -> y <> x) (free_vars b)
@@ -99,16 +178,15 @@ let free_vars t = List.sort_uniq String.compare (free_vars t)
 let is_closed t = free_vars t = []
 
 let mu x body =
-  match body with
-  | Nil -> Nil
-  | _ -> if List.mem x (free_vars body) then Mu (x, body) else body
+  match body.node with
+  | Nil -> nil
+  | _ -> if List.mem x (free_vars body) then cons (Mu (x, body)) else body
 
-let open_ ~rid ?policy body = Open ({ rid; policy }, body)
-let close ~rid ?policy () = Close { rid; policy }
-
-let frame p body = Frame (p, body)
-let frame_close p = Frame_close p
-let choice a b = if equal a b then a else Choice (a, b)
+let open_ ~rid ?policy body = cons (Open ({ rid; policy }, body))
+let close ~rid ?policy () = cons (Close { rid; policy })
+let frame p body = cons (Frame (p, body))
+let frame_close p = cons (Frame_close p)
+let choice a b = if equal a b then a else cons (Choice (a, b))
 
 module Infix = struct
   let ( @. ) = seq
@@ -122,34 +200,35 @@ let fresh base =
   Printf.sprintf "%s_%d" base (1 + Atomic.fetch_and_add fresh_counter 1)
 
 let rec subst x ~by t =
-  match t with
+  match t.node with
   | Nil | Ev _ | Close _ | Frame_close _ -> t
   | Var y -> if String.equal y x then by else t
   | Mu (y, b) ->
       if String.equal y x then t
       else if List.mem y (free_vars by) then begin
         let y' = fresh y in
-        Mu (y', subst x ~by (subst y ~by:(Var y') b))
+        cons (Mu (y', subst x ~by (subst y ~by:(var y') b)))
       end
-      else Mu (y, subst x ~by b)
-  | Ext bs -> Ext (List.map (fun (a, h) -> (a, subst x ~by h)) bs)
-  | Int bs -> Int (List.map (fun (a, h) -> (a, subst x ~by h)) bs)
+      else cons (Mu (y, subst x ~by b))
+  | Ext bs -> cons (Ext (List.map (fun (a, h) -> (a, subst x ~by h)) bs))
+  | Int bs -> cons (Int (List.map (fun (a, h) -> (a, subst x ~by h)) bs))
   | Seq (a, b) -> seq (subst x ~by a) (subst x ~by b)
-  | Choice (a, b) -> Choice (subst x ~by a, subst x ~by b)
-  | Open (r, b) -> Open (r, subst x ~by b)
-  | Frame (p, b) -> Frame (p, subst x ~by b)
+  | Choice (a, b) -> cons (Choice (subst x ~by a, subst x ~by b))
+  | Open (r, b) -> cons (Open (r, subst x ~by b))
+  | Frame (p, b) -> cons (Frame (p, subst x ~by b))
 
-let unfold h body = subst h ~by:(Mu (h, body)) body
+let unfold h body = subst h ~by:(cons (Mu (h, body))) body
 
-let rec size = function
+let rec size t =
+  match t.node with
   | Nil | Var _ | Ev _ | Close _ | Frame_close _ -> 1
   | Mu (_, b) | Open (_, b) | Frame (_, b) -> 1 + size b
   | Ext bs | Int bs -> List.fold_left (fun n (_, h) -> n + 1 + size h) 1 bs
   | Seq (a, b) | Choice (a, b) -> 1 + size a + size b
 
 let rec fold_subterms f acc t =
-  let acc = f acc t in
-  match t with
+  let acc = f acc t.node in
+  match t.node with
   | Nil | Var _ | Ev _ | Close _ | Frame_close _ -> acc
   | Mu (_, b) | Open (_, b) | Frame (_, b) -> fold_subterms f acc b
   | Ext bs | Int bs ->
@@ -208,7 +287,8 @@ let pp_wf_error ppf = function
 
 (* Does every execution of [t] perform at least one communication before
    terminating? Used to propagate guardedness across sequencing. *)
-let rec must_communicate = function
+let rec must_communicate t =
+  match t.node with
   | Ext _ | Int _ -> true
   | Seq (a, b) -> must_communicate a || must_communicate b
   | Mu (_, b) | Open (_, b) | Frame (_, b) -> must_communicate b
@@ -217,7 +297,8 @@ let rec must_communicate = function
 
 let well_formed t =
   let ( let* ) = Result.bind in
-  let rec check ~guarded ~nontail = function
+  let rec check ~guarded ~nontail t =
+    match t.node with
     | Nil | Ev _ | Close _ | Frame_close _ -> Ok ()
     | Var x -> (
         match List.assoc_opt x guarded with
@@ -271,7 +352,7 @@ let pp_req ppf r =
   | Some p -> Fmt.pf ppf "%d: %s" r.rid (Usage.Policy.id p)
 
 let rec pp ppf t =
-  match t with
+  match t.node with
   | Nil -> Fmt.string ppf "eps"
   | Var x -> Fmt.string ppf x
   | Mu (x, b) -> Fmt.pf ppf "mu %s. %a" x pp b
@@ -287,7 +368,7 @@ let rec pp ppf t =
 
 and pp_choice ppf dir sep bs =
   let pp_branch ppf (a, h) =
-    match h with
+    match h.node with
     | Nil -> Fmt.pf ppf "%s%s" a dir
     | _ -> Fmt.pf ppf "%s%s.%a" a dir pp_atom h
   in
@@ -300,12 +381,12 @@ and pp_choice ppf dir sep bs =
 and pp_seq_tail ppf t =
   (* a [mu] extends to the end of the input, so it cannot appear bare as
      the tail of a sequence *)
-  match t with Mu _ -> Fmt.pf ppf "(%a)" pp t | _ -> pp ppf t
+  match t.node with Mu _ -> Fmt.pf ppf "(%a)" pp t | _ -> pp ppf t
 
 and pp_atom ppf t =
-  match t with
+  match t.node with
   | Seq _ | Mu _ | Choice _ -> Fmt.pf ppf "(%a)" pp t
-  | Ext [ (_, h) ] | Int [ (_, h) ] when h <> Nil -> Fmt.pf ppf "(%a)" pp t
+  | Ext [ (_, h) ] | Int [ (_, h) ] when h != nil -> Fmt.pf ppf "(%a)" pp t
   | Nil | Var _ | Ext _ | Int _ | Ev _ | Open _ | Close _ | Frame _
   | Frame_close _ ->
       pp ppf t
@@ -317,22 +398,22 @@ let to_string t = Fmt.str "%a" pp t
    canonical guard-attached shape the parser and the effect system
    agree on. *)
 let rec seq_norm a b =
-  match a with
+  match a.node with
   | Nil -> b
-  | Ext bs -> Ext (List.map (fun (c, k) -> (c, seq_norm k b)) bs)
-  | Int bs -> Int (List.map (fun (c, k) -> (c, seq_norm k b)) bs)
+  | Ext bs -> cons (Ext (List.map (fun (c, k) -> (c, seq_norm k b)) bs))
+  | Int bs -> cons (Int (List.map (fun (c, k) -> (c, seq_norm k b)) bs))
   | Seq (x, y) -> seq_norm x (seq_norm y b)
   | Var _ | Mu _ | Ev _ | Open _ | Close _ | Frame _ | Frame_close _
   | Choice _ ->
       seq a b
 
 let rec normalize t =
-  match t with
+  match t.node with
   | Nil | Var _ | Ev _ | Close _ | Frame_close _ -> t
   | Mu (x, b) -> mu x (normalize b)
-  | Ext bs -> Ext (List.map (fun (a, k) -> (a, normalize k)) bs)
-  | Int bs -> Int (List.map (fun (a, k) -> (a, normalize k)) bs)
+  | Ext bs -> cons (Ext (List.map (fun (a, k) -> (a, normalize k)) bs))
+  | Int bs -> cons (Int (List.map (fun (a, k) -> (a, normalize k)) bs))
   | Seq (a, b) -> seq_norm (normalize a) (normalize b)
-  | Open (r, b) -> Open (r, normalize b)
-  | Frame (p, b) -> Frame (p, normalize b)
+  | Open (r, b) -> cons (Open (r, normalize b))
+  | Frame (p, b) -> cons (Frame (p, normalize b))
   | Choice (a, b) -> choice (normalize a) (normalize b)

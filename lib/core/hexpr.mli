@@ -11,13 +11,35 @@
     for conditionals. The paper's §3–§4 fragment never uses [Choice].
 
     Terms are quotiented by [ε·H ≡ H ≡ H·ε] through the {!seq} smart
-    constructor. *)
+    constructor.
+
+    Terms are {e hash-consed} ([Repr.Hashcons], table [hexpr.intern]),
+    as {!Contract.t} is: every structurally distinct term exists once
+    while it is alive and carries a unique [id], so
+
+    - [equal] is physical equality;
+    - [compare] stays the {e structural} order (short-circuiting on
+      [==]), so sorted output does not depend on interning order;
+    - [hash] is structural too: it is computed from a node's atoms and
+      its children's stored hashes, never from ids.
+
+    Policies inside a term are compared as instances: {!Usage.Policy.make}
+    shares an instance only between equal ids with equal automata, so
+    interning never hands back a term carrying a different automaton
+    under the same policy id. Pattern-match through {!node}; the record
+    is [private], so the smart constructors are the only way to build a
+    term. Never apply polymorphic [=], [compare] or [Hashtbl.hash] to
+    terms: they would see ids. *)
 
 type req = { rid : int; policy : Usage.Policy.t option }
 (** A service request: unique identifier [r] and the policy [φ] the
     client imposes on the session ([None] encodes the paper's [∅]). *)
 
-type t = private
+type t = private { id : int;  (** unique while the term is alive *)
+                   hkey : int;  (** stored structural hash *)
+                   node : node }
+
+and node = private
   | Nil  (** ε *)
   | Var of string  (** recursion variable [h] *)
   | Mu of string * t  (** [μh.H], guarded tail recursion *)
@@ -30,6 +52,16 @@ type t = private
   | Frame of Usage.Policy.t * t  (** safety framing [φ[H]] *)
   | Frame_close of Usage.Policy.t  (** residual [Mφ] *)
   | Choice of t * t  (** extension: unguarded internal choice [H + H'] *)
+
+val node : t -> node
+(** Head constructor, for pattern matching: [match Hexpr.node h with …]. *)
+
+val id : t -> int
+(** The hash-consing id: [equal a b ⟺ id a = id b] for live terms. *)
+
+val hash : t -> int
+(** The stored structural hash: equal terms hash alike, and the value
+    depends on the term alone, not on interning order. *)
 
 (** {1 Smart constructors} *)
 
@@ -70,8 +102,11 @@ end
 (** {1 Structure} *)
 
 val equal : t -> t -> bool
+(** Physical equality — O(1) thanks to maximal sharing. *)
+
 val compare : t -> t -> int
-(** Structural; policies are compared by identifier. *)
+(** The structural order, [0] at once on physically equal terms;
+    policies are compared by identifier. *)
 
 val compare_req : req -> req -> int
 val pp_req : req Fmt.t

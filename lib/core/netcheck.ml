@@ -99,57 +99,20 @@ let rec session_mismatch (comp : Network.component) =
       | Some c -> Some c
       | None -> session_mismatch b)
 
-(* Hash for exploration frontiers. Only the component is hashed:
-   [Validity.Abstract.t] values that compare equal can sit in
-   differently-shaped balanced trees, so hashing their representation
-   would break the "compare-equal implies hash-equal" invariant.
-   Policies are hashed by their identifier for the same reason
-   ([Usage.Policy.compare] is on ids, not automata); everything else in
-   the component is a plain structurally-compared ADT. Equality of
-   table keys stays the full comparison of both halves ([Key.equal]). *)
-let hash_comb a b = ((a * 19) + b) land max_int
-
-let hash_policy p = Hashtbl.hash (Usage.Policy.id p)
-
-let hash_req (r : Hexpr.req) =
-  hash_comb r.Hexpr.rid
-    (match r.Hexpr.policy with None -> 0 | Some p -> hash_policy p)
-
-let rec hash_hexpr (h : Hexpr.t) =
-  match h with
-  | Hexpr.Nil -> 1
-  | Hexpr.Var x -> hash_comb 2 (Hashtbl.hash x)
-  | Hexpr.Mu (x, b) -> hash_comb (hash_comb 3 (Hashtbl.hash x)) (hash_hexpr b)
-  | Hexpr.Ext bs -> hash_branches 4 bs
-  | Hexpr.Int bs -> hash_branches 5 bs
-  | Hexpr.Ev e -> hash_comb 6 (Hashtbl.hash e)
-  | Hexpr.Seq (a, b) -> hash_comb (hash_comb 7 (hash_hexpr a)) (hash_hexpr b)
-  | Hexpr.Choice (a, b) ->
-      hash_comb (hash_comb 8 (hash_hexpr a)) (hash_hexpr b)
-  | Hexpr.Open (r, b) -> hash_comb (hash_comb 9 (hash_req r)) (hash_hexpr b)
-  | Hexpr.Close r -> hash_comb 10 (hash_req r)
-  | Hexpr.Frame (p, b) -> hash_comb (hash_comb 11 (hash_policy p)) (hash_hexpr b)
-  | Hexpr.Frame_close p -> hash_comb 12 (hash_policy p)
-
-and hash_branches seed bs =
-  List.fold_left
-    (fun acc (a, k) -> hash_comb (hash_comb acc (Hashtbl.hash a)) (hash_hexpr k))
-    seed bs
-
-let rec hash_component (c : Network.component) =
-  match c with
-  | Network.Leaf (l, h) -> hash_comb (Hashtbl.hash l) (hash_hexpr h)
-  | Network.Session (a, b) ->
-      hash_comb (hash_comb 13 (hash_component a)) (hash_component b)
-
-(* The one state key: a (component, policy cursors) pair. *)
+(* The one state key: a (component, policy cursors) pair. Terms are
+   interned, so the component compares by physical equality of its
+   residuals and hashes through their stored hashes, in time independent
+   of their size. Only the component is hashed: [Validity.Abstract.t]
+   values that compare equal can sit in differently-shaped balanced
+   trees, so hashing their representation would break the
+   "equal implies hash-equal" invariant. *)
 module Key = struct
   type t = Network.component * Validity.Abstract.t
 
   let equal (c1, a1) (c2, a2) =
-    Network.compare_component c1 c2 = 0 && Validity.Abstract.equal a1 a2
+    Network.equal_component c1 c2 && Validity.Abstract.equal a1 a2
 
-  let hash (comp, _) = hash_component comp
+  let hash (comp, _) = Network.hash_component comp
 end
 
 module STbl = Hashtbl.Make (Key)
@@ -390,7 +353,8 @@ module CTbl = Hashtbl.Make (struct
   type t = Key.t list
 
   let equal = List.equal Key.equal
-  let hash = List.fold_left (fun acc st -> hash_comb acc (Key.hash st)) 0
+  let hash =
+    List.fold_left (fun acc st -> ((acc * 19) + Key.hash st) land max_int) 0
 end)
 
 let explore_interleaved ?(limit = 1_000_000) repo clients =

@@ -41,7 +41,7 @@ let terminated = function
 let config_done cfg = List.for_all (fun c -> terminated c.comp) cfg
 
 let rec phi (h : Hexpr.t) =
-  match h with
+  match Hexpr.node h with
   | Hexpr.Seq (a, b) -> phi a @ phi b
   | Hexpr.Frame_close p -> [ p ]
   | Hexpr.Nil | Hexpr.Var _ | Hexpr.Mu _ | Hexpr.Ext _ | Hexpr.Int _
@@ -49,16 +49,20 @@ let rec phi (h : Hexpr.t) =
   | Hexpr.Choice _ ->
       []
 
-let rec compare_component a b =
+(* Equality and hash through the interned residuals: O(1) per leaf. The
+   hash is the terms' structural one, so it does not depend on what
+   else the process has interned. *)
+let rec equal_component a b =
   match (a, b) with
-  | Leaf (l1, h1), Leaf (l2, h2) -> (
-      match String.compare l1 l2 with 0 -> Hexpr.compare h1 h2 | c -> c)
-  | Leaf _, Session _ -> -1
-  | Session _, Leaf _ -> 1
-  | Session (x1, y1), Session (x2, y2) -> (
-      match compare_component x1 x2 with
-      | 0 -> compare_component y1 y2
-      | c -> c)
+  | Leaf (l1, h1), Leaf (l2, h2) -> Hexpr.equal h1 h2 && String.equal l1 l2
+  | Session (x1, y1), Session (x2, y2) ->
+      equal_component x1 x2 && equal_component y1 y2
+  | Leaf _, Session _ | Session _, Leaf _ -> false
+
+let rec hash_component = function
+  | Leaf (l, h) -> ((Hashtbl.hash l * 19) + Hexpr.hash h) land max_int
+  | Session (a, b) ->
+      ((((13 * 19) + hash_component a) * 19) + hash_component b) land max_int
 
 (* Moves of a leaf alone: Access (events and framings), Open, and the
    commit of an unguarded choice. Communications and closes need a

@@ -92,4 +92,8 @@ val glabel_equal : glabel -> glabel -> bool
 val pp_component : component Fmt.t
 val pp_glabel : glabel Fmt.t
 val pp_config : config Fmt.t
-val compare_component : component -> component -> int
+val equal_component : component -> component -> bool
+(** Physical equality of the residuals, location by location. *)
+
+val hash_component : component -> int
+(** Through the residuals' stored structural hashes ({!Hexpr.hash}). *)

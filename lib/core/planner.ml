@@ -13,7 +13,7 @@ type reason =
 type report = { plan : Plan.t; verdict : (Netcheck.stats, reason) result }
 
 let rec open_sites owner (h : Hexpr.t) =
-  match h with
+  match Hexpr.node h with
   | Hexpr.Open (r, b) -> { req = r; body = b; owner } :: open_sites owner b
   | Hexpr.Nil | Hexpr.Var _ | Hexpr.Ev _ | Hexpr.Close _ | Hexpr.Frame_close _
     ->

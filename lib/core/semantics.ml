@@ -3,7 +3,7 @@ module Map = Map.Make (Hexpr)
 let is_terminated h = Hexpr.equal h Hexpr.nil
 
 let rec transitions (h : Hexpr.t) : (Action.t * Hexpr.t) list =
-  match h with
+  match Hexpr.node h with
   | Nil | Var _ -> []
   | Ev e -> [ (Action.Evt e, Hexpr.nil) ]
   | Ext bs -> List.map (fun (a, k) -> (Action.In a, k)) bs

@@ -1,16 +1,19 @@
 module H = Core.Hexpr
 
 let rec push_seq (h : H.t) : H.t =
-  match h with
-  | H.Seq (H.Ext bs, k) ->
-      H.branch (List.map (fun (a, c) -> (a, push_seq (H.seq c k))) bs)
-  | H.Seq (H.Int bs, k) ->
-      H.select (List.map (fun (a, c) -> (a, push_seq (H.seq c k))) bs)
+  match H.node h with
+  | H.Seq (g, k) -> (
+      match H.node g with
+      | H.Ext bs ->
+          H.branch (List.map (fun (a, c) -> (a, push_seq (H.seq c k))) bs)
+      | H.Int bs ->
+          H.select (List.map (fun (a, c) -> (a, push_seq (H.seq c k))) bs)
+      | _ -> h)
   | _ -> h
 
 let join h1 h2 =
   let h1 = push_seq h1 and h2 = push_seq h2 in
-  match (h1, h2) with
+  match (H.node h1, H.node h2) with
   | H.Int bs1, H.Int bs2
     when List.for_all (fun (a, _) -> not (List.mem_assoc a bs2)) bs1 ->
       H.select (bs1 @ bs2)

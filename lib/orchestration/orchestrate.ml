@@ -67,7 +67,7 @@ let unwatched ch cands =
 (* Whether [h] sends or receives outside every session: no coalition
    partners such an action. *)
 let rec talks_outside_sessions (h : Hexpr.t) =
-  match h with
+  match Hexpr.node h with
   | Hexpr.Ext _ | Hexpr.Int _ -> true
   | Hexpr.Open _ | Hexpr.Nil | Hexpr.Var _ | Hexpr.Ev _ | Hexpr.Close _
   | Hexpr.Frame_close _ ->

@@ -11,10 +11,11 @@
     their stored ids, which is what makes interning O(node width)
     rather than O(term size).
 
-    The table holds its entries {e weakly}: values no longer referenced
-    anywhere else are collected by the GC, and a later re-construction
-    of the same structure interns to a {e fresh} id. Ids of values that
-    stay alive are stable for the whole run; ids are never reused. *)
+    The table holds its entries {e weakly} (open addressing over one
+    [Weak.t] array): values no longer referenced anywhere else are
+    collected by the GC, and a later re-construction of the same
+    structure interns to a {e fresh} id. Ids of values that stay alive
+    are stable for the whole run; ids are never reused. *)
 
 module type ConsedType = sig
   type node
@@ -28,8 +29,8 @@ module type ConsedType = sig
       hash so {!hash} is a field read. *)
 
   val hash : t -> int
-  (** Shallow hash, children by id. Must be a pure field read (the weak
-      table rehashes on resize). *)
+  (** Shallow hash: from the node's atoms and its children's ids or
+      stored hashes. Read once per {!Make.intern}; the table stores it. *)
 
   val equal : t -> t -> bool
   (** Shallow equality of the nodes: same constructor, equal atoms,

@@ -18,22 +18,27 @@ let duplicates names =
   in
   List.sort_uniq String.compare (go sorted)
 
-(* every (direction, channel) pair used anywhere in an expression *)
-let rec channel_uses (h : Core.Hexpr.t) =
-  match h with
+(* every (direction, channel) pair used anywhere in an expression,
+   added to the [uses] table in one walk *)
+let rec channel_uses uses (h : Core.Hexpr.t) =
+  let prefixed dir =
+    List.iter (fun (a, k) ->
+        Hashtbl.replace uses (dir, a) ();
+        channel_uses uses k)
+  in
+  match Core.Hexpr.node h with
   | Core.Hexpr.Nil | Core.Hexpr.Var _ | Core.Hexpr.Ev _ | Core.Hexpr.Close _
   | Core.Hexpr.Frame_close _ ->
-      []
+      ()
   | Core.Hexpr.Mu (_, b)
   | Core.Hexpr.Open (_, b)
   | Core.Hexpr.Frame (_, b) ->
-      channel_uses b
-  | Core.Hexpr.Ext bs ->
-      List.concat_map (fun (a, k) -> (`In, a) :: channel_uses k) bs
-  | Core.Hexpr.Int bs ->
-      List.concat_map (fun (a, k) -> (`Out, a) :: channel_uses k) bs
+      channel_uses uses b
+  | Core.Hexpr.Ext bs -> prefixed `In bs
+  | Core.Hexpr.Int bs -> prefixed `Out bs
   | Core.Hexpr.Seq (a, b) | Core.Hexpr.Choice (a, b) ->
-      channel_uses a @ channel_uses b
+      channel_uses uses a;
+      channel_uses uses b
 
 let spec (s : Spec.t) =
   let findings = ref [] in
@@ -142,13 +147,15 @@ let spec (s : Spec.t) =
     policies;
 
   (* channel polarity coverage *)
-  let uses = List.concat_map (fun (_, h) -> channel_uses h) exprs in
+  let uses = Hashtbl.create 64 in
+  List.iter (fun (_, h) -> channel_uses uses h) exprs;
   let chans =
-    List.map snd uses |> List.sort_uniq String.compare
+    Hashtbl.fold (fun (_, c) () acc -> c :: acc) uses []
+    |> List.sort_uniq String.compare
   in
   List.iter
     (fun c ->
-      let has d = List.exists (fun (d', c') -> d' = d && String.equal c c') uses in
+      let has d = Hashtbl.mem uses (d, c) in
       if has `Out && not (has `In) then
         add Warning ("channel " ^ c) "has outputs but no input anywhere";
       if has `In && not (has `Out) then

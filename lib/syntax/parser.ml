@@ -138,12 +138,12 @@ let paren_framing_policy st =
 (* ---------- history expressions ---------- *)
 
 let to_ext_branch st h =
-  match (Core.Hexpr.normalize h : Core.Hexpr.t) with
+  match Core.Hexpr.node (Core.Hexpr.normalize h) with
   | Core.Hexpr.Ext [ b ] -> b
   | _ -> fail st "operands of '+' must be input-prefixed"
 
 let to_int_branch st h =
-  match (Core.Hexpr.normalize h : Core.Hexpr.t) with
+  match Core.Hexpr.node (Core.Hexpr.normalize h) with
   | Core.Hexpr.Int [ b ] -> b
   | _ -> fail st "operands of '(+)' must be output-prefixed"
 

@@ -305,7 +305,7 @@ let lambda_arb =
    the generators' fragment. *)
 let rec hexpr_shrink (h : Hexpr.t) : Hexpr.t QCheck.Iter.t =
   let open QCheck.Iter in
-  match h with
+  match Hexpr.node h with
   | Hexpr.Nil | Hexpr.Var _ -> empty
   | Hexpr.Ev _ -> return Hexpr.nil
   | Hexpr.Mu (x, b) ->

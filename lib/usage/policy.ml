@@ -17,8 +17,30 @@ module A = Automata.Sfa.Make (Label)
 
 type t = { id : string; automaton : A.t }
 
+(* One instance per (id, automaton): instantiating a policy again hands
+   back the instance already alive, so terms that carry it can be
+   interned by instance. Automata are compared whole, because one
+   process may hold two automata under one id (two specs that declare
+   the same policy name differently). The table is weak, and shared by
+   broker shards, hence the lock. *)
+module Instances = Weak.Make (struct
+  type nonrec t = t
+
+  let hash p = Hashtbl.hash p.id
+
+  let equal p q =
+    String.equal p.id q.id
+    && Int.equal (A.initial p.automaton) (A.initial q.automaton)
+    && A.States.equal (A.finals p.automaton) (A.finals q.automaton)
+    && A.transitions p.automaton = A.transitions q.automaton
+end)
+
+let instances = Instances.create 64
+let instances_lock = Mutex.create ()
+
 let make ~id ~init ~offending ~trans =
-  { id; automaton = A.create ~init ~finals:offending ~trans }
+  let p = { id; automaton = A.create ~init ~finals:offending ~trans } in
+  Mutex.protect instances_lock (fun () -> Instances.merge instances p)
 
 let id p = p.id
 let automaton p = p.automaton

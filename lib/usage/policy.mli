@@ -25,6 +25,10 @@ val make :
   offending:int list ->
   trans:(int * Label.t * int) list ->
   t
+(** Policies are shared: while an instance with this [id] and an equal
+    automaton (initial state, offending states and labelled transitions)
+    is alive, [make] returns it. Two automata under one id stay two
+    instances. *)
 
 val id : t -> string
 val automaton : t -> A.t

@@ -1,0 +1,72 @@
+#!/usr/bin/env sh
+# Complexity probe: `susf check` and `susf lint` must grow linearly in
+# the length of a client.
+#
+#   sh scripts/complexity-probe.sh [SUSF]
+#
+# Generates the straight-line pair
+#
+#   service s = req?.(a?.a?.…); client c = open(1){ req!.(a!.a!.…) }
+#
+# at 4,000, 8,000 and 16,000 actions, runs each command three times at
+# each size and keeps the fastest run. It fails when that time grows
+# more than 2.5x from one size to the next (a quadratic walk grows 4x
+# per doubling). SUSF defaults to the dune build of bin/susf.exe.
+set -eu
+
+ROOT=$(CDPATH='' cd -- "$(dirname -- "$0")/.." && pwd)
+SUSF=${1:-"$ROOT/_build/default/bin/susf.exe"}
+SIZES="4000 8000 16000"
+RUNS=3
+BOUND=2.5
+
+if [ ! -x "$SUSF" ]; then
+  echo "complexity-probe: $SUSF not found — run 'dune build' first" >&2
+  exit 2
+fi
+
+WORK=$(mktemp -d)
+trap 'rm -rf "$WORK"' EXIT INT TERM
+
+chain() { # chain N DIR: a.a.….a with N prefixes a? or a!
+  awk -v n="$1" -v d="$2" 'BEGIN {
+    s = "a" d; for (i = 1; i < n; i++) s = s ".a" d; printf "%s", s }'
+}
+
+for n in $SIZES; do
+  printf 'service s = req?.(%s);\nclient c = open(1){ req!.(%s) };\n' \
+    "$(chain "$n" '?')" "$(chain "$n" '!')" > "$WORK/line$n.susf"
+done
+
+now_ns() { date +%s%N; }
+
+status=0
+for cmd in check lint; do
+  prev=""
+  for n in $SIZES; do
+    best=""
+    for _ in $(seq "$RUNS"); do
+      t0=$(now_ns)
+      rc=0
+      "$SUSF" "$cmd" "$WORK/line$n.susf" > /dev/null 2>&1 || rc=$?
+      t1=$(now_ns)
+      if [ "$rc" -gt 1 ]; then
+        echo "complexity-probe: susf $cmd exited $rc at $n actions" >&2
+        exit 2
+      fi
+      t=$(( (t1 - t0) / 1000 ))
+      if [ -z "$best" ] || [ "$t" -lt "$best" ]; then best=$t; fi
+    done
+    if [ -n "$prev" ]; then
+      verdict=$(awk -v a="$prev" -v b="$best" -v k="$BOUND" \
+        'BEGIN { r = b / a; printf "%.2fx %s", r, (r > k ? "FAIL" : "ok") }')
+    else
+      verdict="-"
+    fi
+    printf '%-5s %6d actions  %8.3f s  %s\n' "$cmd" "$n" \
+      "$(awk -v t="$best" 'BEGIN { printf "%.3f", t / 1e6 }')" "$verdict"
+    case "$verdict" in *FAIL) status=1 ;; esac
+    prev=$best
+  done
+done
+exit "$status"

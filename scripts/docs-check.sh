@@ -16,7 +16,7 @@
 # Additionally, every backticked instrument name mentioned in the docs
 # under one of the audited prefixes (`broker.`, `net.`, `orchestration.`,
 # `mediator.`, `product.`, `validity.`, `planner.`, `netcheck.`,
-# `contract.`, `repr.`) must exist verbatim as a metric-name literal in
+# `contract.`, `hexpr.`, `repr.`) must exist verbatim as a metric-name literal in
 # lib/ or bin/, so the observability tables cannot drift from
 # the code. `NAME.hits` and `NAME.misses` also count as present when
 # `"NAME"` is a literal: Repr.Memo and Repr.Hashcons derive those
@@ -89,7 +89,7 @@ missing=0
 literal() {
   grep -rqF "\"$1\"" "$ROOT/lib" "$ROOT/bin"
 }
-prefixes='broker|net|orchestration|mediator|product|validity|planner|netcheck|contract|repr'
+prefixes='broker|net|orchestration|mediator|product|validity|planner|netcheck|contract|hexpr|repr'
 for name in $(grep -hoE "\`($prefixes)\\.[a-z0-9_.]+\`" "$@" | tr -d '`' | sort -u); do
   audited=$((audited + 1))
   case "$name" in

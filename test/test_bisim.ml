@@ -48,7 +48,7 @@ let test_weak_choice () =
       (Hexpr.branch [ ("a", Hexpr.ev "x") ])
       (Hexpr.seq (Hexpr.recv "a") (Hexpr.ev "x"))
   in
-  (match (c : Hexpr.t) with
+  (match Hexpr.node c with
   | Hexpr.Choice _ -> ()
   | _ -> Alcotest.fail "expected the choice to survive");
   Alcotest.(check bool) "weakly equal" true (Bisim.hexpr_weak c target);

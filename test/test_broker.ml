@@ -1154,6 +1154,38 @@ let test_publish_rule () =
     true
     (!unexposed_served > 0 && !exposed_served > 0 && !displaced > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Interned session bodies *)
+
+(* 2,000 clients open sessions whose bodies come from 200 texts, each
+   line parsed on its own as the socket front end does: the broker
+   keeps one body per text. *)
+let test_sessions_share_bodies () =
+  let spec = Syntax.Parser.spec_of_file "../examples/data/hotel.susf" in
+  let hexpr_of_string =
+    Syntax.Parser.hexpr_of_string ~automata:spec.Syntax.Spec.automata
+  in
+  let b = Broker.create (Syntax.Spec.repo spec) in
+  for i = 0 to 1999 do
+    let line =
+      Printf.sprintf
+        "open c%d = open(1: phi({s1},%d,100)){ req!.(cobo?.pay! + noav?) }" i
+        (i mod 200)
+    in
+    match Broker.Script.request_of_line ~hexpr_of_string line with
+    | Ok r -> ignore (process b r)
+    | Error e -> Alcotest.fail e
+  done;
+  let bodies = List.map snd (Broker.clients b) in
+  Alcotest.(check int) "2,000 sessions" 2000 (List.length bodies);
+  let distinct =
+    List.fold_left
+      (fun acc h -> if List.exists (fun k -> k == h) acc then acc else h :: acc)
+      [] bodies
+  in
+  Alcotest.(check int) "200 physically distinct bodies" 200
+    (List.length distinct)
+
 let suite =
   [
     Alcotest.test_case "canned churn scenario" `Quick test_canned_script;
@@ -1207,4 +1239,6 @@ let suite =
       test_churn_workload;
     Alcotest.test_case "burst admission: strict sheds, affectible rescues (B8)"
       `Quick test_burst_admission;
+    Alcotest.test_case "2,000 sessions from 200 texts keep 200 bodies" `Quick
+      test_sessions_share_bodies;
   ]

@@ -52,7 +52,7 @@ let test_subst () =
   let shadow = Hexpr.mu "k" (Hexpr.branch [ ("a", Hexpr.seq (Hexpr.var "h") (Hexpr.var "k")) ]) in
   let r = Hexpr.subst "h" ~by:(Hexpr.var "k") shadow in
   (* the binder must have been renamed away from k *)
-  (match r with
+  (match Hexpr.node r with
   | Hexpr.Mu (b, _) ->
       Alcotest.(check bool) "binder renamed" true (b <> "k")
   | _ -> Alcotest.fail "expected Mu");

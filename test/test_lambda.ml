@@ -74,7 +74,7 @@ let test_if_internal_choice () =
 let test_if_falls_back_to_choice () =
   let e = Ast.If (Ast.Bool true, Ast.ev "x", Ast.ev "y") in
   let _, eff = infer_ok e in
-  match eff with
+  match Core.Hexpr.node eff with
   | Core.Hexpr.Choice (_, _) -> ()
   | _ -> Alcotest.failf "expected a Choice effect, got %a" Core.Hexpr.pp eff
 

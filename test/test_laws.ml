@@ -43,7 +43,7 @@ let law_guard_distribution =
 let law_mu_unfold =
   (* μh.H ~ H{μh.H/h} for the loops our generator builds *)
   prop "μ-unfolding" 150 Testkit.Generators.hexpr_arb (fun h ->
-      match (h : Hexpr.t) with
+      match Hexpr.node h with
       | Hexpr.Mu (x, body) -> bisim h (Hexpr.unfold x body)
       | _ -> QCheck.assume_fail ())
 

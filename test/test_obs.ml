@@ -150,6 +150,86 @@ let test_trace_determinism () =
   Alcotest.(check bool) "two runs, identical spans" true (a = b);
   Alcotest.(check bool) "non-empty" true (a <> [])
 
+(* The worked example of docs/OBSERVABILITY.md: run its snippet and
+   check the listing it shows (but for its [...] lines, and up to column
+   alignment) against the spans printed, in order, and every
+   [`counter = N`] its prose quotes against the run's metrics. The
+   listing is read from the doc, so the doc cannot drift again. *)
+let test_worked_failover_trace () =
+  let doc =
+    In_channel.with_open_text "../docs/OBSERVABILITY.md" In_channel.input_all
+  in
+  let lines = String.split_on_char '\n' doc in
+  let rec from_heading = function
+    | [] -> Alcotest.fail "no worked example in docs/OBSERVABILITY.md"
+    | l :: rest ->
+        if String.starts_with ~prefix:"## Worked example" l then rest
+        else from_heading rest
+  in
+  let section =
+    let rec take acc = function
+      | l :: rest when not (String.starts_with ~prefix:"## " l) ->
+          take (l :: acc) rest
+      | _ -> List.rev acc
+    in
+    take [] (from_heading lines)
+  in
+  let listing =
+    let rec skip = function
+      | [] -> Alcotest.fail "no text listing in the worked example"
+      | l :: rest -> if String.equal l "```text" then rest else skip rest
+    in
+    let rec take acc = function
+      | l :: rest when not (String.starts_with ~prefix:"```" l) ->
+          take (l :: acc) rest
+      | _ -> List.rev acc
+    in
+    take [] (skip section)
+  in
+  let squeeze l =
+    String.split_on_char ' ' l
+    |> List.filter (fun w -> w <> "")
+    |> String.concat " "
+  in
+  let spec = Syntax.Parser.spec_of_file "corpus/redundant.susf" in
+  let c1 = Option.get (Syntax.Spec.find_client spec "c1") in
+  let pi1 = Option.get (Syntax.Spec.find_plan spec "pi1") in
+  let printed, counters =
+    with_sinks (fun () ->
+        ignore
+          (Runtime.Engine.run
+             ~faults:[ Runtime.Faults.at 4 (Runtime.Faults.Crash "s3") ]
+             (Syntax.Spec.repo spec)
+             [ (pi1, ("c1", c1)) ]
+             Simulate.first);
+        ( List.map (Fmt.str "%a" Trace.pp_span) (Trace.spans ()),
+          (Metrics.snapshot ()).Metrics.counters ))
+  in
+  let shown = List.filter (fun l -> l <> "...") (List.map squeeze listing) in
+  Alcotest.(check bool) "the listing shows spans" true (List.length shown > 5);
+  let rec in_order shown printed =
+    match (shown, printed) with
+    | [], _ -> ()
+    | l :: _, [] -> Alcotest.failf "listing line not printed (in order): %s" l
+    | l :: rest, p :: more ->
+        if String.equal l p then in_order rest more else in_order shown more
+  in
+  in_order shown (List.map squeeze printed);
+  let quoted =
+    String.split_on_char '`' (String.concat "\n" section)
+    |> List.filteri (fun i _ -> i mod 2 = 1)
+    |> List.filter_map (fun code ->
+           match String.split_on_char ' ' code with
+           | [ name; "="; n ] ->
+               Option.map (fun n -> (name, n)) (int_of_string_opt n)
+           | _ -> None)
+  in
+  Alcotest.(check int) "the prose quotes four counters" 4 (List.length quoted);
+  List.iter
+    (fun (name, n) ->
+      Alcotest.(check (option int)) name (Some n) (List.assoc_opt name counters))
+    quoted
+
 (* -- histograms ---------------------------------------------------- *)
 
 let test_bucket_index () =
@@ -271,4 +351,6 @@ let suite =
     Alcotest.test_case "counters and gauges" `Quick test_counters_and_gauges;
     Alcotest.test_case "trace_event encoding" `Quick test_trace_event_encoding;
     Alcotest.test_case "metrics encoding" `Quick test_metrics_encoding;
+    Alcotest.test_case "worked failover trace matches the doc" `Quick
+      test_worked_failover_trace;
   ]

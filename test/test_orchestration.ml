@@ -151,7 +151,7 @@ let test_marketplace_pruning () =
   let proj = Contract.project in
   let service name = proj Fixture.(service marketplace name) in
   let buyer =
-    match Fixture.(client marketplace "buyer") with
+    match Hexpr.node Fixture.(client marketplace "buyer") with
     | Hexpr.Open (_, body) -> proj body
     | _ -> Alcotest.fail "the buyer opens one session"
   in

@@ -384,6 +384,127 @@ let test_fnv_known_answers () =
         (Repr.Fnv.hash32 input))
     [ ("", 0x811c9dc5); ("a", 0xe40c292c); ("foobar", 0xbf9cf968) ]
 
+(* --- history expressions --- *)
+
+(* The pre-interning structural order of Hexpr, over the node view: the
+   reference [Hexpr.compare] must keep agreeing with. Policies compare
+   by id, as they always have. *)
+let rec ref_hcompare x y =
+  let tag (n : Hexpr.node) =
+    match n with
+    | Hexpr.Nil -> 0
+    | Hexpr.Var _ -> 1
+    | Hexpr.Mu _ -> 2
+    | Hexpr.Ext _ -> 3
+    | Hexpr.Int _ -> 4
+    | Hexpr.Ev _ -> 5
+    | Hexpr.Seq _ -> 6
+    | Hexpr.Open _ -> 7
+    | Hexpr.Close _ -> 8
+    | Hexpr.Frame _ -> 9
+    | Hexpr.Frame_close _ -> 10
+    | Hexpr.Choice _ -> 11
+  in
+  let pair c k = match c with 0 -> k () | c -> c in
+  match (Hexpr.node x, Hexpr.node y) with
+  | Hexpr.Nil, Hexpr.Nil -> 0
+  | Hexpr.Var a, Hexpr.Var b -> String.compare a b
+  | Hexpr.Mu (a, h), Hexpr.Mu (b, k) ->
+      pair (String.compare a b) (fun () -> ref_hcompare h k)
+  | Hexpr.Ext a, Hexpr.Ext b | Hexpr.Int a, Hexpr.Int b ->
+      List.compare
+        (fun (c, h) (d, k) ->
+          pair (String.compare c d) (fun () -> ref_hcompare h k))
+        a b
+  | Hexpr.Ev a, Hexpr.Ev b -> Usage.Event.compare a b
+  | Hexpr.Seq (a, b), Hexpr.Seq (c, d) | Hexpr.Choice (a, b), Hexpr.Choice (c, d)
+    ->
+      pair (ref_hcompare a c) (fun () -> ref_hcompare b d)
+  | Hexpr.Open (r, h), Hexpr.Open (s, k) ->
+      pair (Hexpr.compare_req r s) (fun () -> ref_hcompare h k)
+  | Hexpr.Close r, Hexpr.Close s -> Hexpr.compare_req r s
+  | Hexpr.Frame (p, h), Hexpr.Frame (q, k) ->
+      pair (Usage.Policy.compare p q) (fun () -> ref_hcompare h k)
+  | Hexpr.Frame_close p, Hexpr.Frame_close q -> Usage.Policy.compare p q
+  | n1, n2 -> Int.compare (tag n1) (tag n2)
+
+(* Structural equality, child by child: every generated term draws its
+   policies from one pool, so policies equal by id are one instance. *)
+let rec ref_hequal x y =
+  let req r s =
+    r.Hexpr.rid = s.Hexpr.rid
+    && Option.equal Usage.Policy.equal r.Hexpr.policy s.Hexpr.policy
+  in
+  let branches =
+    List.equal (fun (a, h) (b, k) -> String.equal a b && ref_hequal h k)
+  in
+  match (Hexpr.node x, Hexpr.node y) with
+  | Hexpr.Nil, Hexpr.Nil -> true
+  | Hexpr.Var a, Hexpr.Var b -> String.equal a b
+  | Hexpr.Mu (a, h), Hexpr.Mu (b, k) -> String.equal a b && ref_hequal h k
+  | Hexpr.Ext a, Hexpr.Ext b | Hexpr.Int a, Hexpr.Int b -> branches a b
+  | Hexpr.Ev a, Hexpr.Ev b -> Usage.Event.equal a b
+  | Hexpr.Seq (a, b), Hexpr.Seq (c, d) | Hexpr.Choice (a, b), Hexpr.Choice (c, d)
+    ->
+      ref_hequal a c && ref_hequal b d
+  | Hexpr.Open (r, h), Hexpr.Open (s, k) -> req r s && ref_hequal h k
+  | Hexpr.Close r, Hexpr.Close s -> req r s
+  | Hexpr.Frame (p, h), Hexpr.Frame (q, k) ->
+      Usage.Policy.equal p q && ref_hequal h k
+  | Hexpr.Frame_close p, Hexpr.Frame_close q -> Usage.Policy.equal p q
+  | _ -> false
+
+let rec hrebuild h =
+  match Hexpr.node h with
+  | Hexpr.Nil -> Hexpr.nil
+  | Hexpr.Var x -> Hexpr.var x
+  | Hexpr.Mu (x, b) -> Hexpr.mu x (hrebuild b)
+  | Hexpr.Ext bs -> Hexpr.branch (List.map (fun (a, k) -> (a, hrebuild k)) bs)
+  | Hexpr.Int bs -> Hexpr.select (List.map (fun (a, k) -> (a, hrebuild k)) bs)
+  | Hexpr.Ev e -> Hexpr.event e
+  | Hexpr.Seq (a, b) -> Hexpr.seq (hrebuild a) (hrebuild b)
+  | Hexpr.Open ({ rid; policy }, b) -> Hexpr.open_ ~rid ?policy (hrebuild b)
+  | Hexpr.Close { rid; policy } -> Hexpr.close ~rid ?policy ()
+  | Hexpr.Frame (p, b) -> Hexpr.frame p (hrebuild b)
+  | Hexpr.Frame_close p -> Hexpr.frame_close p
+  | Hexpr.Choice (a, b) -> Hexpr.choice (hrebuild a) (hrebuild b)
+
+let prop_hexpr_equal_is_structural =
+  QCheck.Test.make ~name:"hexpr: equal and compare are structural" ~count:500
+    (QCheck.pair Testkit.Generators.hexpr_arb Testkit.Generators.hexpr_arb)
+    (fun (a, b) ->
+      let sgn n = Int.compare n 0 in
+      let agree x y =
+        Hexpr.equal x y = ref_hequal x y
+        && sgn (Hexpr.compare x y) = sgn (ref_hcompare x y)
+      in
+      let a' = hrebuild a in
+      a' == a
+      && Hexpr.hash a' = Hexpr.hash a
+      && agree a b && agree b a && agree a a'
+      && agree a (Hexpr.normalize a)
+      && agree (Hexpr.seq a b) (Hexpr.seq a' (hrebuild b)))
+
+let test_hexpr_id_stability () =
+  (* a live term keeps its id through major collections, and a term's
+     hash is its structure's, whatever id interning gives it *)
+  let loop () =
+    Hexpr.mu "h"
+      (Hexpr.seq (Hexpr.send "ping")
+         (Hexpr.seq (Hexpr.recv "pong") (Hexpr.var "h")))
+  in
+  let h = loop () in
+  let i = Hexpr.id h in
+  Gc.full_major ();
+  Gc.full_major ();
+  let h' = loop () in
+  Alcotest.(check bool) "same term after GC" true (h == h');
+  Alcotest.(check int) "same id after GC" i (Hexpr.id h');
+  let lone () = Hexpr.select [ ("interned-once", Hexpr.ev "x") ] in
+  let hash = Hexpr.hash (lone ()) in
+  Gc.full_major ();
+  Alcotest.(check int) "hash independent of the id" hash (Hexpr.hash (lone ()))
+
 let suite =
   [
     Alcotest.test_case "interning shares structure" `Quick test_interning;
@@ -408,4 +529,7 @@ let suite =
     Alcotest.test_case "memo counts every lookup across domains" `Quick
       test_memo_counts_across_domains;
     Alcotest.test_case "FNV-1a/32 known answers" `Quick test_fnv_known_answers;
+    Alcotest.test_case "hexpr ids stable across GC" `Quick
+      test_hexpr_id_stability;
+    QCheck_alcotest.to_alcotest prop_hexpr_equal_is_structural;
   ]

@@ -5,6 +5,14 @@ open Core
 
 let h_testable = Alcotest.testable Hexpr.pp Hexpr.equal
 
+(* The structural order, policies by id. A spec's [phi] numbers its
+   states 0–5 in order of appearance and [Usage.Policy_lib.hotel] 1–6,
+   so their instances differ and terms built from one are not [equal]
+   to terms built from the other; the paper's scenario is the same
+   shape in both. *)
+let same_shape =
+  Alcotest.testable Hexpr.pp (fun a b -> Hexpr.compare a b = 0)
+
 let parse ?automata s = Syntax.Parser.hexpr_of_string ?automata s
 let phi_env = [ ("phi", Usage.Policy_lib.hotel) ]
 
@@ -114,9 +122,9 @@ let test_parse_spec () =
     (Option.get (List.assoc_opt "br" spec.Syntax.Spec.services));
   Alcotest.check h_testable "s2" Scenarios.Hotel.s2
     (Option.get (List.assoc_opt "s2" spec.Syntax.Spec.services));
-  Alcotest.check h_testable "c1" Scenarios.Hotel.client1
+  Alcotest.check same_shape "c1" Scenarios.Hotel.client1
     (Option.get (Syntax.Spec.find_client spec "c1"));
-  Alcotest.check h_testable "c2" Scenarios.Hotel.client2
+  Alcotest.check same_shape "c2" Scenarios.Hotel.client2
     (Option.get (Syntax.Spec.find_client spec "c2"));
   Alcotest.(check bool) "pi1" true
     (Plan.equal Scenarios.Hotel.plan1 (Option.get (Syntax.Spec.find_plan spec "pi1")))
@@ -210,7 +218,7 @@ let test_lambda_spec_programs () =
   let order = Option.get (Syntax.Spec.find_program spec "order") in
   (match Lambda_sec.Infer.infer [] order with
   | Ok (_, eff) ->
-      Alcotest.check h_testable "order's effect is C1" Scenarios.Hotel.client1
+      Alcotest.check same_shape "order's effect is C1" Scenarios.Hotel.client1
         (Hexpr.normalize eff)
   | Error _ -> Alcotest.fail "order must type");
   let hotel3 = Option.get (Syntax.Spec.find_program spec "hotel3") in
@@ -494,4 +502,91 @@ let suite =
       Alcotest.test_case "network declarations" `Quick test_network_decl;
       Alcotest.test_case "network bad references" `Quick test_network_bad_refs;
       Alcotest.test_case "network round trip" `Quick test_network_roundtrip;
+    ]
+
+(* --- interning: one text, one term; one policy id, two automata --- *)
+
+let test_parse_twice_shares () =
+  let text = "open(1: phi({s1},45,100)){ req!.(cobo?.pay! + noav?) }" in
+  let a = parse ~automata:phi_env text and b = parse ~automata:phi_env text in
+  Alcotest.(check bool) "one client text, one term" true (a == b);
+  let load () = Syntax.Parser.spec_of_file "../examples/data/hotel.susf" in
+  let s1 = load () and s2 = load () in
+  List.iter
+    (fun (name, h) ->
+      Alcotest.(check bool) ("client " ^ name) true
+        (h == Option.get (Syntax.Spec.find_client s2 name)))
+    s1.Syntax.Spec.clients
+
+(* Two specs declare [once()] with different automata: in
+   once_touch.susf the service's [#touch] is a violation, in
+   once_other.susf it is not. The client texts are identical, so
+   interning that captured one automaton for the other would flip a
+   verdict. *)
+let once_spec offending_event =
+  Printf.sprintf
+    "policy once() {\n\
+    \  start q0;\n\
+    \  offending bad;\n\
+    \  q0 -- %s(x) --> bad;\n\
+     }\n\
+     service s = go?.(#touch . done_!);\n\
+     client c = open(1: once()){ go!.done_? };\n\
+     plan pi = { 1 -> s };\n"
+    offending_event
+
+let check_output spec =
+  let repo = Syntax.Spec.repo spec in
+  List.concat_map
+    (fun (name, h) ->
+      match Planner.valid_plans ~all:false repo ~client:(name, h) with
+      | [] -> [ Fmt.str "%s: NO valid plan" name ]
+      | reports ->
+          List.map (fun r -> Fmt.str "%s: %a" name Planner.pp_report r) reports)
+    spec.Syntax.Spec.clients
+
+let test_policy_id_two_automata () =
+  let files =
+    List.map
+      (fun ev ->
+        let file = Printf.sprintf "once_%s.susf" ev in
+        Out_channel.with_open_text file (fun oc ->
+            output_string oc (once_spec ev));
+        file)
+      [ "touch"; "other" ]
+  in
+  (* each spec loaded alone: a susf process of its own *)
+  let alone file =
+    let out = file ^ ".out" in
+    ignore
+      (Sys.command
+         (Filename.quote_command "../bin/susf.exe" [ "check"; file ]
+            ~stdout:out));
+    In_channel.with_open_text out In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let expected = List.map alone files in
+  Alcotest.(check bool) "the two automata disagree" false
+    (List.equal String.equal (List.nth expected 0) (List.nth expected 1));
+  List.iter
+    (fun order ->
+      let specs =
+        List.map (fun i -> Syntax.Parser.spec_of_file (List.nth files i)) order
+      in
+      List.iter2
+        (fun i spec ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s, loaded with the other" (List.nth files i))
+            (List.nth expected i) (check_output spec))
+        order specs)
+    [ [ 0; 1 ]; [ 1; 0 ] ]
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "one client text parses to one term" `Quick
+        test_parse_twice_shares;
+      Alcotest.test_case "one policy id, two automata, one process" `Quick
+        test_policy_id_two_automata;
     ]
