@@ -41,6 +41,21 @@ let service_of spec name =
       Fmt.epr "unknown service %s@." name;
       exit 2
 
+(* a client of that name or, failing that, a service *)
+let party_of spec name =
+  match Syntax.Spec.find_client spec name with
+  | Some h -> h
+  | None -> service_of spec name
+
+(* the party's contract; a body that projects to none (a [<+>] whose
+   branches talk differently) is a usage error, not a crash *)
+let contract_of spec name =
+  match Core.Contract.project (party_of spec name) with
+  | c -> c
+  | exception Core.Contract.Unprojectable reason ->
+      Fmt.epr "%s is outside the contract fragment: %s@." name reason;
+      exit 2
+
 (* --- common arguments --- *)
 
 let file_arg =
@@ -58,6 +73,9 @@ let clients spec = function
 
 let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.")
+
+let party_arg n =
+  Arg.(required & pos n (some string) None & info [] ~docv:"SERVICE" ~doc:"Service or client name.")
 
 let trace_arg =
   Arg.(
@@ -272,18 +290,10 @@ let plans_cmd =
 (* --- compliance --- *)
 
 let compliance_cmd =
-  let svc n =
-    Arg.(required & pos n (some string) None & info [] ~docv:"SERVICE" ~doc:"Service or client name.")
-  in
   let run file a b =
     let spec = load file in
-    let lookup n =
-      match Syntax.Spec.find_client spec n with
-      | Some h -> h
-      | None -> service_of spec n
-    in
-    let ca = Core.Contract.project (lookup a) in
-    let cb = Core.Contract.project (lookup b) in
+    let ca = contract_of spec a in
+    let cb = contract_of spec b in
     Fmt.pr "%s! = %a@.%s! = %a@." a Core.Contract.pp ca b Core.Contract.pp cb;
     match Core.Product.counterexample ca cb with
     | None ->
@@ -295,7 +305,7 @@ let compliance_cmd =
   in
   let doc = "Decide compliance of two services (Theorem 1)." in
   Cmd.v (Cmd.info "compliance" ~doc)
-    Term.(const run $ file_arg $ svc 1 $ svc 2)
+    Term.(const run $ file_arg $ party_arg 1 $ party_arg 2)
 
 (* --- validity --- *)
 
@@ -433,42 +443,24 @@ let simulate_cmd =
 (* --- dot --- *)
 
 let dot_cmd =
-  let svc n =
-    Arg.(required & pos n (some string) None & info [] ~docv:"SERVICE" ~doc:"Service or client name.")
-  in
   let run file a b =
     let spec = load file in
-    let lookup n =
-      match Syntax.Spec.find_client spec n with
-      | Some h -> h
-      | None -> service_of spec n
-    in
-    let p =
-      Core.Product.build
-        (Core.Contract.project (lookup a))
-        (Core.Contract.project (lookup b))
-    in
-    Core.Product.pp_dot Fmt.stdout p;
+    let ca = contract_of spec a in
+    let cb = contract_of spec b in
+    Core.Product.pp_dot Fmt.stdout (Core.Product.build ca cb);
     exit 0
   in
   let doc = "Export the compliance product automaton to DOT." in
-  Cmd.v (Cmd.info "dot" ~doc) Term.(const run $ file_arg $ svc 1 $ svc 2)
+  Cmd.v (Cmd.info "dot" ~doc)
+    Term.(const run $ file_arg $ party_arg 1 $ party_arg 2)
 
 (* --- subcontract --- *)
 
 let subcontract_cmd =
-  let svc n =
-    Arg.(required & pos n (some string) None & info [] ~docv:"SERVICE" ~doc:"Service or client name.")
-  in
   let run file a b =
     let spec = load file in
-    let lookup n =
-      match Syntax.Spec.find_client spec n with
-      | Some h -> h
-      | None -> service_of spec n
-    in
-    let ca = Core.Contract.project (lookup a) in
-    let cb = Core.Contract.project (lookup b) in
+    let ca = contract_of spec a in
+    let cb = contract_of spec b in
     let ab = Core.Subcontract.refines ca cb in
     let ba = Core.Subcontract.refines cb ca in
     Fmt.pr "%s <= %s : %b@.%s <= %s : %b@." a b ab b a ba;
@@ -476,7 +468,8 @@ let subcontract_cmd =
     exit (if ab then 0 else 1)
   in
   let doc = "Decide the subcontract (substitutability) preorder." in
-  Cmd.v (Cmd.info "subcontract" ~doc) Term.(const run $ file_arg $ svc 1 $ svc 2)
+  Cmd.v (Cmd.info "subcontract" ~doc)
+    Term.(const run $ file_arg $ party_arg 1 $ party_arg 2)
 
 (* --- dot-policy --- *)
 
@@ -641,12 +634,7 @@ let graph_cmd =
           Fmt.stdout;
         exit 0
     | None ->
-        let h =
-          match Syntax.Spec.find_client spec name with
-          | Some h -> h
-          | None -> service_of spec name
-        in
-        Core.Export.hexpr_dot Fmt.stdout h;
+        Core.Export.hexpr_dot Fmt.stdout (party_of spec name);
         exit 0
   in
   let doc = "Export a transition system to DOT (LTS, or the abstract \
@@ -706,14 +694,22 @@ let effects_cmd =
         | Error e ->
             ok := false;
             Fmt.pr "%s: type error — %a@." name Lambda_sec.Infer.pp_error e
-        | Ok (ty, eff) ->
+        | Ok (ty, eff) -> (
             let eff = Core.Hexpr.normalize eff in
             Fmt.pr "%s : %a@.%s ▷ %a@." name Lambda_sec.Ast.pp_ty ty name
               Core.Hexpr.pp eff;
             if plans then
-              List.iter
-                (fun r -> Fmt.pr "  %a@." Core.Planner.pp_report r)
-                (Core.Planner.valid_plans ~all:true repo ~client:(name, eff)))
+              match Core.Hexpr.well_formed eff with
+              | Error e ->
+                  (* the planner's analyses assume guarded tail recursion *)
+                  ok := false;
+                  Fmt.pr "  not planned: the effect is not well formed (%a)@."
+                    Core.Hexpr.pp_wf_error e
+              | Ok () ->
+                  List.iter
+                    (fun r -> Fmt.pr "  %a@." Core.Planner.pp_report r)
+                    (Core.Planner.valid_plans ~all:true repo
+                       ~client:(name, eff))))
       selected;
     report_exit !ok
   in

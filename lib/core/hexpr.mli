@@ -13,9 +13,10 @@
     Terms are quotiented by [ε·H ≡ H ≡ H·ε] through the {!seq} smart
     constructor.
 
-    Terms are {e hash-consed} ([Repr.Hashcons], table [hexpr.intern]),
-    as {!Contract.t} is: every structurally distinct term exists once
-    while it is alive and carries a unique [id], so
+    Terms are {e hash-consed} ([Repr.Hashcons], table [hexpr.intern],
+    the one intern table: a {!Contract.t} is a private [t] of the
+    communication fragment): every structurally distinct term exists
+    once while it is alive and carries a unique [id], so
 
     - [equal] is physical equality;
     - [compare] stays the {e structural} order (short-circuiting on

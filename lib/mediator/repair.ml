@@ -226,8 +226,7 @@ let heal repo ~client:(cloc, ch) =
             @ List.map
                 (fun hd ->
                   ( hd.adapter_loc,
-                    Synthesis.hexpr_of_contract hd.mediator.Synthesis.adapter
-                  ))
+                    (hd.mediator.Synthesis.adapter :> Hexpr.t) ))
                 healed
           in
           let plan =

@@ -20,10 +20,11 @@ open Core
    (client, service, buffers) with one deterministic strategy (drain
    the service eagerly, deliver first-deliverable-first) and extracts
    the client-facing adapter as a {!Core.Contract.t} of the §4
-   fragment, so the mediated triple re-verifies through the unchanged
-   strict pipeline. Every repair step performed at a configuration
-   whose underlying direct pair is a stuck configuration of
-   [H₁ ⊗ H₂] records that counterexample as {e discharged}. *)
+   fragment, which reads back as the history expression
+   [(adapter :> Hexpr.t)], so the mediated triple re-verifies through
+   the unchanged strict pipeline. Every repair step performed at a
+   configuration whose underlying direct pair is a stuck configuration
+   of [H₁ ⊗ H₂] records that counterexample as {e discharged}. *)
 
 type config = { capacity : int; reserved : string list }
 
@@ -475,20 +476,3 @@ let verify ?(config = default_config) ~client ~service m =
     walk m.adapter { c = client; s = service; bcs = []; bsc = [] };
     !ok
   end
-
-(* ---- contracts back into history expressions --------------------------- *)
-
-(* The adapter is pure communication, so it renders as a history
-   expression node for node; [Contract.project] of the result is the
-   adapter again, which is what lets [Planner.analyze] re-verify the
-   mediated triple through the untouched pipeline. *)
-let rec hexpr_of_contract c =
-  match Contract.node c with
-  | Contract.Nil -> Hexpr.nil
-  | Contract.Var x -> Hexpr.var x
-  | Contract.Mu (x, b) -> Hexpr.mu x (hexpr_of_contract b)
-  | Contract.Ext bs ->
-      Hexpr.branch (List.map (fun (a, k) -> (a, hexpr_of_contract k)) bs)
-  | Contract.Int bs ->
-      Hexpr.select (List.map (fun (a, k) -> (a, hexpr_of_contract k)) bs)
-  | Contract.Seq (a, b) -> Hexpr.seq (hexpr_of_contract a) (hexpr_of_contract b)

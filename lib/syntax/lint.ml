@@ -63,15 +63,6 @@ let spec (s : Spec.t) =
       ("program", List.map fst s.Spec.programs);
     ];
 
-  (* well-formedness *)
-  List.iter
-    (fun (subject, h) ->
-      match Core.Hexpr.well_formed h with
-      | Ok () -> ()
-      | Error e ->
-          add Error subject (Fmt.str "%a" Core.Hexpr.pp_wf_error e))
-    exprs;
-
   (* plans *)
   let known_rids =
     List.concat_map

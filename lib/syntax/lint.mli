@@ -1,7 +1,9 @@
 (** Static hygiene checks on a parsed specification — the mistakes the
     type of the calculus cannot catch but a practitioner makes daily:
     plans binding unknown names, policies watching events nobody fires,
-    channels with no possible partner, ill-formed recursion. *)
+    channels with no possible partner. Ill-formed recursion never gets
+    this far: {!Parser} rejects a service or client that is not well
+    formed. *)
 
 type severity = Error | Warning | Info
 
@@ -14,7 +16,6 @@ type finding = {
 val spec : Spec.t -> finding list
 (** All findings, errors first. Checks:
     - duplicate service/client/plan/program names ([Error]);
-    - services and clients that are not well-formed ([Error]);
     - plan entries binding unknown locations ([Error]) or request
       identifiers no declared expression mentions ([Warning]);
     - client requests not covered by any declared plan ([Warning]);

@@ -742,6 +742,31 @@ let plan_decl st =
   try Core.Plan.of_list (entries [])
   with Invalid_argument msg -> fail st msg
 
+(* Every history expression the parser hands out is normalized and well
+   formed (guarded tail recursion, one use per request identifier): the
+   analyses assume it, and an unguarded [mu h. h] would send the contract
+   LTS into an endless unfolding. The error points at [(line, col)]. *)
+let well_formed ~prefix (line, col) h =
+  let h = Core.Hexpr.normalize h in
+  match Core.Hexpr.well_formed h with
+  | Ok () -> h
+  | Error e ->
+      raise (Error (Fmt.str "%s%a" prefix Core.Hexpr.pp_wf_error e, line, col))
+
+let location st =
+  let { L.line; col; _ } = current st in
+  (line, col)
+
+(* [service NAME = HEXPR;] and [client NAME = HEXPR;] *)
+let declaration st kind =
+  let at = location st in
+  advance st;
+  let name = ident st in
+  eat st L.EQUAL;
+  let h = hexpr st in
+  eat st L.SEMI;
+  (name, well_formed ~prefix:(Fmt.str "%s %s: " kind name) at h)
+
 let spec st =
   let rec go (acc : Spec.t) =
     match peek st with
@@ -765,18 +790,10 @@ let spec st =
               (aut.Usage.Usage_automaton.name, aut) :: acc.Spec.automata;
           }
     | L.IDENT "service" ->
-        advance st;
-        let name = ident st in
-        eat st L.EQUAL;
-        let h = Core.Hexpr.normalize (hexpr st) in
-        eat st L.SEMI;
+        let name, h = declaration st "service" in
         go { acc with Spec.services = (name, h) :: acc.Spec.services }
     | L.IDENT "client" ->
-        advance st;
-        let name = ident st in
-        eat st L.EQUAL;
-        let h = Core.Hexpr.normalize (hexpr st) in
-        eat st L.SEMI;
+        let name, h = declaration st "client" in
         go { acc with Spec.clients = (name, h) :: acc.Spec.clients }
     | L.IDENT "plan" ->
         advance st;
@@ -837,11 +854,12 @@ let spec_of_string ?automata src =
 let hexpr_of_string ?automata src =
   wrap_lexer_errors (fun () ->
       let st = make_state ?automata src in
+      let at = location st in
       let h = hexpr st in
       (match peek st with
       | L.EOF -> ()
       | _ -> fail st "trailing input after expression");
-      Core.Hexpr.normalize h)
+      well_formed ~prefix:"" at h)
 
 let term_of_string ?automata src =
   wrap_lexer_errors (fun () ->

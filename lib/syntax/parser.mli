@@ -26,7 +26,10 @@
     [#name(value)], framings [phi(args)[ H ]], residual closings
     [~phi(args)], sessions [open(r: pol){ H }] / [open(r){ H }],
     residual [close(r)]. Parsed expressions are returned in
-    {!Core.Hexpr.normalize}d form. *)
+    {!Core.Hexpr.normalize}d form, and only when they are well formed
+    ({!Core.Hexpr.well_formed}): a [service] or [client] declaration,
+    or the expression given to {!hexpr_of_string}, that is not raises
+    {!Error} at its start. *)
 
 exception Error of string * int * int
 (** message, line, column *)

@@ -866,6 +866,66 @@ let test_help_pages () =
   Alcotest.(check bool) "simulate shows crash:s3@4" true
     (shows "simulate" "crash:s3@4")
 
+(* The parser hands out well-formed expressions only: an unguarded
+   recursion, which would send the contract LTS into an endless
+   unfolding, is a diagnostic at its declaration. *)
+let test_check_rejects_unguarded () =
+  let spec =
+    write_log "unguarded.susf"
+      "service s = go? . (mu h. (#tick . h));\nclient c = open(1){ go! };\n"
+  in
+  Alcotest.(check string) "check"
+    "unguarded.susf:1:1: service s: recursion variable h is unguarded\nexit 2"
+    (capture [ "check"; spec ])
+
+(* The socket decoder goes through the same parser: the request is
+   answered with an error, and the server keeps serving this connection
+   and others. *)
+let test_serve_rejects_unguarded () =
+  let code, _ =
+    with_server "unguarded" (fun port ->
+        let fd = connect port in
+        Alcotest.(check string) "publish"
+          "err bad history expression \"go? . (mu h. (#tick . h))\": \
+           recursion variable h is unguarded (at 1:1)"
+          (ask fd "publish s9 = go? . (mu h. (#tick . h))");
+        Alcotest.(check string) "the same connection's ping" "ok pong"
+          (ask fd "ping");
+        still_serves "after an unguarded publish" port;
+        Unix.close fd)
+  in
+  Alcotest.(check int) "server exit code" 0 code
+
+(* An inferred effect is not parsed: effects --plans checks it itself
+   and reports it instead of planning it. *)
+let test_effects_rejects_unguarded () =
+  let spec =
+    write_log "unguarded_program.susf"
+      "service s = go? . stop!;\n\
+       program r = req(1){ send go; (rec f (x : int) : int -> { #tick; f x \
+       }) 1 };\n"
+  in
+  let out = capture [ "effects"; spec; "--plans" ] in
+  Alcotest.(check bool) "names the unguarded variable" true
+    (Astring.String.is_infix ~affix:"recursion variable h_f is unguarded" out);
+  Alcotest.(check bool) "exit 1" true
+    (Astring.String.is_suffix ~affix:"exit 1" out)
+
+(* A [<+>] whose branches talk differently has no contract: the
+   pairwise commands say so and exit 2 instead of crashing. *)
+let test_outside_contract_fragment () =
+  let spec =
+    write_log "outside.susf" "service s = (a! <+> b!);\nservice t = a? . b?;\n"
+  in
+  List.iter
+    (fun cmd ->
+      Alcotest.(check string) cmd
+        "s is outside the contract fragment: Choice branches project to \
+         distinct contracts\n\
+         exit 2"
+        (capture [ cmd; spec; "s"; "t" ]))
+    [ "compliance"; "dot"; "subcontract" ]
+
 let suite =
   [
     Alcotest.test_case "check valid plan" `Quick
@@ -975,4 +1035,12 @@ let suite =
        for, too: no corpus expectation covers that rung *)
     Alcotest.test_case "coalition security declines (--mediate)" `Quick
       (check_exit 1 [ "plans"; "corpus/coalition_security.susf"; "--mediate" ]);
+    Alcotest.test_case "check rejects an unguarded declaration" `Quick
+      test_check_rejects_unguarded;
+    Alcotest.test_case "serve --listen answers an unguarded publish" `Quick
+      test_serve_rejects_unguarded;
+    Alcotest.test_case "effects --plans reports an unguarded effect" `Quick
+      test_effects_rejects_unguarded;
+    Alcotest.test_case "pairwise commands outside the contract fragment"
+      `Quick test_outside_contract_fragment;
   ]

@@ -254,3 +254,57 @@ let suite =
       QCheck_alcotest.to_alcotest prop_compliant_with_dual;
       QCheck_alcotest.to_alcotest prop_dual_preserves_size;
     ]
+
+(* --- one term type: a contract is a history expression of the
+   communication fragment --- *)
+
+let prop_contract_projects_to_itself =
+  QCheck.Test.make ~name:"a contract is its own projection" ~count:300
+    Testkit.Generators.contract_arb (fun c ->
+      Contract.project (c :> Hexpr.t) == c)
+
+let test_service_is_its_contract () =
+  (* a communication-only body is interned once: its projection is the
+     parsed term itself, with the same id *)
+  let spec =
+    Syntax.Parser.spec_of_string
+      "service s = req?.(mu h. (ping!.(pong?.h + stop?)) (+) noav!);"
+  in
+  let h = List.assoc "s" spec.Syntax.Spec.services in
+  let c = Contract.project h in
+  Alcotest.(check int) "same id" (Hexpr.id h) (Contract.id c);
+  Alcotest.(check bool) "same value" true ((c :> Hexpr.t) == h)
+
+let prop_one_lts =
+  QCheck.Test.make ~name:"the contract LTS is the history-expression LTS"
+    ~count:300 Testkit.Generators.contract_arb (fun c ->
+      let read = function
+        | Action.In a, k -> (Contract.I, a, k)
+        | Action.Out a, k -> (Contract.O, a, k)
+        | l, _ -> QCheck.Test.fail_reportf "label %a" Action.pp l
+      in
+      List.equal
+        (fun (d, a, k) (d', a', k') -> d = d' && String.equal a a' && k == k')
+        (List.map
+           (fun (d, a, k) -> (d, a, (k : Contract.t :> Hexpr.t)))
+           (Contract.transitions c))
+        (List.map read (Semantics.transitions (c :> Hexpr.t))))
+
+let prop_node_total_on_reachable =
+  QCheck.Test.make ~name:"node is total on the states of a projection"
+    ~count:200 Testkit.Generators.hexpr_arb (fun h ->
+      match Contract.project h with
+      | exception Contract.Unprojectable _ -> true
+      | c ->
+          List.iter (fun s -> ignore (Contract.node s)) (Contract.reachable c);
+          true)
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest prop_contract_projects_to_itself;
+      Alcotest.test_case "a parsed contract is its own projection" `Quick
+        test_service_is_its_contract;
+      QCheck_alcotest.to_alcotest prop_one_lts;
+      QCheck_alcotest.to_alcotest prop_node_total_on_reachable;
+    ]

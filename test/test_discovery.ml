@@ -61,22 +61,11 @@ let test_substitutes () =
 (* Duality makes discovery total: for any generated protocol body, a
    service behaving as its dual is always usable (no policy), so the
    planner can never answer "not-compliant" against it. *)
-let rec hexpr_of_contract (c : Contract.t) : Hexpr.t =
-  match Contract.node c with
-  | Contract.Nil -> Hexpr.nil
-  | Contract.Var x -> Hexpr.var x
-  | Contract.Mu (x, b) -> Hexpr.mu x (hexpr_of_contract b)
-  | Contract.Ext bs ->
-      Hexpr.branch (List.map (fun (a, k) -> (a, hexpr_of_contract k)) bs)
-  | Contract.Int bs ->
-      Hexpr.select (List.map (fun (a, k) -> (a, hexpr_of_contract k)) bs)
-  | Contract.Seq (a, b) -> Hexpr.seq (hexpr_of_contract a) (hexpr_of_contract b)
-
 let prop_dual_always_usable =
   QCheck.Test.make ~name:"the dual service always serves the request" ~count:200
     Testkit.Generators.contract_arb (fun c ->
-      let body = hexpr_of_contract c in
-      let dual_service = hexpr_of_contract (Contract.dual c) in
+      let body = (c :> Hexpr.t) in
+      let dual_service = (Contract.dual c :> Hexpr.t) in
       let repo = [ ("dual", dual_service) ] in
       Discovery.usable repo ~body = [ "dual" ])
 
@@ -95,10 +84,10 @@ let suite =
 let prop_usable_iff_singleton_plan_valid =
   QCheck.Test.make ~name:"usable = singleton plan valid" ~count:150
     Testkit.Generators.contract_arb (fun c ->
-      let body = hexpr_of_contract c in
+      let body = (c :> Hexpr.t) in
       let repo =
         [
-          ("dual", hexpr_of_contract (Contract.dual c));
+          ("dual", (Contract.dual c :> Hexpr.t));
           ("mute", Hexpr.recv "zzzz");
         ]
       in
@@ -120,10 +109,10 @@ let prop_refinement_preserves_usability =
     ~count:150
     (QCheck.pair Testkit.Generators.contract_arb Testkit.Generators.contract_arb)
     (fun (c, s') ->
-      let body = hexpr_of_contract c in
+      let body = (c :> Hexpr.t) in
       let s = Contract.dual c in
       QCheck.assume (Subcontract.refines s s');
-      let repo = [ ("s", hexpr_of_contract s); ("s2", hexpr_of_contract s') ] in
+      let repo = [ ("s", (s :> Hexpr.t)); ("s2", (s' :> Hexpr.t)) ] in
       let usable = Discovery.usable repo ~body in
       (not (List.mem "s" usable)) || List.mem "s2" usable)
 

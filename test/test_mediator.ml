@@ -135,7 +135,7 @@ let test_adapter_roundtrips () =
       match synth cb sb with
       | Error _ -> Alcotest.failf "%s: declined" name
       | Ok m ->
-          let h = Synthesis.hexpr_of_contract m.Synthesis.adapter in
+          let h = (m.Synthesis.adapter :> Hexpr.t) in
           Alcotest.(check bool)
             (name ^ ": projection of the rendering is the adapter")
             true

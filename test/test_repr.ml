@@ -117,7 +117,7 @@ let test_clear_all () =
   Alcotest.(check int) "hits reset" 0 s.Repr.Cache.hits;
   Alcotest.(check int) "misses reset" 0 s.Repr.Cache.misses;
   Alcotest.(check int) "memo entries dropped" 0 s.Repr.Cache.entries;
-  let si = cache_stats "contract.intern" in
+  let si = cache_stats "hexpr.intern" in
   Alcotest.(check int) "intern counters reset" 0 si.Repr.Cache.hits;
   (* the intern table itself must survive a clear: live contracts keep
      their identity, so structurally-equal rebuilds still intern to the
@@ -148,12 +148,12 @@ let test_invalidate_selective () =
   ignore (Ready.ready_sets s);
   let before = (cache_stats "ready.sets").Repr.Cache.entries in
   Alcotest.(check int) "both contracts memoized" 2 before;
-  let intern_before = (cache_stats "contract.intern").Repr.Cache.entries in
+  let intern_before = (cache_stats "hexpr.intern").Repr.Cache.entries in
   Repr.Cache.invalidate (Contract.id c);
   Alcotest.(check int) "only c's entry dropped" 1
     (cache_stats "ready.sets").Repr.Cache.entries;
   Alcotest.(check int) "intern table untouched" intern_before
-    (cache_stats "contract.intern").Repr.Cache.entries;
+    (cache_stats "hexpr.intern").Repr.Cache.entries;
   Alcotest.(check bool) "invalidations metric bumped" true
     (counter "repr.cache.invalidations" > 0);
   (* the invalidated value is still the canonical interned one *)
