@@ -66,9 +66,6 @@ module Make (A : ALPHABET) : sig
   val shortest_accepted : t -> symbol list option
   (** A shortest accepted word, if the language is non-empty. *)
 
-  val trim : t -> t
-  (** Restrict to states reachable from the initial set. *)
-
   (** {1 Boolean operations} *)
 
   val product :
@@ -78,20 +75,6 @@ module Make (A : ALPHABET) : sig
       function yields intersection ([&&]) or other combinations. *)
 
   val intersect : t -> t -> t
-  val union : t -> t -> t
-
-  val concat : t -> t -> t
-  (** Language concatenation. *)
-
-  val star : t -> t
-  (** Kleene star. *)
-
-  val reverse : t -> t
-  (** The reversed language. *)
-
-  val enumerate : ?max_length:int -> ?limit:int -> t -> symbol list list
-  (** Accepted words in length-lexicographic order, up to [max_length]
-      (default 6) and at most [limit] (default 100) words. *)
 
   val determinize : t -> t
   (** Subset construction; the result is a complete DFA over
@@ -100,12 +83,4 @@ module Make (A : ALPHABET) : sig
   val complement : alphabet:symbol list -> t -> t
   (** Complement w.r.t. the given alphabet (the automaton is completed
       and determinized first). *)
-
-  val equivalent : alphabet:symbol list -> t -> t -> bool
-  (** Language equivalence over the given alphabet. *)
-
-  (** {1 Printing} *)
-
-  val pp : t Fmt.t
-  val pp_dot : ?name:string -> unit -> t Fmt.t
 end

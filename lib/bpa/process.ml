@@ -122,28 +122,49 @@ let transitions defs =
   in
   trans
 
+(* Walks hash the whole term: the default [Hashtbl.hash] reads a bounded
+   prefix, so every suffix of a long sequence would share one bucket. *)
+module Walk = Automata.Bfs.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let comb a b = ((a * 19) + b) land max_int
+
+  let hash_sym = function
+    | Sym.Ev e -> comb 1 (Hashtbl.hash e)
+    | Sym.Frm_open p -> comb 2 (Hashtbl.hash (Usage.Policy.id p))
+    | Sym.Frm_close p -> comb 3 (Hashtbl.hash (Usage.Policy.id p))
+    | Sym.Comm s -> comb 4 (Hashtbl.hash s)
+
+  let rec hash = function
+    | Zero -> 0
+    | Atom a -> comb 1 (hash_sym a)
+    | Seq (a, b) -> comb (comb 2 (hash a)) (hash b)
+    | Alt (a, b) -> comb (comb 3 (hash a)) (hash b)
+    | Var x -> comb 4 (Hashtbl.hash x)
+end)
+
 let reachable ?(limit = 100_000) defs p0 =
-  let trans = transitions defs in
-  Automata.Reach.states ~compare
+  Walk.states
     ~limit:(limit, "Bpa.Process.reachable: state limit exceeded")
-    (fun p -> List.map snd (trans p))
-    [ p0 ]
+    (transitions defs) [ p0 ]
+  |> List.sort compare
 
 module Nfa = Automata.Nfa.Make (Sym)
 
 let to_nfa defs p0 =
-  let states = reachable defs p0 in
-  let index = Hashtbl.create 97 in
-  List.iteri (fun i p -> Hashtbl.replace index p i) states;
-  let id p = Hashtbl.find index p in
   let trans = transitions defs in
-  let edges =
-    List.concat_map
-      (fun p -> List.map (fun (a, q) -> (id p, a, id q)) (trans p))
-      states
-  in
-  let decode i = List.nth_opt states i in
-  (Nfa.create ~init:[ id p0 ] ~finals:[] ~trans:edges, decode)
+  let states = ref [] and edges = ref [] in
+  ignore
+    (Walk.run [ p0 ]
+       ~limit:(100_000, "Bpa.Process.reachable: state limit exceeded")
+       ~edge:(fun i a j -> edges := (i, a, j) :: !edges)
+       (fun _ _ p ->
+         states := p :: !states;
+         Automata.Bfs.Expand (trans p)));
+  let states = Array.of_list (List.rev !states) in
+  let decode i = if i < Array.length states then Some states.(i) else None in
+  (Nfa.create ~init:[ 0 ] ~finals:[] ~trans:!edges, decode)
 
 let rec size = function
   | Zero | Atom _ | Var _ -> 1

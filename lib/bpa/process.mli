@@ -25,13 +25,16 @@ val transitions : defs -> t -> (Sym.t * t) list
 
 val is_terminated : t -> bool
 val reachable : ?limit:int -> defs -> t -> t list
+(** Every process reachable from the argument, in ascending {!compare}
+    order. *)
 
 module Nfa : module type of Automata.Nfa.Make (Sym)
 
 val to_nfa : defs -> t -> Nfa.t * (int -> t option)
 (** The (finite) transition system of a guarded tail-recursive process as
-    an NFA with no final states, together with the decoding of its
-    numeric states. *)
+    an NFA with no final states, its states numbered in breadth-first
+    discovery order from [0], the process itself, together with the
+    decoding of its numeric states. *)
 
 val size : t -> int
 val equal : t -> t -> bool

@@ -85,11 +85,14 @@ let transitions c =
 
 let is_terminated c = c == nil
 
+module Walk = Automata.Bfs.Make (Hexpr)
+
 let reachable ?(limit = 100_000) c0 =
-  Automata.Reach.states ~compare
+  Walk.states
     ~limit:(limit, "Contract.reachable: state limit exceeded")
-    (fun c -> List.map (fun (_, _, k) -> k) (transitions c))
+    (fun c -> List.map (fun (d, a, k) -> ((d, a), k)) (transitions c))
     [ c0 ]
+  |> List.sort compare
 
 let dual_memo : (t, t) Repr.Memo.t =
   Repr.Memo.create ~name:"contract.dual" ~key:id ()

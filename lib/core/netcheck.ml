@@ -115,7 +115,7 @@ module Key = struct
   let hash (comp, _) = Network.hash_component comp
 end
 
-module STbl = Hashtbl.Make (Key)
+module Walk = Automata.Bfs.Make (Key)
 
 (* The one step function: the component's candidate moves passed
    through the policy cursors. Both lists come newest-first, so the head
@@ -150,10 +150,10 @@ let condemnations repo plan comp ~enabled ~blocked =
     in
     mismatch @ no_move
 
-(* What a reader does with a dequeued state. *)
+(* What a reader does with a visited state. *)
 type 'a visit = Expand | Prune | Stop of 'a
 
-(* A dequeued state as its reader sees it: [stucks] are its
+(* A visited state as its reader sees it: [stucks] are its
    condemnations, each with a shortest witness. *)
 type view = {
   id : int;
@@ -163,13 +163,12 @@ type view = {
   blocked : (Network.glabel * Usage.Policy.t) list;
 }
 
-(* The one breadth-first exploration of a planned client's abstract
-   configuration graph. States are numbered in discovery order, which is
-   the order [visit] sees them in, and keep the parent they were first
-   reached from, so every witness is a shortest path. [Expand] enqueues
-   the enabled successors, reporting each move as [edge src label dst];
-   [Prune] leaves them; [Stop v] ends the walk. Returns the [v] a reader
-   stopped with, and the states discovered and transitions expanded. *)
+(* The one exploration of a planned client's abstract configuration
+   graph, on the breadth-first kernel: [visit] sees each state in
+   discovery order and answers [Expand], [Prune] or [Stop v]; expanding
+   reports each enabled move as [edge src label dst]. Returns the [v] a
+   reader stopped with, and the states discovered and transitions
+   expanded. *)
 let explore ?universe ?(edge = fun _ _ _ -> ()) repo plan (loc, h0) visit =
   let universe =
     match universe with
@@ -177,60 +176,35 @@ let explore ?universe ?(edge = fun _ _ _ -> ()) repo plan (loc, h0) visit =
     | None -> default_universe repo [ (loc, h0) ]
   in
   let start = (Network.Leaf (loc, h0), Validity.Abstract.init universe) in
-  let seen = STbl.create 64 in
-  STbl.replace seen start (0, None);
-  let q = Queue.create () in
-  Queue.add start q;
-  let popped = ref 0 and transitions = ref 0 in
-  let rec trace_of st acc =
-    match STbl.find seen st with
-    | _, None -> acc
-    | _, Some (g, pred) -> trace_of pred (g :: acc)
+  let transitions = ref 0 in
+  let stopped, states =
+    Walk.run [ start ]
+      ~edge:(fun i g j ->
+        incr transitions;
+        edge i g j)
+      (fun w id ((comp, _) as st) ->
+        let terminated = Network.terminated comp in
+        let enabled, blocked =
+          if terminated then ([], []) else step repo plan st
+        in
+        let stucks =
+          if terminated then []
+          else
+            match condemnations repo plan comp ~enabled ~blocked with
+            | [] -> []
+            | cs ->
+                let trace = Walk.path w id in
+                List.map
+                  (fun (component, kind) ->
+                    { client = loc; component; kind; trace })
+                  cs
+        in
+        match visit { id; component = comp; terminated; stucks; blocked } with
+        | Expand -> Automata.Bfs.Expand enabled
+        | Prune -> Automata.Bfs.Prune
+        | Stop v -> Automata.Bfs.Stop v)
   in
-  let stats () = { states = STbl.length seen; transitions = !transitions } in
-  let rec bfs () =
-    if Queue.is_empty q then (None, stats ())
-    else
-      let ((comp, _) as st) = Queue.pop q in
-      let id = !popped in
-      incr popped;
-      let terminated = Network.terminated comp in
-      let enabled, blocked =
-        if terminated then ([], []) else step repo plan st
-      in
-      let stucks =
-        if terminated then []
-        else
-          match condemnations repo plan comp ~enabled ~blocked with
-          | [] -> []
-          | cs ->
-              let trace = trace_of st [] in
-              List.map
-                (fun (component, kind) ->
-                  { client = loc; component; kind; trace })
-                cs
-      in
-      match visit { id; component = comp; terminated; stucks; blocked } with
-      | Stop v -> (Some v, stats ())
-      | Prune -> bfs ()
-      | Expand ->
-          List.iter
-            (fun (g, succ) ->
-              incr transitions;
-              let dst =
-                match STbl.find_opt seen succ with
-                | Some (dst, _) -> dst
-                | None ->
-                    let dst = STbl.length seen in
-                    STbl.replace seen succ (dst, Some (g, st));
-                    Queue.add succ q;
-                    dst
-              in
-              edge id g dst)
-            enabled;
-          bfs ()
-  in
-  bfs ()
+  (stopped, { states; transitions = !transitions })
 
 let check_client ?universe ?(level = Compliance.Strict) repo plan
     ((loc, _) as client) =
@@ -349,7 +323,7 @@ let check ?universe ?level repo clients =
 
 (* A configuration is its clients' states in order; plans never change
    during an interleaved exploration, so they stay out of the key. *)
-module CTbl = Hashtbl.Make (struct
+module Configs = Automata.Bfs.Make (struct
   type t = Key.t list
 
   let equal = List.equal Key.equal
@@ -366,29 +340,24 @@ let explore_interleaved ?(limit = 1_000_000) repo clients =
         (Network.Leaf (loc, h), Validity.Abstract.init universe))
       clients
   in
-  let seen = CTbl.create 256 in
-  CTbl.replace seen start ();
-  let q = Queue.create () in
-  Queue.add start q;
   let transitions = ref 0 in
-  while not (Queue.is_empty q) do
-    if CTbl.length seen > limit then
-      failwith "Netcheck.explore_interleaved: state limit exceeded";
-    let cfg = Queue.pop q in
-    List.iteri
-      (fun i (plan, st) ->
-        List.iter
-          (fun (_, st') ->
-            incr transitions;
-            let cfg' = List.mapi (fun j s -> if i = j then st' else s) cfg in
-            if not (CTbl.mem seen cfg') then begin
-              CTbl.replace seen cfg' ();
-              Queue.add cfg' q
-            end)
-          (fst (step repo plan st)))
-      (List.combine plans cfg)
-  done;
-  { states = CTbl.length seen; transitions = !transitions }
+  let _, states =
+    Configs.run
+      ~limit:(limit, "Netcheck.explore_interleaved: state limit exceeded")
+      ~edge:(fun _ () _ -> incr transitions)
+      [ start ]
+      (fun _ _ cfg ->
+        Automata.Bfs.Expand
+          (List.concat
+             (List.mapi
+                (fun i (plan, st) ->
+                  List.map
+                    (fun (_, st') ->
+                      ((), List.mapi (fun j s -> if i = j then st' else s) cfg))
+                    (fst (step repo plan st)))
+                (List.combine plans cfg))))
+  in
+  { states; transitions = !transitions }
 
 let pp_stuck_kind ppf = function
   | Security p -> Fmt.pf ppf "security (policy %s)" (Usage.Policy.id p)

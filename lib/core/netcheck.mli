@@ -17,8 +17,8 @@
     created only from requests), so each top-level client is checked in
     isolation; {!check} conjoins the per-client verdicts.
 
-    One breadth-first explorer walks a planned client's graph for every
-    reader here — {!check_client}, {!failures} and {!graph} — and so for
+    One walk on the breadth-first kernel {!Automata.Bfs} explores a
+    planned client's graph for every reader here — {!check_client}, {!failures} and {!graph} — and so for
     [Export.client_graph_dot] and [Quant.Plan_cost] too. It has one step
     function (the component's moves passed through the policy cursors,
     blocked moves kept with the policy that refuses them), one state key

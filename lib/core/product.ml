@@ -40,62 +40,82 @@ let key ((a, b) : state) = (Contract.id a, Contract.id b)
 
 let equal_state p q = Repr.Key.Int_pair.equal (key p) (key q)
 
-let successors (h1, h2) =
-  Compliance.sync_successors h1 h2
+module Walk = Automata.Bfs.Make (struct
+  type t = state
 
-let build c1 c2 =
-  Obs.Trace.with_span "product.build" @@ fun () ->
-  let initial = (c1, c2) in
-  let seen = Repr.Key.Pair_set.create () in
-  let states = ref [ initial ] in
-  (* states accumulate in discovery order (reversed here) *)
-  let rec explore (delta, finals) = function
-    | [] -> (delta, finals)
-    | p :: rest -> (
-        match final_reason p with
-        | Some r ->
-            (* final states have no outgoing transitions *)
-            explore (delta, (p, r) :: finals) rest
-        | None ->
-            let succs = successors p in
-            let delta =
-              List.fold_left
-                (fun d (a, q) -> (p, a, q) :: d)
-                delta succs
-            in
-            let fresh =
-              succs |> List.map snd
-              |> List.filter (fun q -> Repr.Key.Pair_set.add seen (key q))
-            in
-            List.iter (fun q -> states := q :: !states) fresh;
-            explore (delta, finals) (fresh @ rest))
-  in
-  ignore (Repr.Key.Pair_set.add seen (key initial) : bool);
-  let delta, finals = explore ([], []) [ initial ] in
-  if Obs.Metrics.active () then begin
-    let states = Repr.Key.Pair_set.cardinal seen
-    and transitions = List.length delta in
-    Obs.Metrics.incr "product.builds";
-    Obs.Metrics.add "product.states.built" states;
-    Obs.Metrics.add "product.transitions.built" transitions;
-    Obs.Metrics.observe "product.states.per_build" states;
-    Obs.Trace.add_attr "states" (Obs.Trace.Int states);
-    Obs.Trace.add_attr "transitions" (Obs.Trace.Int transitions)
-  end;
-  {
-    initial;
-    states = List.rev !states;
-    delta = List.rev delta;
-    finals = List.rev finals;
-  }
-
-let language_empty t = t.finals = []
+  let equal = equal_state
+  let hash p = Repr.Key.Int_pair.hash (key p)
+end)
 
 type counterexample = {
   synchronisations : string list;
   stuck : state;
   reason : stuck_reason;
 }
+
+(* The one walk of [H₁ ⊗ H₂], breadth-first from [(c1, c2)]: the states
+   in discovery order, the τ-edges between their numbers and the final
+   states with their reasons, all newest first. Per Definition 5 a final
+   state is not expanded. [first] is the first final state reached, with
+   a shortest path to it. *)
+type walk = {
+  rev_states : state list;
+  size : int;
+  rev_edges : (int * string * int) list;
+  rev_finals : (int * stuck_reason) list;
+  first : counterexample option;
+}
+
+let walk c1 c2 =
+  let rev_states = ref [] and rev_edges = ref [] and rev_finals = ref [] in
+  let first = ref None in
+  let _, size =
+    Walk.run [ (c1, c2) ]
+      ~edge:(fun i a j -> rev_edges := (i, a, j) :: !rev_edges)
+      (fun w i p ->
+        rev_states := p :: !rev_states;
+        match final_reason p with
+        | Some reason ->
+            rev_finals := (i, reason) :: !rev_finals;
+            if !first = None then
+              first :=
+                Some { synchronisations = Walk.path w i; stuck = p; reason };
+            Automata.Bfs.Prune
+        | None ->
+            Automata.Bfs.Expand (Compliance.sync_successors (fst p) (snd p)))
+  in
+  {
+    rev_states = !rev_states;
+    size;
+    rev_edges = !rev_edges;
+    rev_finals = !rev_finals;
+    first = !first;
+  }
+
+let build c1 c2 =
+  Obs.Trace.with_span "product.build" @@ fun () ->
+  let w = walk c1 c2 in
+  let states = Array.of_list (List.rev w.rev_states) in
+  let delta =
+    List.rev_map (fun (i, a, j) -> (states.(i), a, states.(j))) w.rev_edges
+  in
+  if Obs.Metrics.active () then begin
+    let transitions = List.length delta in
+    Obs.Metrics.incr "product.builds";
+    Obs.Metrics.add "product.states.built" w.size;
+    Obs.Metrics.add "product.transitions.built" transitions;
+    Obs.Metrics.observe "product.states.per_build" w.size;
+    Obs.Trace.add_attr "states" (Obs.Trace.Int w.size);
+    Obs.Trace.add_attr "transitions" (Obs.Trace.Int transitions)
+  end;
+  {
+    initial = (c1, c2);
+    states = Array.to_list states;
+    delta;
+    finals = List.rev_map (fun (i, r) -> (states.(i), r)) w.rev_finals;
+  }
+
+let language_empty t = t.finals = []
 
 (* ---- the level survey ------------------------------------------------- *)
 
@@ -105,88 +125,32 @@ type survey = {
   first_counterexample : counterexample option;
 }
 
-(* One reachability pass computing everything every compliance level
-   needs: the number of distinct stuck configurations, whether some
-   maximal execution avoids them all, and the shortest counterexample
-   (BFS order) for diagnostics. [successful] holds iff a client-
-   terminated configuration is reachable or the reachable product
-   contains a cycle — final states have no outgoing transitions, so any
-   cycle is a live loop, and a maximal path is exactly one that ends
-   client-terminated, ends stuck, or loops forever. *)
-let explore initial =
+(* Everything every compliance level needs, from the one walk: the
+   number of distinct stuck configurations, whether some maximal
+   execution avoids them all, and the shortest counterexample (BFS
+   order) for diagnostics. [successful] holds iff a client-terminated
+   configuration is reachable or the reachable product contains a
+   cycle — final states have no outgoing transitions, so any cycle is a
+   live loop, and a maximal path is exactly one that ends
+   client-terminated, ends stuck, or loops forever. A cycle is a
+   strongly connected component of two states or more, or a
+   self-loop. *)
+let explore (c1, c2) =
   Obs.Trace.with_span "product.survey" @@ fun () ->
   Obs.Metrics.incr "product.surveys";
-  let parent = Repr.Key.Pair_tbl.create 64 in
-  Repr.Key.Pair_tbl.replace parent (key initial) None;
-  let succs_of = Repr.Key.Pair_tbl.create 64 in
-  let q = Queue.create () in
-  Queue.add initial q;
-  let stuck = ref 0 and first = ref None and terminated = ref false in
-  let rec path_of p acc =
-    match Repr.Key.Pair_tbl.find parent (key p) with
-    | None -> acc
-    | Some (a, pred) -> path_of pred (a :: acc)
-  in
-  while not (Queue.is_empty q) do
-    let p = Queue.pop q in
-    match final_reason p with
-    | Some reason ->
-        incr stuck;
-        if !first = None then
-          first := Some { synchronisations = path_of p []; stuck = p; reason };
-        Repr.Key.Pair_tbl.replace succs_of (key p) []
-    | None ->
-        if Contract.is_terminated (fst p) then terminated := true;
-        let ss = successors p in
-        Repr.Key.Pair_tbl.replace succs_of (key p) (List.map snd ss);
-        List.iter
-          (fun (a, succ) ->
-            if not (Repr.Key.Pair_tbl.mem parent (key succ)) then begin
-              Repr.Key.Pair_tbl.replace parent (key succ) (Some (a, p));
-              Queue.add succ q
-            end)
-          ss
-  done;
+  let w = walk c1 c2 in
   let has_cycle () =
-    (* iterative three-colour DFS (1 = on path, 2 = done); a grey
-       successor is a back edge, hence a live loop *)
-    let color = Repr.Key.Pair_tbl.create 64 in
-    let cyc = ref false in
-    let rec walk = function
-      | [] -> ()
-      | `Enter p :: rest -> (
-          match Repr.Key.Pair_tbl.find_opt color (key p) with
-          | Some _ -> walk rest
-          | None ->
-              Repr.Key.Pair_tbl.replace color (key p) 1;
-              let ss =
-                Option.value
-                  (Repr.Key.Pair_tbl.find_opt succs_of (key p))
-                  ~default:[]
-              in
-              let enters =
-                List.filter_map
-                  (fun s ->
-                    match Repr.Key.Pair_tbl.find_opt color (key s) with
-                    | Some 1 ->
-                        cyc := true;
-                        None
-                    | Some _ -> None
-                    | None -> Some (`Enter s))
-                  ss
-              in
-              walk (enters @ (`Exit p :: rest)))
-      | `Exit p :: rest ->
-          Repr.Key.Pair_tbl.replace color (key p) 2;
-          walk rest
-    in
-    walk [ `Enter initial ];
-    !cyc
+    let adj = Array.make w.size [] in
+    List.iter (fun (i, a, j) -> adj.(i) <- (a, j) :: adj.(i)) w.rev_edges;
+    snd (Scc.components adj) < w.size
+    || List.exists (fun (i, _, j) -> i = j) w.rev_edges
   in
   {
-    stuck_states = !stuck;
-    successful = !terminated || has_cycle ();
-    first_counterexample = !first;
+    stuck_states = List.length w.rev_finals;
+    successful =
+      List.exists (fun (c, _) -> Contract.is_terminated c) w.rev_states
+      || has_cycle ();
+    first_counterexample = w.first;
   }
 
 (* A survey depends on the two contracts alone, so one process-wide

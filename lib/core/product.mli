@@ -31,8 +31,9 @@ val final_reason : state -> stuck_reason option
     pair belongs to [F]. This is the invariant [Φ] of Theorem 2. *)
 
 val build : Contract.t -> Contract.t -> t
-(** Reachable fragment of [H₁ ⊗ H₂]; per Definition 5, final states have
-    no outgoing transitions. Its final states are exactly the survey's
+(** Reachable fragment of [H₁ ⊗ H₂], states and transitions in
+    breadth-first discovery order (the survey's walk); per Definition 5,
+    final states have no outgoing transitions. Its final states are exactly the survey's
     stuck configurations: [List.length (build c1 c2).finals =
     (survey c1 c2).stuck_states]. *)
 

@@ -23,12 +23,14 @@ let step h l =
   transitions h
   |> List.filter_map (fun (l', h') -> if Action.equal l l' then Some h' else None)
 
+module Walk = Automata.Bfs.Make (Hexpr)
+
 let reachable ?(limit = 100_000) h0 =
-  Automata.Reach.states ~compare:Hexpr.compare
+  Walk.states
     ~limit:
       (limit, "Semantics.reachable: state limit exceeded (ill-formed recursion?)")
-    (fun h -> List.map snd (transitions h))
-    [ h0 ]
+    transitions [ h0 ]
+  |> List.sort Hexpr.compare
 
 let lts h0 =
   let states = Array.of_list (reachable h0) in

@@ -55,8 +55,7 @@ let outcome_tag = function
   | Out_of_fuel -> "out-of-fuel"
   | Stopped -> "stopped"
 
-let run ?(max_steps = 1000) ?(monitored = true)
-    ?(interference = fun ~step:_ moves -> moves) repo cfg0 (sched : scheduler) =
+let run ?(max_steps = 1000) ?(monitored = true) repo cfg0 (sched : scheduler) =
   Obs.Trace.with_span "simulate.run" @@ fun () ->
   Obs.Metrics.incr "simulate.runs";
   let finish acc cfg outcome =
@@ -74,7 +73,7 @@ let run ?(max_steps = 1000) ?(monitored = true)
   let rec go acc step cfg =
     if step >= max_steps then finish acc cfg Out_of_fuel
     else
-      match interference ~step (Network.steps ~monitored repo cfg) with
+      match Network.steps ~monitored repo cfg with
       | [] ->
           finish acc cfg
             (if Network.config_done cfg then Completed else Stuck (unfinished cfg))

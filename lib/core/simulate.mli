@@ -45,19 +45,12 @@ val unfinished : Network.config -> string list
 val run :
   ?max_steps:int ->
   ?monitored:bool ->
-  ?interference:(step:int -> move list -> move list) ->
   Network.repo ->
   Network.config ->
   scheduler ->
   trace
 (** With [~monitored:false] the runtime security monitor is off (the
-    §5 deployment mode for statically validated plans).
-
-    [interference] is applied to the enabled moves before the scheduler
-    sees them — the fault-injection hook: dropping a move models a lost
-    message or a dead partner; it can only {e restrict} behaviour, never
-    forge transitions the semantics does not offer. The default is the
-    identity. *)
+    §5 deployment mode for statically validated plans). *)
 
 val pp_outcome : outcome Fmt.t
 

@@ -189,67 +189,53 @@ module Abstract = struct
       t.cursors
 end
 
+(* A state of the static check: a residual and the policy cursors,
+   keyed by the term's stored hash. *)
+module Walk = Automata.Bfs.Make (struct
+  type t = Hexpr.t * Abstract.t
+
+  let equal (h1, a1) (h2, a2) = Hexpr.equal h1 h2 && Abstract.equal a1 a2
+  let hash (h, _) = Hexpr.hash h
+end)
+
+let item_of_action = function
+  | Action.Evt e -> Some (History.Ev e)
+  | Action.Frm_open p -> Some (History.Op p)
+  | Action.Frm_close p -> Some (History.Cl p)
+  | Action.Op { policy = Some p; _ } -> Some (History.Op p)
+  | Action.Cl { policy = Some p; _ } -> Some (History.Cl p)
+  | Action.Op { policy = None; _ }
+  | Action.Cl { policy = None; _ }
+  | Action.In _ | Action.Out _ | Action.Tau ->
+      None
+
 let check_expr ?universe h0 =
   Obs.Trace.with_span "validity.check_expr" @@ fun () ->
   let universe =
     match universe with Some u -> u | None -> Hexpr.policies h0
   in
-  let module Key = struct
-    type t = Hexpr.t * Abstract.t
-
-    let compare (h1, a1) (h2, a2) =
-      match Hexpr.compare h1 h2 with
-      | 0 -> Abstract.compare a1 a2
-      | c -> c
-  end in
-  let module KSet = Set.Make (Key) in
-  (* BFS with parent pointers to rebuild the violating history. *)
-  let item_of_action = function
-    | Action.Evt e -> Some (History.Ev e)
-    | Action.Frm_open p -> Some (History.Op p)
-    | Action.Frm_close p -> Some (History.Cl p)
-    | Action.Op { policy = Some p; _ } -> Some (History.Op p)
-    | Action.Cl { policy = Some p; _ } -> Some (History.Cl p)
-    | Action.Op { policy = None; _ }
-    | Action.Cl { policy = None; _ }
-    | Action.In _ | Action.Out _ | Action.Tau ->
-        None
-  in
-  let rec explore seen frontier =
-    match frontier with
-    | [] -> Ok ()
-    | (h, abs, trace) :: rest -> (
+  (* Each move is pushed through the cursors; the edges carry the
+     logged item, if any, so a shortest path rebuilds the prefix. *)
+  let violation, _ =
+    Walk.run [ (h0, Abstract.init universe) ] (fun w i (h, abs) ->
         let outcomes =
           List.map
             (fun (l, h') ->
               match item_of_action l with
-              | None -> `Next (h', abs, trace)
+              | None -> Ok (None, (h', abs))
               | Some item -> (
                   match Abstract.push abs item with
-                  | Ok abs' -> `Next (h', abs', item :: trace)
-                  | Error p -> `Violation (p, List.rev (item :: trace))))
+                  | Ok abs' -> Ok (Some item, (h', abs'))
+                  | Error p -> Error (item, p)))
             (Semantics.transitions h)
         in
         match
-          List.find_opt (function `Violation _ -> true | _ -> false) outcomes
+          List.find_map (function Error v -> Some v | Ok _ -> None) outcomes
         with
-        | Some (`Violation (p, prefix)) -> Error { policy = p; prefix }
-        | _ ->
-            let nexts =
-              List.filter_map
-                (function
-                  | `Next (h', abs', tr) ->
-                      if KSet.mem (h', abs') seen then None
-                      else Some (h', abs', tr)
-                  | `Violation _ -> None)
-                outcomes
-            in
-            let seen =
-              List.fold_left
-                (fun s (h', abs', _) -> KSet.add (h', abs') s)
-                seen nexts
-            in
-            explore seen (rest @ nexts))
+        | Some (item, policy) ->
+            let past = List.filter_map Fun.id (Walk.path w i) in
+            Automata.Bfs.Stop { policy; prefix = past @ [ item ] }
+        | None ->
+            Automata.Bfs.Expand (List.filter_map Result.to_option outcomes))
   in
-  let abs0 = Abstract.init universe in
-  explore (KSet.singleton (h0, abs0)) [ (h0, abs0, []) ]
+  match violation with None -> Ok () | Some v -> Error v

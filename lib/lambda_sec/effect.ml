@@ -39,39 +39,31 @@ let item_equal a b =
       Usage.Policy.equal p q
   | (Core.History.Ev _ | Core.History.Op _ | Core.History.Cl _), _ -> false
 
-module HSet = Set.Make (struct
+(* A state of [admits]: an expression and the number of items consumed. *)
+module Walk = Automata.Bfs.Make (struct
   type t = H.t * int
 
-  let compare (h1, i1) (h2, i2) =
-    match Int.compare i1 i2 with 0 -> H.compare h1 h2 | c -> c
+  let equal (h1, i1) (h2, i2) = i1 = i2 && H.equal h1 h2
+  let hash (h, i) = ((H.hash h * 19) + i) land max_int
 end)
 
-(* BFS over (expression state, items consumed); communications are
-   ε-moves. The items list is indexed by position so visited states can
-   be deduplicated. *)
+(* A walk over (expression state, items consumed); communications are
+   ε-moves, and it stops once every item is consumed. *)
 let admits h0 items =
   let arr = Array.of_list items in
   let n = Array.length arr in
-  let rec go seen = function
-    | [] -> false
-    | (h, i) :: rest ->
-        i = n
-        ||
-        let succs =
-          Core.Semantics.transitions h
-          |> List.filter_map (fun (act, h') ->
+  let consumed, _ =
+    Walk.run [ (h0, 0) ] (fun _ _ (h, i) ->
+        if i = n then Automata.Bfs.Stop ()
+        else
+          Automata.Bfs.Expand
+            (List.filter_map
+               (fun (act, h') ->
                  match item_of_action act with
-                 | None -> Some (h', i)
-                 | Some item ->
-                     if i < n && item_equal item arr.(i) then Some (h', i + 1)
-                     else None)
-          |> List.filter (fun st -> not (HSet.mem st seen))
-          |> List.sort_uniq (fun (h1, i1) (h2, i2) ->
-                 match Int.compare i1 i2 with
-                 | 0 -> H.compare h1 h2
-                 | c -> c)
-        in
-        let seen = List.fold_left (fun s st -> HSet.add st s) seen succs in
-        go seen (rest @ succs)
+                 | None -> Some ((), (h', i))
+                 | Some item when item_equal item arr.(i) ->
+                     Some ((), (h', i + 1))
+                 | Some _ -> None)
+               (Core.Semantics.transitions h)))
   in
-  n = 0 || go (HSet.singleton (h0, 0)) [ (h0, 0) ]
+  Option.is_some consumed

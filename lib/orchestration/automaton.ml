@@ -19,85 +19,74 @@ let offers t s = t.offers.(s)
 let requests t s = t.requests.(s)
 let client_done t s = Contract.is_terminated t.states.(s).(0)
 
-(* State vectors are interned by their contract-id vectors: hash-consing
-   makes the key cheap and equality exact. *)
-module Vec = struct
-  type t = int array
+(* State vectors are keyed by their contract ids: hash-consing makes
+   the key cheap and equality exact. *)
+module Walk = Automata.Bfs.Make (struct
+  type t = Contract.t array
 
-  let equal = ( = )
-  let hash = Hashtbl.hash
-end
+  let equal = Array.for_all2 Contract.equal
 
-module Vtbl = Hashtbl.Make (Vec)
+  let hash =
+    Array.fold_left (fun h c -> ((h * 31) + Contract.id c) land max_int) 0
+end)
+
+(* A state's enabled offers and requests, and its matches in (sender,
+   transition, receiver) order, each with the vector it leads to. *)
+let expand v =
+  let trans = Array.map Contract.transitions v in
+  let offs = ref [] and reqs = ref [] and edges = ref [] in
+  Array.iteri
+    (fun s ts ->
+      List.iter
+        (fun (d, ch, cs') ->
+          match d with
+          | Contract.I -> reqs := (s, ch) :: !reqs
+          | Contract.O ->
+              offs := (s, ch) :: !offs;
+              Array.iteri
+                (fun r tr ->
+                  if r <> s then
+                    List.iter
+                      (fun (d', ch', cr') ->
+                        if d' = Contract.I && String.equal ch ch' then begin
+                          let w = Array.copy v in
+                          w.(s) <- cs';
+                          w.(r) <- cr';
+                          edges :=
+                            ({ sender = s; receiver = r; channel = ch }, w)
+                            :: !edges
+                        end)
+                      tr)
+                trans)
+        ts)
+    trans;
+  (List.rev !offs, List.rev !reqs, List.rev !edges)
 
 let build ?(limit = 1_000_000) ps =
   let parties = Array.of_list ps in
-  let n = Array.length parties in
-  if n < 2 then
+  if Array.length parties < 2 then
     invalid_arg "Orchestration.Automaton.build: need at least two parties";
-  let index = Vtbl.create 97 in
-  let rev_states = ref [] and count = ref 0 in
-  let queue = Queue.create () in
-  let intern v =
-    let k = Array.map Contract.id v in
-    match Vtbl.find_opt index k with
-    | Some i -> i
-    | None ->
-        if !count >= limit then
-          failwith "Orchestration.Automaton.build: state limit exceeded";
-        let i = !count in
-        incr count;
-        Vtbl.replace index k i;
+  let rev_states = ref [] and rev_offers = ref [] and rev_requests = ref [] in
+  let rev_edges = ref [] in
+  let _, size =
+    Walk.run
+      ~limit:(limit, "Orchestration.Automaton.build: state limit exceeded")
+      ~edge:(fun i m j -> rev_edges := (i, m, j) :: !rev_edges)
+      [ Array.map (fun p -> p.contract) parties ]
+      (fun _ _ v ->
+        let offers, requests, edges = expand v in
         rev_states := v :: !rev_states;
-        Queue.push (i, v) queue;
-        i
+        rev_offers := offers :: !rev_offers;
+        rev_requests := requests :: !rev_requests;
+        Automata.Bfs.Expand edges)
   in
-  let initial = Array.map (fun p -> p.contract) parties in
-  ignore (intern initial);
-  let rev_moves = ref [] and rev_offers = ref [] and rev_requests = ref [] in
-  while not (Queue.is_empty queue) do
-    let i, v = Queue.pop queue in
-    let trans = Array.map Contract.transitions v in
-    let offs = ref [] and reqs = ref [] and edges = ref [] in
-    Array.iteri
-      (fun s ts ->
-        List.iter
-          (fun (d, ch, cs') ->
-            match d with
-            | Contract.I -> reqs := (s, ch) :: !reqs
-            | Contract.O ->
-                offs := (s, ch) :: !offs;
-                Array.iteri
-                  (fun r tr ->
-                    if r <> s then
-                      List.iter
-                        (fun (d', ch', cr') ->
-                          if d' = Contract.I && String.equal ch ch' then begin
-                            let w = Array.copy v in
-                            w.(s) <- cs';
-                            w.(r) <- cr';
-                            let j = intern w in
-                            edges :=
-                              ({ sender = s; receiver = r; channel = ch }, j)
-                              :: !edges
-                          end)
-                        tr)
-                  trans)
-          ts)
-      trans;
-    (* entries are pushed per state in queue order, so the reversed
-       accumulators line up with state numbering *)
-    assert (i = List.length !rev_moves);
-    rev_moves := List.rev !edges :: !rev_moves;
-    rev_offers := List.rev !offs :: !rev_offers;
-    rev_requests := List.rev !reqs :: !rev_requests
-  done;
-  let states = Array.of_list (List.rev !rev_states) in
-  Obs.Metrics.add "orchestration.product.states.built" (Array.length states);
+  let moves = Array.make size [] in
+  List.iter (fun (i, m, j) -> moves.(i) <- (m, j) :: moves.(i)) !rev_edges;
+  Obs.Metrics.add "orchestration.product.states.built" size;
   {
     parties;
-    states;
-    moves = Array.of_list (List.rev !rev_moves);
+    states = Array.of_list (List.rev !rev_states);
+    moves;
     offers = Array.of_list (List.rev !rev_offers);
     requests = Array.of_list (List.rev !rev_requests);
   }

@@ -5,6 +5,8 @@ module type LTS = sig
   type label
 
   val compare_state : state -> state -> int
+  val equal_state : state -> state -> bool
+  val hash_state : state -> int
   val compare_label : label -> label -> int
   val transitions : state -> (label * state) list
   val is_tau : label -> bool
@@ -17,10 +19,15 @@ module Make (L : LTS) = struct
     let compare = L.compare_state
   end)
 
+  module Walk = Automata.Bfs.Make (struct
+    type t = L.state
+
+    let equal = L.equal_state
+    let hash = L.hash_state
+  end)
+
   let reachable trans roots =
-    Automata.Reach.states ~compare:L.compare_state
-      (fun s -> List.map snd (trans s))
-      roots
+    Walk.states trans roots |> List.sort L.compare_state
 
   (* Partition refinement: iterate block signatures to a fixed point.
      [trans] is the (possibly saturated) transition function; labels are
@@ -201,6 +208,8 @@ module Hexpr_lts = struct
   type label = Action.t
 
   let compare_state = Hexpr.compare
+  let equal_state = Hexpr.equal
+  let hash_state = Hexpr.hash
   let compare_label = Action.compare
   let transitions = Semantics.transitions
   let is_tau = function Action.Tau -> true | _ -> false
@@ -213,6 +222,8 @@ module Contract_lts = struct
   type label = Contract.dir * string
 
   let compare_state = Contract.compare
+  let equal_state = Contract.equal
+  let hash_state = Contract.id
 
   let compare_label (d1, a1) (d2, a2) =
     match Stdlib.compare d1 d2 with 0 -> String.compare a1 a2 | c -> c

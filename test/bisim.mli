@@ -17,6 +17,8 @@ module type LTS = sig
   type label
 
   val compare_state : state -> state -> int
+  val equal_state : state -> state -> bool
+  val hash_state : state -> int
   val compare_label : label -> label -> int
 
   val transitions : state -> (label * state) list

@@ -60,12 +60,6 @@ let test_product () =
   Alcotest.(check bool) "self product accepts aa" true
     (N.accepts (N.intersect contains_aa contains_aa) [ 'a'; 'a' ])
 
-let test_union () =
-  let u = N.union ab_star contains_aa in
-  Alcotest.(check bool) "ab in union" true (N.accepts u [ 'a'; 'b' ]);
-  Alcotest.(check bool) "aa in union" true (N.accepts u [ 'a'; 'a' ]);
-  Alcotest.(check bool) "ba not in union" false (N.accepts u [ 'b'; 'a' ])
-
 let test_determinize () =
   let d = N.determinize contains_aa in
   Alcotest.(check bool) "dfa accepts aa" true (N.accepts d [ 'a'; 'a' ]);
@@ -76,21 +70,6 @@ let test_complement () =
   let c = N.complement ~alphabet:[ 'a'; 'b' ] contains_aa in
   Alcotest.(check bool) "ab in complement" true (N.accepts c [ 'a'; 'b' ]);
   Alcotest.(check bool) "aa not in complement" false (N.accepts c [ 'a'; 'a' ])
-
-let test_equivalent () =
-  Alcotest.(check bool) "self-equivalent" true
-    (N.equivalent ~alphabet:[ 'a'; 'b' ] contains_aa (N.determinize contains_aa));
-  Alcotest.(check bool) "different" false
-    (N.equivalent ~alphabet:[ 'a'; 'b' ] contains_aa ab_star)
-
-let test_trim () =
-  let a =
-    N.create ~init:[ 0 ] ~finals:[ 1; 7 ]
-      ~trans:[ (0, 'a', 1); (5, 'b', 7) ]
-  in
-  let t = N.trim a in
-  Alcotest.(check int) "only reachable" 2 (N.size t);
-  Alcotest.(check bool) "language kept" true (N.accepts t [ 'a' ])
 
 (* --- properties --- *)
 
@@ -126,13 +105,6 @@ let prop_intersect_is_conj =
     (fun (s1, s2, w) ->
       let a = build_nfa s1 and b = build_nfa s2 in
       N.accepts (N.intersect a b) w = (N.accepts a w && N.accepts b w))
-
-let prop_union_is_disj =
-  QCheck.Test.make ~name:"union acceptance is disjunction" ~count:300
-    QCheck.(make Gen.(triple Testkit.Generators.nfa_gen Testkit.Generators.nfa_gen Testkit.Generators.word_gen))
-    (fun (s1, s2, w) ->
-      let a = build_nfa s1 and b = build_nfa s2 in
-      N.accepts (N.union a b) w = (N.accepts a w || N.accepts b w))
 
 let prop_shortest_is_accepted =
   QCheck.Test.make ~name:"shortest_accepted is accepted" ~count:300
@@ -184,85 +156,147 @@ let suite =
     Alcotest.test_case "empty language" `Quick test_empty_language;
     Alcotest.test_case "shortest accepted" `Quick test_shortest;
     Alcotest.test_case "product" `Quick test_product;
-    Alcotest.test_case "union" `Quick test_union;
     Alcotest.test_case "determinize" `Quick test_determinize;
     Alcotest.test_case "complement" `Quick test_complement;
-    Alcotest.test_case "equivalence" `Quick test_equivalent;
-    Alcotest.test_case "trim" `Quick test_trim;
     Alcotest.test_case "sfa run" `Quick test_sfa_run;
     Alcotest.test_case "sfa concretize" `Quick test_sfa_concrete;
     QCheck_alcotest.to_alcotest prop_determinize_preserves;
     QCheck_alcotest.to_alcotest prop_complement_flips;
     QCheck_alcotest.to_alcotest prop_intersect_is_conj;
-    QCheck_alcotest.to_alcotest prop_union_is_disj;
     QCheck_alcotest.to_alcotest prop_shortest_is_accepted;
   ]
 
-(* --- concat / star / reverse / enumerate --- *)
+(* --- the breadth-first kernel --- *)
 
-module RX = Automata.Regex.Make (CharAlpha)
+module W = Automata.Bfs.Make (Int)
 
-let regex_gen =
-  QCheck.Gen.(
-    sized_size (int_bound 6) @@ fix (fun self n ->
-        if n <= 0 then
-          oneof [ return RX.eps; map RX.sym (oneofl [ 'a'; 'b' ]) ]
-        else
-          frequency
-            [
-              (2, map RX.sym (oneofl [ 'a'; 'b' ]));
-              (3, map2 RX.alt (self (n / 2)) (self (n / 2)));
-              (3, map2 RX.cat (self (n / 2)) (self (n / 2)));
-              (2, map RX.star (self (n / 2)));
-            ]))
+(* The reference: each state's distance from the roots, by naive
+   fixpoint iteration over the edge list. *)
+let distances trans roots =
+  let dist = Hashtbl.create 8 in
+  List.iter (fun r -> Hashtbl.replace dist r 0) roots;
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun (a, _, b) ->
+        match (Hashtbl.find_opt dist a, Hashtbl.find_opt dist b) with
+        | Some d, Some d' when d' <= d + 1 -> ()
+        | Some d, _ ->
+            Hashtbl.replace dist b (d + 1);
+            changed := true
+        | None, _ -> ())
+      trans
+  done;
+  dist
 
-let prop_concat_agrees_with_regex =
-  QCheck.Test.make ~name:"NFA concat = regex cat" ~count:400
-    (QCheck.make QCheck.Gen.(triple regex_gen regex_gen Testkit.Generators.word_gen))
-    (fun (r1, r2, w) ->
-      let w = List.filter (fun c -> c <> 'c') w in
-      RX.N.accepts (RX.N.concat (RX.compile r1) (RX.compile r2)) w
-      = RX.matches (RX.cat r1 r2) w)
+(* The states a label path leads to from [roots]. *)
+let read trans roots path =
+  List.fold_left
+    (fun at l ->
+      List.filter_map
+        (fun (a, l', b) -> if List.mem a at && l = l' then Some b else None)
+        trans)
+    roots path
 
-let prop_star_agrees_with_regex =
-  QCheck.Test.make ~name:"NFA star = regex star" ~count:400
-    (QCheck.make QCheck.Gen.(pair regex_gen Testkit.Generators.word_gen))
-    (fun (r, w) ->
-      let w = List.filter (fun c -> c <> 'c') w in
-      RX.N.accepts (RX.N.star (RX.compile r)) w = RX.matches (RX.star r) w)
+let dedup xs =
+  List.rev
+    (List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] xs)
 
-let prop_reverse =
-  QCheck.Test.make ~name:"reverse accepts mirrored words" ~count:400
-    (QCheck.make QCheck.Gen.(pair regex_gen Testkit.Generators.word_gen))
-    (fun (r, w) ->
-      let w = List.filter (fun c -> c <> 'c') w in
-      let n = RX.compile r in
-      RX.N.accepts (RX.N.reverse n) (List.rev w) = RX.N.accepts n w)
+let prop_kernel =
+  QCheck.Test.make ~name:"BFS kernel agrees with a naive fixpoint" ~count:500
+    QCheck.(make Gen.(pair Testkit.Generators.nfa_gen (int_bound 7)))
+    (fun ((trans, finals), n) ->
+      let roots = 0 :: finals in
+      let succ s =
+        List.filter_map
+          (fun (a, l, b) -> if a = s then Some (l, b) else None)
+          trans
+      in
+      let dist = distances trans roots in
+      let reach = Hashtbl.length dist in
+      (* a full walk, with every path checked as it is visited *)
+      let visits = ref [] and edges = ref [] and paths_ok = ref true in
+      let stopped, found =
+        W.run roots
+          ~edge:(fun i l j -> edges := (i, l, j) :: !edges)
+          (fun w i s ->
+            visits := (i, s) :: !visits;
+            let p = W.path w i in
+            if
+              List.length p <> Hashtbl.find dist s
+              || not (List.mem s (read trans roots p))
+            then paths_ok := false;
+            Automata.Bfs.Expand (succ s))
+      in
+      let visits = List.rev !visits and edges = List.rev !edges in
+      let state i = List.assoc i visits in
+      let same_states =
+        stopped = None && found = reach
+        && List.sort compare (List.map snd visits)
+           = List.sort compare (List.of_seq (Hashtbl.to_seq_keys dist))
+      in
+      (* numbered in visit order, roots first, by non-decreasing
+         distance; each number an edge reveals is the next one *)
+      let k = List.length (dedup roots) in
+      let numbered =
+        List.map fst visits = List.init found Fun.id
+        && List.filteri (fun i _ -> i < k) (List.map snd visits) = dedup roots
+        && (let ds = List.map (fun (_, s) -> Hashtbl.find dist s) visits in
+            ds = List.sort compare ds)
+        && snd
+             (List.fold_left
+                (fun (next, ok) (_, _, j) ->
+                  if j < next then (next, ok) else (j + 1, ok && j = next))
+                (k, true) edges)
+      in
+      (* every move out of a reachable state is reported once, with the
+         numbers its ends were given *)
+      let edges_ok =
+        List.length edges
+        = List.length (List.filter (fun (a, _, _) -> Hashtbl.mem dist a) trans)
+        && List.for_all
+             (fun (i, l, j) -> List.mem (state i, l, state j) trans)
+             edges
+      in
+      let limited =
+        match W.states ~limit:(n, "over") succ roots with
+        | _ -> reach <= n
+        | exception Failure msg -> msg = "over" && reach > n
+      in
+      (* a pruned state expands nothing *)
+      let pruned s = s mod 2 = 1 in
+      let pruned_visits = ref [] and sources = ref [] in
+      let _, pruned_found =
+        W.run roots
+          ~edge:(fun i _ _ -> sources := i :: !sources)
+          (fun _ i s ->
+            pruned_visits := (i, s) :: !pruned_visits;
+            if pruned s then Automata.Bfs.Prune
+            else Automata.Bfs.Expand (succ s))
+      in
+      let unpruned = List.filter (fun (a, _, _) -> not (pruned a)) trans in
+      let prune_ok =
+        pruned_found = Hashtbl.length (distances unpruned roots)
+        && List.for_all
+             (fun i -> not (pruned (List.assoc i !pruned_visits)))
+             !sources
+      in
+      (* the walk ends at the first target it visits, with its value *)
+      let target s = s mod 3 = 2 in
+      let stop_visits = ref 0 in
+      let stop, _ =
+        W.run roots (fun _ _ s ->
+            incr stop_visits;
+            if target s then Automata.Bfs.Stop s
+            else Automata.Bfs.Expand (succ s))
+      in
+      let stop_ok =
+        match List.find_opt (fun (_, s) -> target s) visits with
+        | None -> stop = None
+        | Some (i, s) -> stop = Some s && !stop_visits = i + 1
+      in
+      same_states && numbered && !paths_ok && edges_ok && limited && prune_ok
+      && stop_ok)
 
-let prop_enumerate_sound =
-  QCheck.Test.make ~name:"enumerated words are accepted, shortest first"
-    ~count:200 (QCheck.make regex_gen) (fun r ->
-      let n = RX.compile r in
-      let words = RX.N.enumerate ~max_length:4 ~limit:30 n in
-      List.for_all (RX.N.accepts n) words
-      &&
-      let lens = List.map List.length words in
-      List.sort compare lens = lens)
-
-let test_enumerate_concrete () =
-  let words = N.enumerate ~max_length:4 contains_aa in
-  Alcotest.(check (list (list char))) "first words"
-    [ [ 'a'; 'a' ] ]
-    (List.filter (fun w -> List.length w <= 2) words);
-  Alcotest.(check bool) "all contain aa" true
-    (List.for_all (N.accepts contains_aa) words)
-
-let suite =
-  suite
-  @ [
-      Alcotest.test_case "enumerate" `Quick test_enumerate_concrete;
-      QCheck_alcotest.to_alcotest prop_concat_agrees_with_regex;
-      QCheck_alcotest.to_alcotest prop_star_agrees_with_regex;
-      QCheck_alcotest.to_alcotest prop_reverse;
-      QCheck_alcotest.to_alcotest prop_enumerate_sound;
-    ]
+let suite = suite @ [ QCheck_alcotest.to_alcotest prop_kernel ]

@@ -926,6 +926,39 @@ let test_outside_contract_fragment () =
         (capture [ cmd; spec; "s"; "t" ]))
     [ "compliance"; "dot"; "subcontract" ]
 
+(* The complexity probe's straight-line spec at 2,000 actions. Both
+   validity engines walk the client's states on the breadth-first
+   kernel, keyed by term id or by a hash of the whole BPA term; keyed by
+   the default [Hashtbl.hash], which reads a bounded prefix, every
+   suffix of the chain shared one bucket and the command took about a
+   minute. It must exit 0 within 30 s, and is killed otherwise. *)
+let test_validity_long_client () =
+  let chain d = String.concat "." (List.init 2000 (fun _ -> "a" ^ d)) in
+  let spec =
+    write_log "line2000.susf"
+      (Fmt.str "service s = req?.(%s);\nclient c = open(1){ req!.(%s) };\n\
+                client d = req!.(%s);\n"
+         (chain "?") (chain "!") (chain "!"))
+  in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Fun.protect ~finally:(fun () -> Unix.close null) @@ fun () ->
+    Unix.create_process susf [| susf; "validity"; spec |] Unix.stdin null null
+  in
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+        Unix.sleepf 0.05;
+        wait ()
+    | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        Alcotest.fail "susf validity did not finish within 30 s"
+    | _, status -> status
+  in
+  Alcotest.(check bool) "susf validity exits 0" true (wait () = Unix.WEXITED 0)
+
 let suite =
   [
     Alcotest.test_case "check valid plan" `Quick
@@ -1043,4 +1076,6 @@ let suite =
       test_effects_rejects_unguarded;
     Alcotest.test_case "pairwise commands outside the contract fragment"
       `Quick test_outside_contract_fragment;
+    Alcotest.test_case "validity on a 2,000-action client" `Quick
+      test_validity_long_client;
   ]

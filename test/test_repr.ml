@@ -229,6 +229,8 @@ module Ref_lts = Bisim.Make (struct
   type label = Contract.dir * string
 
   let compare_state = ref_compare
+  let equal_state a b = ref_compare a b = 0
+  let hash_state (c : Contract.t) = Hexpr.hash (c :> Hexpr.t)
 
   let compare_label (d1, a1) (d2, a2) =
     match Stdlib.compare d1 d2 with 0 -> String.compare a1 a2 | c -> c
