@@ -56,6 +56,14 @@ let contract_of spec name =
       Fmt.epr "%s is outside the contract fragment: %s@." name reason;
       exit 2
 
+(* a walk past its state bound is a diagnostic about that name, not a
+   crash *)
+let within_state_limit file name f =
+  try f ()
+  with Automata.Bfs.State_limit n ->
+    Fmt.epr "%s: %s: more than %d reachable states@." file name n;
+    exit 2
+
 (* --- common arguments --- *)
 
 let file_arg =
@@ -315,6 +323,7 @@ let validity_cmd =
     let ok = ref true in
     List.iter
       (fun (name, h) ->
+        within_state_limit file name @@ fun () ->
         (match Core.Validity.check_expr h with
         | Ok () -> Fmt.pr "%s: valid (direct exploration)@." name
         | Error v ->
@@ -447,7 +456,7 @@ let dot_cmd =
     let spec = load file in
     let ca = contract_of spec a in
     let cb = contract_of spec b in
-    Core.Product.pp_dot Fmt.stdout (Core.Product.build ca cb);
+    Core.Export.product_dot Fmt.stdout (Core.Product.build ca cb);
     exit 0
   in
   let doc = "Export the compliance product automaton to DOT." in
@@ -513,6 +522,7 @@ let cost_cmd =
     let model = Quant.Model.of_list ~default prices in
     List.iter
       (fun (name, h) ->
+        within_state_limit file name @@ fun () ->
         (match Quant.Cost.worst_case model h with
         | Some c -> Fmt.pr "%s: worst-case stand-alone cost %g@." name c
         | None -> Fmt.pr "%s: unbounded stand-alone cost@." name);
@@ -634,7 +644,8 @@ let graph_cmd =
           Fmt.stdout;
         exit 0
     | None ->
-        Core.Export.hexpr_dot Fmt.stdout (party_of spec name);
+        within_state_limit file name (fun () ->
+            Core.Export.hexpr_dot Fmt.stdout (party_of spec name));
         exit 0
   in
   let doc = "Export a transition system to DOT (LTS, or the abstract \

@@ -1,5 +1,7 @@
 type ('s, 'l, 'v) visit = Expand of ('l * 's) list | Prune | Stop of 'v
 
+exception State_limit of int
+
 module Make (K : Hashtbl.HashedType) = struct
   module Tbl = Hashtbl.Make (K)
 
@@ -28,7 +30,7 @@ module Make (K : Hashtbl.HashedType) = struct
   (* Numbers a state not seen before. *)
   let add ?limit w s parent =
     let i = w.found in
-    (match limit with Some (n, msg) when i >= n -> failwith msg | _ -> ());
+    (match limit with Some n when i >= n -> raise (State_limit n) | _ -> ());
     if i = Array.length w.states then begin
       w.states <- grow w.states s;
       w.parents <- grow w.parents Root

@@ -13,12 +13,16 @@ type ('s, 'l, 'v) visit =
   | Prune  (** expand nothing from the visited state *)
   | Stop of 'v  (** end the walk with this value *)
 
+exception State_limit of int
+(** Raised by a walk with [~limit:n] that discovers more than [n]
+    states; carries [n]. *)
+
 module Make (K : Hashtbl.HashedType) : sig
   type 'l walk
   (** A walk in progress, as its reader sees it. *)
 
   val run :
-    ?limit:int * string ->
+    ?limit:int ->
     ?edge:(int -> 'l -> int -> unit) ->
     K.t list ->
     ('l walk -> int -> K.t -> (K.t, 'l, 'v) visit) ->
@@ -28,7 +32,7 @@ module Make (K : Hashtbl.HashedType) : sig
       number. Returns the value of the [Stop] that ended the walk, if
       any, and the number of states discovered. [edge i l j] reports
       each expanded successor: the move labelled [l] from state [i] to
-      state [j]. With [~limit:(n, msg)], raises [Failure msg] when more
+      state [j]. With [~limit:n], raises {!State_limit} [n] when more
       than [n] states are discovered. *)
 
   val path : 'l walk -> int -> 'l list
@@ -36,7 +40,7 @@ module Make (K : Hashtbl.HashedType) : sig
       was first reached from: a shortest path. *)
 
   val states :
-    ?limit:int * string -> (K.t -> ('l * K.t) list) -> K.t list -> K.t list
+    ?limit:int -> (K.t -> ('l * K.t) list) -> K.t list -> K.t list
   (** [states succ roots]: every state reachable from [roots], once
       each, in discovery order. *)
 end

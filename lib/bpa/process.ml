@@ -1,37 +1,50 @@
+(* A compound node carries the hash of its whole term, built by [seq]
+   and [alt] from its children's, so a walk hashes and tells apart its
+   states in time independent of their size. *)
 type t =
   | Zero
   | Atom of Sym.t
-  | Seq of t * t
-  | Alt of t * t
+  | Seq of int * t * t
+  | Alt of int * t * t
   | Var of string
 
 type defs = (string * t) list
 
-let rec compare x y =
-  let tag = function
-    | Zero -> 0
-    | Atom _ -> 1
-    | Seq _ -> 2
-    | Alt _ -> 3
-    | Var _ -> 4
-  in
-  match (x, y) with
-  | Zero, Zero -> 0
-  | Atom a, Atom b -> Sym.compare a b
-  | Seq (a, b), Seq (c, d) | Alt (a, b), Alt (c, d) -> (
-      match compare a c with 0 -> compare b d | c -> c)
-  | Var a, Var b -> String.compare a b
-  | (Zero | Atom _ | Seq _ | Alt _ | Var _), _ -> Int.compare (tag x) (tag y)
+let comb a b = ((a * 19) + b) land max_int
 
-let equal x y = compare x y = 0
+let hash_sym = function
+  | Sym.Ev e -> comb 1 (Hashtbl.hash e)
+  | Sym.Frm_open p -> comb 2 (Hashtbl.hash (Usage.Policy.id p))
+  | Sym.Frm_close p -> comb 3 (Hashtbl.hash (Usage.Policy.id p))
+  | Sym.Comm s -> comb 4 (Hashtbl.hash s)
+
+let hash = function
+  | Zero -> 0
+  | Atom a -> comb 1 (hash_sym a)
+  | Seq (h, _, _) | Alt (h, _, _) -> h
+  | Var x -> comb 4 (Hashtbl.hash x)
+
+(* Physical identity, then the stored hashes, then structure. *)
+let rec equal x y =
+  x == y
+  ||
+  match (x, y) with
+  | Zero, Zero -> true
+  | Atom a, Atom b -> Sym.equal a b
+  | Seq (h, a, b), Seq (k, c, d) | Alt (h, a, b), Alt (k, c, d) ->
+      h = k && equal a c && equal b d
+  | Var a, Var b -> String.equal a b
+  | (Zero | Atom _ | Seq _ | Alt _ | Var _), _ -> false
+
+let atom a = Atom a
 
 let rec seq a b =
   match (a, b) with
   | Zero, p | p, Zero -> p
-  | Seq (x, y), p -> seq x (seq y p)
-  | _ -> Seq (a, b)
+  | Seq (_, x, y), p -> seq x (seq y p)
+  | _ -> Seq (comb (comb 2 (hash a)) (hash b), a, b)
 
-let alt a b = if equal a b then a else Alt (a, b)
+let alt a b = if equal a b then a else Alt (comb (comb 3 (hash a)) (hash b), a, b)
 
 let fresh_def =
   let counter = ref 0 in
@@ -72,7 +85,7 @@ let of_hexpr h0 =
   and sum = function
     | [] -> Zero
     | [ p ] -> p
-    | p :: rest -> Alt (p, sum rest)
+    | p :: rest -> alt p (sum rest)
   in
   let p = tr [] h0 in
   (p, List.rev !defs)
@@ -85,8 +98,8 @@ let nullable_table defs =
   let rec nul = function
     | Zero -> true
     | Atom _ -> false
-    | Seq (a, b) -> nul a && nul b
-    | Alt (a, b) -> nul a || nul b
+    | Seq (_, a, b) -> nul a && nul b
+    | Alt (_, a, b) -> nul a || nul b
     | Var x -> Option.value (Hashtbl.find_opt tbl x) ~default:false
   in
   let changed = ref true in
@@ -115,40 +128,19 @@ let transitions defs =
         match List.assoc_opt x defs with
         | None -> []
         | Some body -> trans body)
-    | Alt (p, q) -> trans p @ trans q
-    | Seq (p, q) ->
+    | Alt (_, p, q) -> trans p @ trans q
+    | Seq (_, p, q) ->
         let left = List.map (fun (a, p') -> (a, seq p' q)) (trans p) in
         if nullable p then left @ trans q else left
   in
   trans
 
-(* Walks hash the whole term: the default [Hashtbl.hash] reads a bounded
-   prefix, so every suffix of a long sequence would share one bucket. *)
 module Walk = Automata.Bfs.Make (struct
   type nonrec t = t
 
   let equal = equal
-  let comb a b = ((a * 19) + b) land max_int
-
-  let hash_sym = function
-    | Sym.Ev e -> comb 1 (Hashtbl.hash e)
-    | Sym.Frm_open p -> comb 2 (Hashtbl.hash (Usage.Policy.id p))
-    | Sym.Frm_close p -> comb 3 (Hashtbl.hash (Usage.Policy.id p))
-    | Sym.Comm s -> comb 4 (Hashtbl.hash s)
-
-  let rec hash = function
-    | Zero -> 0
-    | Atom a -> comb 1 (hash_sym a)
-    | Seq (a, b) -> comb (comb 2 (hash a)) (hash b)
-    | Alt (a, b) -> comb (comb 3 (hash a)) (hash b)
-    | Var x -> comb 4 (Hashtbl.hash x)
+  let hash = hash
 end)
-
-let reachable ?(limit = 100_000) defs p0 =
-  Walk.states
-    ~limit:(limit, "Bpa.Process.reachable: state limit exceeded")
-    (transitions defs) [ p0 ]
-  |> List.sort compare
 
 module Nfa = Automata.Nfa.Make (Sym)
 
@@ -156,8 +148,7 @@ let to_nfa defs p0 =
   let trans = transitions defs in
   let states = ref [] and edges = ref [] in
   ignore
-    (Walk.run [ p0 ]
-       ~limit:(100_000, "Bpa.Process.reachable: state limit exceeded")
+    (Walk.run [ p0 ] ~limit:100_000
        ~edge:(fun i a j -> edges := (i, a, j) :: !edges)
        (fun _ _ p ->
          states := p :: !states;
@@ -168,13 +159,13 @@ let to_nfa defs p0 =
 
 let rec size = function
   | Zero | Atom _ | Var _ -> 1
-  | Seq (a, b) | Alt (a, b) -> 1 + size a + size b
+  | Seq (_, a, b) | Alt (_, a, b) -> 1 + size a + size b
 
 let rec pp ppf = function
   | Zero -> Fmt.string ppf "0"
   | Atom a -> Sym.pp ppf a
-  | Seq (a, b) -> Fmt.pf ppf "%a . %a" pp_atom a pp b
-  | Alt (a, b) -> Fmt.pf ppf "(%a + %a)" pp a pp b
+  | Seq (_, a, b) -> Fmt.pf ppf "%a . %a" pp_atom a pp b
+  | Alt (_, a, b) -> Fmt.pf ppf "(%a + %a)" pp a pp b
   | Var x -> Fmt.string ppf x
 
 and pp_atom ppf p =

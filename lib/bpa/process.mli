@@ -4,11 +4,11 @@
 
     [p ::= 0 | a | p·p | p + p | X]   with definitions [X ≜ p]. *)
 
-type t =
+type t = private
   | Zero
   | Atom of Sym.t
-  | Seq of t * t
-  | Alt of t * t
+  | Seq of int * t * t  (** [p·q], with the hash of the whole term *)
+  | Alt of int * t * t  (** [p + q], with the hash of the whole term *)
   | Var of string
 
 type defs = (string * t) list
@@ -24,9 +24,6 @@ val transitions : defs -> t -> (Sym.t * t) list
     a side, [X] unfolds. *)
 
 val is_terminated : t -> bool
-val reachable : ?limit:int -> defs -> t -> t list
-(** Every process reachable from the argument, in ascending {!compare}
-    order. *)
 
 module Nfa : module type of Automata.Nfa.Make (Sym)
 
@@ -34,9 +31,20 @@ val to_nfa : defs -> t -> Nfa.t * (int -> t option)
 (** The (finite) transition system of a guarded tail-recursive process as
     an NFA with no final states, its states numbered in breadth-first
     discovery order from [0], the process itself, together with the
-    decoding of its numeric states. *)
+    decoding of its numeric states. Raises {!Automata.Bfs.State_limit}
+    past 100_000 states. *)
+
+(** {1 Construction (for tests)} *)
+
+val atom : Sym.t -> t
+
+val seq : t -> t -> t
+(** [p·q], right-nested, with [0] as its unit. *)
 
 val size : t -> int
+
 val equal : t -> t -> bool
-val compare : t -> t -> int
+(** Structural equality, settled at once by physical identity or by
+    distinct hashes. *)
+
 val pp : t Fmt.t

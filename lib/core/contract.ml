@@ -2,8 +2,7 @@
    (paper §4): [t] is [Hexpr.t], built only through the constructors
    below, so contracts are interned in [hexpr.intern] with every other
    term, [equal] is [(==)], and a communication-only expression projects
-   to itself. [compare] is the id order, which the analyses use for
-   their visited sets; no output depends on it. *)
+   to itself. The analyses key their visited sets by id. *)
 
 type t = Hexpr.t
 
@@ -32,7 +31,6 @@ let id = Hexpr.id
 exception Unprojectable of string
 
 let equal = Hexpr.equal
-let compare a b = Int.compare (Hexpr.id a) (Hexpr.id b)
 let nil = Hexpr.nil
 let var = Hexpr.var
 let mu = Hexpr.mu
@@ -84,15 +82,6 @@ let transitions c =
         (Semantics.transitions c))
 
 let is_terminated c = c == nil
-
-module Walk = Automata.Bfs.Make (Hexpr)
-
-let reachable ?(limit = 100_000) c0 =
-  Walk.states
-    ~limit:(limit, "Contract.reachable: state limit exceeded")
-    (fun c -> List.map (fun (d, a, k) -> ((d, a), k)) (transitions c))
-    [ c0 ]
-  |> List.sort compare
 
 let dual_memo : (t, t) Repr.Memo.t =
   Repr.Memo.create ~name:"contract.dual" ~key:id ()

@@ -13,9 +13,6 @@
     ({!Hexpr}), so
 
     - [equal] is physical equality,
-    - [compare] is [Int.compare] on ids (a total order consistent with
-      [equal], though {e not} the structural order — use it for
-      containers, not for anything order-meaningful),
     - analyses key their caches and visited sets on [id] (or id pairs)
       instead of re-walking terms,
     - a communication-only expression is its own projection.
@@ -73,10 +70,6 @@ val transitions : t -> (dir * string * t) list
     fragment are inputs ([I]) and outputs ([O]) only. Memoized by id
     ([contract.transitions] cache). *)
 
-val reachable : ?limit:int -> t -> t list
-(** Finite for well-formed (guarded, tail-recursive) contracts.
-    Returned in ascending id order. *)
-
 val dual : t -> t
 (** Swap inputs and outputs (session-type duality). Every contract is
     compliant with its dual — the canonical partner — and duality is an
@@ -86,9 +79,6 @@ val is_terminated : t -> bool
 
 val equal : t -> t -> bool
 (** Physical equality — O(1) thanks to maximal sharing. *)
-
-val compare : t -> t -> int
-(** [Int.compare] on ids: total, consistent with [equal], O(1). *)
 
 val size : t -> int
 (** {!Hexpr.size}. *)

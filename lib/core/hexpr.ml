@@ -3,12 +3,13 @@
    is [(==)]. This is the one intern table: a [Contract.t] is a term of
    the communication fragment. A term's stored hash is structural —
    built from its atoms and its children's stored hashes, never from
-   ids — and [compare] stays the structural order, so sorted output and
-   hash-table order do not depend on what else the process has
-   interned. Shallow node equality compares policies as
-   instances: [Usage.Policy.make] shares an instance only between equal
-   ids with equal automata, so interning never hands back a term that
-   carries another automaton under the same id. *)
+   ids — so hash-table order does not depend on what else the process
+   has interned. Terms have no order: the analyses find and identify
+   states, and number them in the order they discover them. Shallow
+   node equality compares policies as instances: [Usage.Policy.make]
+   shares an instance only between equal ids with equal automata, so
+   interning never hands back a term that carries another automaton
+   under the same id. *)
 
 type req = { rid : int; policy : Usage.Policy.t option }
 
@@ -101,47 +102,6 @@ let compare_req a b =
   match Int.compare a.rid b.rid with
   | 0 -> Option.compare Usage.Policy.compare a.policy b.policy
   | c -> c
-
-let rec compare x y =
-  let tag = function
-    | Nil -> 0
-    | Var _ -> 1
-    | Mu _ -> 2
-    | Ext _ -> 3
-    | Int _ -> 4
-    | Ev _ -> 5
-    | Seq _ -> 6
-    | Open _ -> 7
-    | Close _ -> 8
-    | Frame _ -> 9
-    | Frame_close _ -> 10
-    | Choice _ -> 11
-  in
-  if x == y then 0
-  else
-    match (x.node, y.node) with
-    | Nil, Nil -> 0
-    | Var a, Var b -> String.compare a b
-    | Mu (a, h), Mu (b, k) -> (
-        match String.compare a b with 0 -> compare h k | c -> c)
-    | Ext a, Ext b | Int a, Int b ->
-        List.compare
-          (fun (c, h) (d, k) ->
-            match String.compare c d with 0 -> compare h k | c -> c)
-          a b
-    | Ev a, Ev b -> Usage.Event.compare a b
-    | Seq (a, b), Seq (c, d) | Choice (a, b), Choice (c, d) -> (
-        match compare a c with 0 -> compare b d | c -> c)
-    | Open (r, h), Open (s, k) -> (
-        match compare_req r s with 0 -> compare h k | c -> c)
-    | Close r, Close s -> compare_req r s
-    | Frame (p, h), Frame (q, k) -> (
-        match Usage.Policy.compare p q with 0 -> compare h k | c -> c)
-    | Frame_close p, Frame_close q -> Usage.Policy.compare p q
-    | ( ( Nil | Var _ | Mu _ | Ext _ | Int _ | Ev _ | Seq _ | Open _ | Close _
-        | Frame _ | Frame_close _ | Choice _ ),
-        _ ) ->
-        Int.compare (tag x.node) (tag y.node)
 
 (* [ε·H ≡ H ≡ H·ε]; sequences are kept right-nested so that equal residual
    behaviours are syntactically equal as often as possible. *)

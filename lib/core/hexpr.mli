@@ -19,10 +19,10 @@
     once while it is alive and carries a unique [id], so
 
     - [equal] is physical equality;
-    - [compare] stays the {e structural} order (short-circuiting on
-      [==]), so sorted output does not depend on interning order;
-    - [hash] is structural too: it is computed from a node's atoms and
-      its children's stored hashes, never from ids.
+    - [hash] is structural: it is computed from a node's atoms and its
+      children's stored hashes, never from ids;
+    - terms have no order: every analysis finds and identifies states
+      by [equal] and [hash], and numbers them in discovery order.
 
     Policies inside a term are compared as instances: {!Usage.Policy.make}
     shares an instance only between equal ids with equal automata, so
@@ -104,10 +104,6 @@ end
 
 val equal : t -> t -> bool
 (** Physical equality — O(1) thanks to maximal sharing. *)
-
-val compare : t -> t -> int
-(** The structural order, [0] at once on physically equal terms;
-    policies are compared by identifier. *)
 
 val compare_req : req -> req -> int
 val pp_req : req Fmt.t

@@ -102,10 +102,10 @@ let rec session_mismatch (comp : Network.component) =
 (* The one state key: a (component, policy cursors) pair. Terms are
    interned, so the component compares by physical equality of its
    residuals and hashes through their stored hashes, in time independent
-   of their size. Only the component is hashed: [Validity.Abstract.t]
-   values that compare equal can sit in differently-shaped balanced
-   trees, so hashing their representation would break the
-   "equal implies hash-equal" invariant. *)
+   of their size. Only the component is hashed: [Validity.Abstract]
+   keeps sorted lists, but they hold policy values that its [equal]
+   ignores and a generic hash would read, and that [equal] tells apart
+   the few states that share a component. *)
 module Key = struct
   type t = Network.component * Validity.Abstract.t
 
@@ -342,8 +342,7 @@ let explore_interleaved ?(limit = 1_000_000) repo clients =
   in
   let transitions = ref 0 in
   let _, states =
-    Configs.run
-      ~limit:(limit, "Netcheck.explore_interleaved: state limit exceeded")
+    Configs.run ~limit
       ~edge:(fun _ () _ -> incr transitions)
       [ start ]
       (fun _ _ cfg ->

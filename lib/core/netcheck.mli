@@ -119,8 +119,8 @@ val explore_interleaved :
   stats
 (** Size of the full interleaved state space (for benchmarks): the
     product of the clients' abstract graphs, each client stepped and
-    keyed as in {!graph}. Raises [Failure] past [limit] (default
-    1_000_000) states. *)
+    keyed as in {!graph}. Raises {!Automata.Bfs.State_limit} past
+    [limit] (default 1_000_000) states. *)
 
 val pp_stuck : stuck Fmt.t
 val pp_verdict : verdict Fmt.t

@@ -3,10 +3,9 @@ type state = Contract.t * Contract.t
 type stuck_reason = Client_waits_forever | Unmatched_output of string
 
 type t = {
-  initial : state;
-  states : state list;
-  delta : (state * string * state) list;
-  finals : (state * stuck_reason) list;
+  states : state array;
+  delta : (int * string * int) list;
+  finals : (int * stuck_reason) list;
 }
 
 let outputs trans =
@@ -95,10 +94,7 @@ let walk c1 c2 =
 let build c1 c2 =
   Obs.Trace.with_span "product.build" @@ fun () ->
   let w = walk c1 c2 in
-  let states = Array.of_list (List.rev w.rev_states) in
-  let delta =
-    List.rev_map (fun (i, a, j) -> (states.(i), a, states.(j))) w.rev_edges
-  in
+  let delta = List.rev w.rev_edges in
   if Obs.Metrics.active () then begin
     let transitions = List.length delta in
     Obs.Metrics.incr "product.builds";
@@ -109,10 +105,9 @@ let build c1 c2 =
     Obs.Trace.add_attr "transitions" (Obs.Trace.Int transitions)
   end;
   {
-    initial = (c1, c2);
-    states = Array.to_list states;
+    states = Array.of_list (List.rev w.rev_states);
     delta;
-    finals = List.rev_map (fun (i, r) -> (states.(i), r)) w.rev_finals;
+    finals = List.rev w.rev_finals;
   }
 
 let language_empty t = t.finals = []
@@ -186,34 +181,3 @@ let pp_counterexample ppf ce =
     Fmt.(list ~sep:comma string)
     ce.synchronisations Contract.pp (fst ce.stuck) Contract.pp (snd ce.stuck)
     pp_stuck_reason ce.reason
-
-let pp_dot ppf t =
-  let id =
-    let tbl = Repr.Key.Pair_tbl.create 17 in
-    let next = ref 0 in
-    fun p ->
-      match Repr.Key.Pair_tbl.find_opt tbl (key p) with
-      | Some i -> i
-      | None ->
-          let i = !next in
-          incr next;
-          Repr.Key.Pair_tbl.replace tbl (key p) i;
-          i
-  in
-  Fmt.pf ppf "digraph product {@.  rankdir=LR;@.";
-  List.iter
-    (fun ((c1, c2) as p) ->
-      let shape =
-        if List.exists (fun (q, _) -> equal_state p q) t.finals then
-          "doublecircle"
-        else "circle"
-      in
-      Fmt.pf ppf "  %d [shape=%s,label=\"%s | %s\"];@." (id p) shape
-        (String.escaped (Contract.to_string c1))
-        (String.escaped (Contract.to_string c2)))
-    t.states;
-  List.iter
-    (fun (p, a, q) ->
-      Fmt.pf ppf "  %d -> %d [label=\"tau(%s)\"];@." (id p) (id q) a)
-    t.delta;
-  Fmt.pf ppf "}@."

@@ -18,12 +18,12 @@ type stuck_reason =
           matching input on the other side *)
 
 type t = {
-  initial : state;
-  states : state list;
-  delta : (state * string * state) list;
-      (** τ-transitions; the channel that synchronised is kept for
-          diagnostics. *)
-  finals : (state * stuck_reason) list;
+  states : state array;
+      (** by discovery number, [0] the initial pair *)
+  delta : (int * string * int) list;
+      (** τ-transitions between state numbers; the channel that
+          synchronised is kept for diagnostics. *)
+  finals : (int * stuck_reason) list;  (** the final states' numbers *)
 }
 
 val final_reason : state -> stuck_reason option
@@ -31,11 +31,12 @@ val final_reason : state -> stuck_reason option
     pair belongs to [F]. This is the invariant [Φ] of Theorem 2. *)
 
 val build : Contract.t -> Contract.t -> t
-(** Reachable fragment of [H₁ ⊗ H₂], states and transitions in
-    breadth-first discovery order (the survey's walk); per Definition 5,
-    final states have no outgoing transitions. Its final states are exactly the survey's
+(** Reachable fragment of [H₁ ⊗ H₂], numbered by the survey's walk:
+    states in breadth-first discovery order from [(c1, c2)], transitions
+    in the order they were expanded. Per Definition 5, final states have
+    no outgoing transitions. Its final states are exactly the survey's
     stuck configurations: [List.length (build c1 c2).finals =
-    (survey c1 c2).stuck_states]. *)
+    (survey c1 c2).stuck_states]. {!Export.product_dot} draws it. *)
 
 val language_empty : t -> bool
 
@@ -86,4 +87,3 @@ val admits : Compliance.level -> survey -> bool
 
 val pp_stuck_reason : stuck_reason Fmt.t
 val pp_counterexample : counterexample Fmt.t
-val pp_dot : t Fmt.t

@@ -1,5 +1,3 @@
-module Map = Map.Make (Hexpr)
-
 let is_terminated h = Hexpr.equal h Hexpr.nil
 
 let rec transitions (h : Hexpr.t) : (Action.t * Hexpr.t) list =
@@ -25,24 +23,27 @@ let step h l =
 
 module Walk = Automata.Bfs.Make (Hexpr)
 
-let reachable ?(limit = 100_000) h0 =
-  Walk.states
-    ~limit:
-      (limit, "Semantics.reachable: state limit exceeded (ill-formed recursion?)")
-    transitions [ h0 ]
-  |> List.sort Hexpr.compare
+(* Well-formed expressions have finitely many reachable states, but a
+   long client has many: the walks stop past this bound instead of
+   filling memory. *)
+let limit = 100_000
+let reachable h0 = Walk.states ~limit transitions [ h0 ]
 
+(* One walk numbers the states and reports their moves, expanded state
+   by state in discovery order, so prepending them from the newest
+   keeps each state's moves in [transitions] order. *)
 let lts h0 =
-  let states = Array.of_list (reachable h0) in
-  let index =
-    Array.to_seqi states
-    |> Seq.fold_left (fun m (i, s) -> Map.add s i m) Map.empty
+  let rev_states = ref [] and rev_edges = ref [] in
+  let _, n =
+    Walk.run ~limit [ h0 ]
+      ~edge:(fun i l j -> rev_edges := (i, l, j) :: !rev_edges)
+      (fun _ _ s ->
+        rev_states := s :: !rev_states;
+        Automata.Bfs.Expand (transitions s))
   in
-  let id s = Map.find s index in
-  ( id h0,
-    Array.map
-      (fun s -> (s, List.map (fun (l, s') -> (l, id s')) (transitions s)))
-      states )
+  let moves = Array.make n [] in
+  List.iter (fun (i, l, j) -> moves.(i) <- (l, j) :: moves.(i)) !rev_edges;
+  Array.of_list (List.rev !rev_states) |> Array.mapi (fun i s -> (s, moves.(i)))
 
 let traces ~depth h0 =
   let rec go d h =

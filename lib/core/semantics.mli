@@ -11,17 +11,18 @@ val step : Hexpr.t -> Action.t -> Hexpr.t list
 val is_terminated : Hexpr.t -> bool
 (** [H ≡ ε]. *)
 
-val reachable : ?limit:int -> Hexpr.t -> Hexpr.t list
-(** All expressions reachable from the argument. Well-formed expressions
-    (guarded tail recursion) have finitely many reachable states; the
-    optional [limit] (default 100_000) guards against ill-formed input.
-    Raises [Failure] when the limit is hit. *)
+val reachable : Hexpr.t -> Hexpr.t list
+(** All expressions reachable from the argument, the argument first, in
+    breadth-first discovery order. Well-formed expressions (guarded tail
+    recursion) have finitely many reachable states; past 100_000 states
+    the walk raises {!Automata.Bfs.State_limit}. *)
 
-val lts : Hexpr.t -> int * (Hexpr.t * (Action.t * int) list) array
-(** The numbered LTS of the expression: its {!reachable} states in that
-    order, each with its {!transitions}, targets given as indices into
-    the array; and the index of the argument itself. The one numbering
-    that the DOT export and the cost analyses read. *)
+val lts : Hexpr.t -> (Hexpr.t * (Action.t * int) list) array
+(** The numbered LTS of the expression: its {!reachable} states by
+    discovery number, state [0] the argument, each with its
+    {!transitions} in order, targets given as state numbers. The
+    numbering that the DOT export and the cost analyses read. Raises
+    {!Automata.Bfs.State_limit} past 100_000 states. *)
 
 val traces : depth:int -> Hexpr.t -> Action.t list list
 (** All maximal traces of length at most [depth] (exhaustive unfolding;

@@ -69,8 +69,7 @@ let build ?(limit = 1_000_000) ps =
   let rev_states = ref [] and rev_offers = ref [] and rev_requests = ref [] in
   let rev_edges = ref [] in
   let _, size =
-    Walk.run
-      ~limit:(limit, "Orchestration.Automaton.build: state limit exceeded")
+    Walk.run ~limit
       ~edge:(fun i m j -> rev_edges := (i, m, j) :: !rev_edges)
       [ Array.map (fun p -> p.contract) parties ]
       (fun _ _ v ->

@@ -29,8 +29,9 @@ type t
 
 val build : ?limit:int -> party list -> t
 (** The n-party match product, explored breadth-first from the vector of
-    initial contracts. Needs at least two parties; raises [Failure] past
-    [limit] states (default 1_000_000 — a guard, not a tuning knob).
+    initial contracts. Needs at least two parties; raises
+    {!Automata.Bfs.State_limit} past [limit] states (default 1_000_000 —
+    a guard, not a tuning knob).
     Deterministic: states are numbered in discovery order (state 0 is the
     initial vector) and edge lists follow (sender, transition, receiver)
     order. *)

@@ -6,29 +6,30 @@ let weight model (act : Core.Action.t) =
   | Core.Action.Frm_close _ ->
       0.
 
+(* State 0 of the LTS is the expression itself. *)
 let graph_of model h0 =
-  let init, states = Core.Semantics.lts h0 in
+  let states = Core.Semantics.lts h0 in
   let edges =
     Array.to_list states
     |> List.mapi (fun i (_, moves) ->
            List.map (fun (act, j) -> (i, weight model act, j)) moves)
     |> List.concat
   in
-  (Array.length states, edges, init, states)
+  (Array.length states, edges, states)
 
 let worst_case model h0 =
-  let n, edges, init, _ = graph_of model h0 in
-  Graph.supremum ~n ~edges ~init
+  let n, edges, _ = graph_of model h0 in
+  Graph.supremum ~n ~edges ~init:0
 
 let best_case model h0 =
-  let n, edges, init, states = graph_of model h0 in
-  Graph.shortest_to ~n ~edges ~init ~target:(fun v ->
+  let n, edges, states = graph_of model h0 in
+  Graph.shortest_to ~n ~edges ~init:0 ~target:(fun v ->
       Core.Semantics.is_terminated (fst states.(v)))
 
 let expected ?(fuel = 64) model h0 =
   (* value iteration over the finite LTS: V_0 = 0;
      V_{k+1}(s) = mean over enabled moves of (weight + V_k(s')) *)
-  let init, states = Core.Semantics.lts h0 in
+  let states = Core.Semantics.lts h0 in
   let moves =
     Array.map
       (fun (_, ms) -> List.map (fun (act, j) -> (weight model act, j)) ms)
@@ -50,4 +51,4 @@ let expected ?(fuel = 64) model h0 =
       moves;
     v := v'
   done;
-  !v.(init)
+  !v.(0)

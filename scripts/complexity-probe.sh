@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# Complexity probe: `susf check`, `susf lint` and `susf compliance` must
-# grow linearly in the length of a client.
+# Complexity probe: `susf check`, `lint`, `compliance`, `cost` and
+# `validity` must grow linearly in the length of a client.
 #
 #   sh scripts/complexity-probe.sh [SUSF]
 #
@@ -15,10 +15,14 @@
 # per doubling). SUSF defaults to the dune build of bin/susf.exe.
 #
 # `compliance FILE d s` projects both bodies (d is its own contract,
-# since it is communication only) and runs one product survey. `susf
-# dot` is left out on purpose: its DOT labels print every residual, so
-# its output, and its time with it, grow quadratically (80 MB in 5.8 s
-# at 4,000 actions, 320 MB in 24.5 s at 8,000, on a 2-vCPU host).
+# since it is communication only) and runs one product survey. `cost
+# FILE` walks each client's LTS (`Semantics.lts`) and prices its plans;
+# `validity FILE` runs both static validity engines, the direct one and
+# the BPA model checker, on each client. `susf dot` and `susf graph
+# FILE NAME` are left out on purpose: their DOT labels print every
+# residual, so their output, and their time with it, grow
+# quadratically (`dot` wrote 80 MB in 5.8 s at 4,000 actions and
+# 320 MB in 24.5 s at 8,000, on a 2-vCPU host).
 set -eu
 
 ROOT=$(CDPATH='' cd -- "$(dirname -- "$0")/.." && pwd)
@@ -49,7 +53,7 @@ done
 now_ns() { date +%s%N; }
 
 status=0
-for cmd in check lint compliance; do
+for cmd in check lint compliance cost validity; do
   case "$cmd" in
     compliance) set -- d s ;;
     *) set -- ;;

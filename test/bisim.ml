@@ -207,7 +207,7 @@ module Hexpr_lts = struct
   type state = Hexpr.t
   type label = Action.t
 
-  let compare_state = Hexpr.compare
+  let compare_state a b = Int.compare (Hexpr.id a) (Hexpr.id b)
   let equal_state = Hexpr.equal
   let hash_state = Hexpr.hash
   let compare_label = Action.compare
@@ -221,7 +221,7 @@ module Contract_lts = struct
   type state = Contract.t
   type label = Contract.dir * string
 
-  let compare_state = Contract.compare
+  let compare_state a b = Int.compare (Contract.id a) (Contract.id b)
   let equal_state = Contract.equal
   let hash_state = Contract.id
 

@@ -260,9 +260,9 @@ let prop_kernel =
              edges
       in
       let limited =
-        match W.states ~limit:(n, "over") succ roots with
+        match W.states ~limit:n succ roots with
         | _ -> reach <= n
-        | exception Failure msg -> msg = "over" && reach > n
+        | exception Automata.Bfs.State_limit m -> m = n && reach > n
       in
       (* a pruned state expands nothing *)
       let pruned s = s mod 2 = 1 in

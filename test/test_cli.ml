@@ -959,6 +959,22 @@ let test_validity_long_client () =
   in
   Alcotest.(check bool) "susf validity exits 0" true (wait () = Unix.WEXITED 0)
 
+(* A client with more reachable states than the walks' bound of
+   100,000 is a diagnostic naming the file and the client (exit 2), not
+   an uncaught exception (exit 125). *)
+let test_past_state_limit () =
+  let spec =
+    write_log "line100001.susf"
+      (Fmt.str "client d = %s;\n"
+         (String.concat "." (List.init 100_001 (fun _ -> "a!"))))
+  in
+  List.iter
+    (fun args ->
+      Alcotest.(check string) (String.concat " " args)
+        (spec ^ ": d: more than 100000 reachable states\nexit 2")
+        (capture args))
+    [ [ "cost"; spec ]; [ "graph"; spec; "d" ] ]
+
 let suite =
   [
     Alcotest.test_case "check valid plan" `Quick
@@ -1078,4 +1094,5 @@ let suite =
       `Quick test_outside_contract_fragment;
     Alcotest.test_case "validity on a 2,000-action client" `Quick
       test_validity_long_client;
+    Alcotest.test_case "past the state limit" `Quick test_past_state_limit;
   ]

@@ -116,7 +116,7 @@ let test_product_structure () =
   let client = Contract.select [ ("a", Contract.nil) ] in
   let server = Contract.branch [ ("a", Contract.nil) ] in
   let p = Product.build client server in
-  Alcotest.(check int) "two states" 2 (List.length p.Product.states);
+  Alcotest.(check int) "two states" 2 (Array.length p.Product.states);
   Alcotest.(check int) "one transition" 1 (List.length p.Product.delta);
   Alcotest.(check bool) "empty language" true (Product.language_empty p)
 
@@ -156,7 +156,9 @@ module PairSet = Set.Make (struct
   type t = Contract.t * Contract.t
 
   let compare (a1, b1) (a2, b2) =
-    match Contract.compare a1 a2 with 0 -> Contract.compare b1 b2 | c -> c
+    match Int.compare (Contract.id a1) (Contract.id a2) with
+    | 0 -> Int.compare (Contract.id b1) (Contract.id b2)
+    | c -> c
 end)
 
 let reachable_pairs c s =
@@ -338,7 +340,7 @@ let test_product_shape () =
   let channels n = List.init n (fun i -> (Fmt.str "c%d" i, Hexpr.nil)) in
   let shape c s =
     let p = Product.build (Contract.project c) (Contract.project s) in
-    (List.length p.Product.states, List.length p.Product.delta, Product.language_empty p)
+    (Array.length p.Product.states, List.length p.Product.delta, Product.language_empty p)
   in
   for n = 1 to 64 do
     Alcotest.(check (triple int int bool))

@@ -165,12 +165,6 @@ let prop_normalize_preserves_wf =
     Testkit.Generators.hexpr_arb (fun h ->
       match Hexpr.well_formed h with Ok () -> true | Error _ -> false)
 
-let prop_compare_total =
-  QCheck.Test.make ~name:"compare is a total order" ~count:300
-    (QCheck.pair Testkit.Generators.hexpr_arb Testkit.Generators.hexpr_arb) (fun (a, b) ->
-      let c1 = Hexpr.compare a b and c2 = Hexpr.compare b a in
-      (c1 = 0) = (c2 = 0) && (c1 > 0) = (c2 < 0))
-
 let suite =
   [
     Alcotest.test_case "seq unit laws" `Quick test_seq_unit;
@@ -189,5 +183,4 @@ let suite =
     Alcotest.test_case "printing" `Quick test_pp;
     QCheck_alcotest.to_alcotest prop_normalize_idempotent;
     QCheck_alcotest.to_alcotest prop_normalize_preserves_wf;
-    QCheck_alcotest.to_alcotest prop_compare_total;
   ]

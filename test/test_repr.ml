@@ -5,9 +5,8 @@
 
 open Core
 
-(* The old structural Contract.compare, reimplemented over the exposed
-   node view: the reference that id-based [equal]/[compare] must stay
-   consistent with. *)
+(* A structural order over the exposed node view: the reference that
+   id-based [equal] must stay consistent with. *)
 let rec ref_compare x y =
   let tag (n : Contract.node) =
     match n with
@@ -79,25 +78,12 @@ let prop_rebuild_physical =
   QCheck.Test.make ~name:"rebuilding a contract returns the same value"
     ~count:300 Testkit.Generators.contract_arb (fun c -> rebuild c == c)
 
-(* --- equal/compare vs the structural reference --- *)
+(* --- equal vs the structural reference --- *)
 
 let prop_equal_is_structural =
   QCheck.Test.make ~name:"id equality coincides with structural equality"
     ~count:500 pair_arb (fun (a, b) ->
-      Contract.equal a b = (ref_compare a b = 0)
-      && (Contract.compare a b = 0) = (ref_compare a b = 0))
-
-let prop_compare_total_order =
-  QCheck.Test.make ~name:"compare is a total order consistent with equal"
-    ~count:300
-    (QCheck.triple Testkit.Generators.contract_arb
-       Testkit.Generators.contract_arb Testkit.Generators.contract_arb)
-    (fun (a, b, c) ->
-      let sgn n = Stdlib.compare n 0 in
-      sgn (Contract.compare a b) = -sgn (Contract.compare b a)
-      && ((not (Contract.compare a b <= 0 && Contract.compare b c <= 0))
-         || Contract.compare a c <= 0)
-      && (Contract.compare a b = 0) = Contract.equal a b)
+      Contract.equal a b = (ref_compare a b = 0))
 
 (* --- cache lifecycle --- *)
 
@@ -388,48 +374,6 @@ let test_fnv_known_answers () =
 
 (* --- history expressions --- *)
 
-(* The pre-interning structural order of Hexpr, over the node view: the
-   reference [Hexpr.compare] must keep agreeing with. Policies compare
-   by id, as they always have. *)
-let rec ref_hcompare x y =
-  let tag (n : Hexpr.node) =
-    match n with
-    | Hexpr.Nil -> 0
-    | Hexpr.Var _ -> 1
-    | Hexpr.Mu _ -> 2
-    | Hexpr.Ext _ -> 3
-    | Hexpr.Int _ -> 4
-    | Hexpr.Ev _ -> 5
-    | Hexpr.Seq _ -> 6
-    | Hexpr.Open _ -> 7
-    | Hexpr.Close _ -> 8
-    | Hexpr.Frame _ -> 9
-    | Hexpr.Frame_close _ -> 10
-    | Hexpr.Choice _ -> 11
-  in
-  let pair c k = match c with 0 -> k () | c -> c in
-  match (Hexpr.node x, Hexpr.node y) with
-  | Hexpr.Nil, Hexpr.Nil -> 0
-  | Hexpr.Var a, Hexpr.Var b -> String.compare a b
-  | Hexpr.Mu (a, h), Hexpr.Mu (b, k) ->
-      pair (String.compare a b) (fun () -> ref_hcompare h k)
-  | Hexpr.Ext a, Hexpr.Ext b | Hexpr.Int a, Hexpr.Int b ->
-      List.compare
-        (fun (c, h) (d, k) ->
-          pair (String.compare c d) (fun () -> ref_hcompare h k))
-        a b
-  | Hexpr.Ev a, Hexpr.Ev b -> Usage.Event.compare a b
-  | Hexpr.Seq (a, b), Hexpr.Seq (c, d) | Hexpr.Choice (a, b), Hexpr.Choice (c, d)
-    ->
-      pair (ref_hcompare a c) (fun () -> ref_hcompare b d)
-  | Hexpr.Open (r, h), Hexpr.Open (s, k) ->
-      pair (Hexpr.compare_req r s) (fun () -> ref_hcompare h k)
-  | Hexpr.Close r, Hexpr.Close s -> Hexpr.compare_req r s
-  | Hexpr.Frame (p, h), Hexpr.Frame (q, k) ->
-      pair (Usage.Policy.compare p q) (fun () -> ref_hcompare h k)
-  | Hexpr.Frame_close p, Hexpr.Frame_close q -> Usage.Policy.compare p q
-  | n1, n2 -> Int.compare (tag n1) (tag n2)
-
 (* Structural equality, child by child: every generated term draws its
    policies from one pool, so policies equal by id are one instance. *)
 let rec ref_hequal x y =
@@ -472,14 +416,10 @@ let rec hrebuild h =
   | Hexpr.Choice (a, b) -> Hexpr.choice (hrebuild a) (hrebuild b)
 
 let prop_hexpr_equal_is_structural =
-  QCheck.Test.make ~name:"hexpr: equal and compare are structural" ~count:500
+  QCheck.Test.make ~name:"hexpr: equal is structural" ~count:500
     (QCheck.pair Testkit.Generators.hexpr_arb Testkit.Generators.hexpr_arb)
     (fun (a, b) ->
-      let sgn n = Int.compare n 0 in
-      let agree x y =
-        Hexpr.equal x y = ref_hequal x y
-        && sgn (Hexpr.compare x y) = sgn (ref_hcompare x y)
-      in
+      let agree x y = Hexpr.equal x y = ref_hequal x y in
       let a' = hrebuild a in
       a' == a
       && Hexpr.hash a' = Hexpr.hash a
@@ -525,7 +465,6 @@ let suite =
       test_surveys_once_per_pair;
     QCheck_alcotest.to_alcotest prop_rebuild_physical;
     QCheck_alcotest.to_alcotest prop_equal_is_structural;
-    QCheck_alcotest.to_alcotest prop_compare_total_order;
     QCheck_alcotest.to_alcotest prop_compliance_verdict_identical;
     QCheck_alcotest.to_alcotest prop_bisim_verdict_identical;
     Alcotest.test_case "memo counts every lookup across domains" `Quick

@@ -115,6 +115,38 @@ let prop_reachable_closed =
             (Semantics.transitions s))
         states)
 
+(* [Semantics.lts] is one walk of the kernel: state 0 is the argument,
+   states are distinct, each carries its [transitions] in order with the
+   targets numbered, and every later state is first reached by a move
+   from an earlier one. *)
+let prop_lts_discovery_order =
+  QCheck.Test.make ~name:"lts numbers states in discovery order" ~count:300
+    Testkit.Generators.hexpr_arb (fun h ->
+      let states = Semantics.lts h in
+      let n = Array.length states in
+      let state j = fst states.(j) in
+      let moves_ok (s, moves) =
+        let ts = Semantics.transitions s in
+        List.length ts = List.length moves
+        && List.for_all2
+             (fun (l, k) (l', j) ->
+               Action.equal l l' && 0 <= j && j < n && Hexpr.equal k (state j))
+             ts moves
+      in
+      let reached_earlier j =
+        List.exists
+          (fun i -> List.exists (fun (_, k) -> k = j) (snd states.(i)))
+          (List.init j Fun.id)
+      in
+      n > 0
+      && Hexpr.equal (state 0) h
+      && List.length
+           (List.sort_uniq Int.compare
+              (Array.to_list (Array.map (fun (s, _) -> Hexpr.id s) states)))
+         = n
+      && Array.for_all moves_ok states
+      && List.for_all reached_earlier (List.init (n - 1) succ))
+
 let prop_terminated_no_transitions =
   QCheck.Test.make ~name:"only eps is terminated" ~count:300 Testkit.Generators.hexpr_arb
     (fun h ->
@@ -135,5 +167,6 @@ let suite =
     Alcotest.test_case "bounded traces" `Quick test_traces;
     Alcotest.test_case "step" `Quick test_step;
     QCheck_alcotest.to_alcotest prop_reachable_closed;
+    QCheck_alcotest.to_alcotest prop_lts_discovery_order;
     QCheck_alcotest.to_alcotest prop_terminated_no_transitions;
   ]
